@@ -43,6 +43,7 @@ from repro.core.asti import ASTI
 from repro.diffusion.ic import IndependentCascade
 from repro.experiments.harness import sample_shared_realizations
 from repro.graph import generators, weighting
+from repro.runtime.context import ExecutionContext
 from repro.utils.rng import spawn_generators
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "adaptive_engine.json"
@@ -78,7 +79,8 @@ def _measure_case(graph, model, eta, epsilon, realizations, batch_size, seed):
     streams = lambda: spawn_generators(seed + 1, len(realizations))  # noqa: E731
 
     sequential = ASTI(
-        model, epsilon=epsilon, batch_size=batch_size, reuse_pool=False
+        model, epsilon=epsilon, batch_size=batch_size,
+        context=ExecutionContext(reuse_pool=False),
     )
     start = time.perf_counter()
     fresh = [
@@ -88,7 +90,8 @@ def _measure_case(graph, model, eta, epsilon, realizations, batch_size, seed):
     sequential_seconds = time.perf_counter() - start
 
     engine = ASTI(
-        model, epsilon=epsilon, batch_size=batch_size, reuse_pool=True
+        model, epsilon=epsilon, batch_size=batch_size,
+        context=ExecutionContext(reuse_pool=True),
     )
     start = time.perf_counter()
     carried = engine.run_batch(graph, eta, realizations, seeds=streams())

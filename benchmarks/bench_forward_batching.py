@@ -50,6 +50,7 @@ from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold
 from repro.diffusion.montecarlo import estimate_spread
 from repro.graph import generators, weighting
+from repro.runtime.context import ExecutionContext
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "forward_batching.json"
 
@@ -80,7 +81,7 @@ def _measure_spread_case(graph, model, seeds, samples, mc_batch_size, seed):
     start = time.perf_counter()
     estimate_spread(
         graph, model, seeds, samples=samples, seed=seed,
-        mc_batch_size=mc_batch_size,
+        context=ExecutionContext(mc_batch_size=mc_batch_size),
     )
     batched_seconds = time.perf_counter() - start
     loop_rate = samples / loop_seconds

@@ -47,6 +47,7 @@ from repro.experiments.config import quick_config
 from repro.experiments.harness import run_sweep
 from repro.graph import generators, weighting
 from repro.parallel import ParallelRuntime
+from repro.runtime.context import ExecutionContext
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler
 from repro.sampling.mrr import RootCountRule
@@ -103,6 +104,11 @@ def _time(fn) -> float:
     return time.perf_counter() - start
 
 
+def _on(runtime, **knobs) -> ExecutionContext:
+    """A context lent ``runtime`` (the caller keeps closing it)."""
+    return ExecutionContext(**knobs).attach_runtime(runtime)
+
+
 def _pool_once(graph, model, rule, profile, jobs, seed):
     with ParallelRuntime(jobs) as runtime:
         if jobs > 1:
@@ -111,7 +117,7 @@ def _pool_once(graph, model, rule, profile, jobs, seed):
             # process, not once per fill.
             warmup = mrr_batch_sampler(
                 graph, model, rule, seed=seed,
-                batch_size=profile["batch_size"], runtime=runtime,
+                context=_on(runtime, sample_batch_size=profile["batch_size"]),
             )
             warmup.fill(CoverageIndex(graph.n), profile["batch_size"])
         engine = mrr_batch_sampler(
@@ -119,8 +125,7 @@ def _pool_once(graph, model, rule, profile, jobs, seed):
             model,
             rule,
             seed=seed,
-            batch_size=profile["batch_size"],
-            runtime=runtime,
+            context=_on(runtime, sample_batch_size=profile["batch_size"]),
         )
         index = CoverageIndex(graph.n)
         seconds = _time(lambda: engine.fill(index, profile["pool_sets"]))
@@ -172,17 +177,18 @@ def measure_relabeled(graph, profile, jobs, seed=0):
 
 def measure_crn(graph, model, profile, jobs, seed=0):
     candidates = [[int(v)] for v in range(profile["crn_candidates"])]
-    kwargs = dict(
-        n_sims=profile["crn_worlds"],
-        seed=seed,
-        mc_batch_size=profile["crn_sweep"],
+    kwargs = dict(n_sims=profile["crn_worlds"], seed=seed)
+    sweep = profile["crn_sweep"]
+    legacy = CRNSpreadEvaluator(
+        graph, model, context=ExecutionContext(mc_batch_size=sweep), **kwargs
     )
-    legacy = CRNSpreadEvaluator(graph, model, **kwargs)
     legacy_values = legacy.evaluate_many(candidates)
 
     def timed(workers):
         with ParallelRuntime(workers) as runtime:
-            evaluator = CRNSpreadEvaluator(graph, model, runtime=runtime, **kwargs)
+            evaluator = CRNSpreadEvaluator(
+                graph, model, context=_on(runtime, mc_batch_size=sweep), **kwargs
+            )
             if workers > 1:
                 # Warm with a full-size evaluation: anything smaller than
                 # two sweeps stays in-process and would leave worker spawn

@@ -124,10 +124,7 @@ def measure_pool(graph, profile, store_dir, seed=0):
         context = ExecutionContext(
             sample_batch_size=profile["batch_size"], pool_store=store
         )
-        engine = mrr_batch_sampler(
-            graph, model, rule, seed=seed,
-            batch_size=profile["batch_size"], context=context,
-        )
+        engine = mrr_batch_sampler(graph, model, rule, seed=seed, context=context)
         index = CoverageIndex(graph.n)
         seconds = _time(lambda: engine.fill(index, profile["pool_sets"]))
         members, indptr = index.packed()
@@ -233,7 +230,10 @@ def measure_planner(graph, profile, seed=0):
 
     recorded = {}
     for batch in profile["planner_batches"]:
-        engine = mrr_batch_sampler(graph, model, rule, seed=seed, batch_size=batch)
+        engine = mrr_batch_sampler(
+            graph, model, rule, seed=seed,
+            context=ExecutionContext(sample_batch_size=batch),
+        )
         index = CoverageIndex(graph.n)
         recorded[batch] = _time(lambda: engine.fill(index, profile["pool_sets"]))
 

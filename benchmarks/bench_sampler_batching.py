@@ -31,6 +31,7 @@ from pathlib import Path
 from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold
 from repro.graph import generators, weighting
+from repro.runtime.context import ExecutionContext
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler, rr_batch_sampler
 from repro.sampling.mrr import MRRSampler, RootCountRule
@@ -63,14 +64,13 @@ def _time(fn) -> float:
 
 
 def _measure_case(graph, model, family, eta, rule, sets, batch_size, seed):
+    context = ExecutionContext(sample_batch_size=batch_size)
     if family == "rr":
         single = RRSampler(graph, model, seed=seed)
-        engine = rr_batch_sampler(graph, model, seed=seed, batch_size=batch_size)
+        engine = rr_batch_sampler(graph, model, seed=seed, context=context)
     else:
         single = MRRSampler(graph, model, eta, seed=seed, rule=rule)
-        engine = mrr_batch_sampler(
-            graph, model, rule, seed=seed, batch_size=batch_size
-        )
+        engine = mrr_batch_sampler(graph, model, rule, seed=seed, context=context)
     single_seconds = _time(lambda: single.sample_into(CoverageIndex(graph.n), sets))
     batched_seconds = _time(lambda: engine.fill(CoverageIndex(graph.n), sets))
     single_rate = sets / single_seconds

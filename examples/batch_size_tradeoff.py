@@ -21,7 +21,7 @@ Run::
     python examples/batch_size_tradeoff.py
 """
 
-from repro import ASTI, IndependentCascade
+from repro import ASTI, ExecutionContext, IndependentCascade
 from repro.experiments import datasets
 from repro.experiments.harness import sample_shared_realizations
 from repro.experiments.report import format_table
@@ -70,7 +70,8 @@ def main() -> None:
 
     sampling_batches = [
         (f"sample_batch={sbs}",
-         ASTI(model, epsilon=0.5, batch_size=4, sample_batch_size=sbs))
+         ASTI(model, epsilon=0.5, batch_size=4,
+              context=ExecutionContext(sample_batch_size=sbs)))
         for sbs in (1, 16, 256, 1024)
     ]
     print(format_table(

@@ -66,8 +66,9 @@ def build_graph():
 def run_trial(graph, eta, context):
     model = IndependentCascade()
     start = time.perf_counter()
-    with ASTI(model, epsilon=0.5, max_samples=20_000, context=context) as algorithm:
-        result = algorithm.run(graph, eta, seed=SEED)
+    result = ASTI(
+        model, epsilon=0.5, max_samples=20_000, context=context
+    ).run(graph, eta, seed=SEED)
     seconds = time.perf_counter() - start
     return result, seconds
 

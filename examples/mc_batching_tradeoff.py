@@ -1,9 +1,9 @@
 """The forward engine's two knobs: chunk size and early-stop tolerance.
 
 ``estimate_spread`` generates cascades through the batched forward engine,
-``mc_batch_size`` at a time, and can stop early once the 95% CI half-width
-falls below ``ci_halfwidth``.  This example sweeps both knobs on a
-generated weighted-cascade graph:
+``ExecutionContext.mc_batch_size`` at a time, and can stop early once the
+95% CI half-width falls below ``ExecutionContext.mc_tolerance``.  This
+example sweeps both knobs on a generated weighted-cascade graph:
 
 * the **chunk-size sweep** shows the dispatch-amortization curve — tiny
   chunks degenerate toward the per-cascade loop, large chunks go flat once
@@ -23,6 +23,7 @@ from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.montecarlo import estimate_spread
 from repro.experiments.report import format_table
 from repro.graph import generators, weighting
+from repro.runtime.context import ExecutionContext
 
 GRAPH_N = 4_000
 SAMPLES = 4_000
@@ -41,7 +42,7 @@ def main() -> None:
         start = time.perf_counter()
         estimate = estimate_spread(
             graph, model, SEEDS, samples=SAMPLES, seed=1,
-            mc_batch_size=mc_batch_size,
+            context=ExecutionContext(mc_batch_size=mc_batch_size),
         )
         seconds = time.perf_counter() - start
         rows.append([
@@ -61,7 +62,7 @@ def main() -> None:
         start = time.perf_counter()
         estimate = estimate_spread(
             graph, model, SEEDS, samples=SAMPLES, seed=1,
-            mc_batch_size=256, ci_halfwidth=tolerance,
+            context=ExecutionContext(mc_batch_size=256, mc_tolerance=tolerance),
         )
         seconds = time.perf_counter() - start
         rows.append([
@@ -73,7 +74,7 @@ def main() -> None:
         ])
     print()
     print(format_table(
-        ["ci_halfwidth", "cascades used", "ms", "estimate", "CI half-width"],
+        ["mc_tolerance", "cascades used", "ms", "estimate", "CI half-width"],
         rows,
         title="Early-stop sweep (cap 4000 cascades, mc_batch_size = 256)",
     ))

@@ -34,7 +34,7 @@ from typing import Optional
 from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.bounds import coverage_lower_bound
 from repro.sampling.rr import RRCollection
 from repro.utils.rng import RandomSource, as_generator
@@ -82,6 +82,9 @@ class ATEUC:
         structure; when the budget runs out the best-effort candidate is
         returned, mirroring how [22]'s worst case is "prohibitively large"
         (paper Section 5) yet the algorithm is anytime.
+    context:
+        Engine policy for the RR pool (``None`` means
+        ``ExecutionContext()``); never closed here.
     """
 
     name = "ATEUC"
@@ -92,43 +95,17 @@ class ATEUC:
         gamma: float = 2.0,
         theta_initial: int = 512,
         max_doublings: int = 6,
-        sample_batch_size=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_positive_int(theta_initial, "theta_initial")
         check_positive_int(max_doublings, "max_doublings")
         if gamma < 1.0:
             raise ConfigurationError(f"gamma must be >= 1, got {gamma}")
-        self.context, self._owns_context = resolve_context(
-            context,
-            "ATEUC",
-            runtime=runtime,
-            sample_batch_size=sample_batch_size,
-        )
+        self.context = context if context is not None else ExecutionContext()
         self.model = model
         self.gamma = gamma
         self.theta_initial = theta_initial
         self.max_doublings = max_doublings
-
-    @property
-    def sample_batch_size(self) -> int:
-        return self.context.sample_batch_size
-
-    @property
-    def runtime(self):
-        return self.context.runtime
-
-    def close(self) -> None:
-        """Release the private context (no-op for a caller-owned one)."""
-        if self._owns_context:
-            self.context.close()
-
-    def __enter__(self) -> ATEUC:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def run(
         self,

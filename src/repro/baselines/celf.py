@@ -36,14 +36,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.diffusion.base import DiffusionModel
-from repro.diffusion.montecarlo import (
-    DEFAULT_MC_BATCH_SIZE,
-    CRNSpreadEvaluator,
-    estimate_spread,
-)
+from repro.diffusion.montecarlo import CRNSpreadEvaluator, estimate_spread
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.utils.rng import RandomSource, as_generator
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_positive_int
@@ -87,10 +83,8 @@ def _run_celf(
     seed: RandomSource,
     max_seeds: int,
     stop_at_spread: Optional[float],
-    mc_batch_size: Optional[int],
     crn: bool,
-    runtime=None,
-    context: Optional[ExecutionContext] = None,
+    context: Optional[ExecutionContext],
 ) -> CelfResult:
     rng = as_generator(seed)
     queue = _LazyQueue()
@@ -99,14 +93,9 @@ def _run_celf(
     simulations = 0
     skips = 0
 
-    if context is not None and mc_batch_size is None:
-        mc_batch_size = context.mc_batch_size
-    if context is not None and runtime is None:
-        runtime = context.runtime
     if crn:
         evaluator = CRNSpreadEvaluator(
-            graph, model, n_sims=samples, seed=rng,
-            mc_batch_size=mc_batch_size, runtime=runtime,
+            graph, model, n_sims=samples, seed=rng, context=context
         )
 
         def spread_of(candidate_seeds) -> float:
@@ -129,7 +118,7 @@ def _run_celf(
                 candidate_seeds,
                 samples=samples,
                 seed=rng,
-                mc_batch_size=mc_batch_size or DEFAULT_MC_BATCH_SIZE,
+                context=context,
             ).mean
 
         def singleton_spreads():
@@ -172,26 +161,20 @@ def celf_influence_maximization(
     k: int,
     samples: int = 200,
     seed: RandomSource = None,
-    mc_batch_size: Optional[int] = None,
     crn: bool = True,
-    runtime=None,
     context: Optional[ExecutionContext] = None,
 ) -> CelfResult:
     """Select ``k`` seeds by lazy greedy over Monte-Carlo spreads.
 
     With the default ``crn=True``, two runs with the same integer ``seed``
     return identical seed sets (the estimator noise is pinned up front).
-    ``context`` supplies the engine policy (``mc_batch_size``, parallel
-    runtime); the explicit ``mc_batch_size`` / ``runtime`` arguments
-    override it.  ``mc_batch_size`` bounds the cascades per vectorized
-    engine call on either path (``None`` = engine default); the runtime
-    shards the CRN sweeps across worker processes without changing any
-    estimate (evaluation replays pre-sampled noise).
+    ``context`` supplies the engine policy: ``mc_batch_size`` bounds the
+    cascades per vectorized engine call on either path, and the parallel
+    runtime shards the CRN sweeps across worker processes without changing
+    any estimate (evaluation replays pre-sampled noise).
     """
     check_positive_int(k, "k")
     check_positive_int(samples, "samples")
-    if mc_batch_size is not None:
-        check_positive_int(mc_batch_size, "mc_batch_size")
     if k > graph.n:
         raise ConfigurationError(f"k={k} exceeds node count {graph.n}")
     return _run_celf(
@@ -201,9 +184,7 @@ def celf_influence_maximization(
         seed,
         max_seeds=k,
         stop_at_spread=None,
-        mc_batch_size=mc_batch_size,
         crn=crn,
-        runtime=runtime,
         context=context,
     )
 
@@ -214,23 +195,18 @@ def celf_seed_minimization(
     eta: int,
     samples: int = 200,
     seed: RandomSource = None,
-    mc_batch_size: Optional[int] = None,
     crn: bool = True,
-    runtime=None,
     context: Optional[ExecutionContext] = None,
 ) -> CelfResult:
     """Add lazy-greedy seeds until the estimated spread reaches ``eta``.
 
     Non-adaptive, like ATEUC, but estimator-agnostic and therefore a good
     cross-check: on graphs where both run, their seed counts should agree
-    within estimation noise.  ``context`` supplies the engine policy, with
-    the explicit arguments as overrides (see
+    within estimation noise.  ``context`` supplies the engine policy (see
     :func:`celf_influence_maximization`).
     """
     check_positive_int(eta, "eta")
     check_positive_int(samples, "samples")
-    if mc_batch_size is not None:
-        check_positive_int(mc_batch_size, "mc_batch_size")
     if eta > graph.n:
         raise ConfigurationError(f"eta={eta} exceeds node count {graph.n}")
     return _run_celf(
@@ -240,9 +216,7 @@ def celf_seed_minimization(
         seed,
         max_seeds=graph.n,
         stop_at_spread=float(eta),
-        mc_batch_size=mc_batch_size,
         crn=crn,
-        runtime=runtime,
         context=context,
     )
 
@@ -274,6 +248,9 @@ class CELFMinimizer:
     Wraps :func:`celf_seed_minimization` behind the same ``run(graph, eta,
     seed)`` shape as :class:`~repro.baselines.ateuc.ATEUC`, so sweeps can
     put the historical Monte-Carlo baseline next to the RR-based roster.
+    ``context`` (``None`` means ``ExecutionContext()``) supplies the CRN
+    evaluator's policy; the harness passes the sweep's, whose runtime it
+    owns.  CRN evaluation is bit-identical with or without a runtime.
     """
 
     name = "CELF"
@@ -282,47 +259,12 @@ class CELFMinimizer:
         self,
         model: DiffusionModel,
         samples: int = 200,
-        mc_batch_size=UNSET,
-        jobs=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_positive_int(samples, "samples")
-        # Either hand in a context (the harness passes the sweep's, whose
-        # runtime it owns) or legacy knobs that build a private one; CRN
-        # evaluation is bit-identical either way.
-        self.context, self._owns_context = resolve_context(
-            context,
-            "CELFMinimizer",
-            runtime=runtime,
-            mc_batch_size=mc_batch_size,
-            jobs=jobs,
-        )
+        self.context = context if context is not None else ExecutionContext()
         self.model = model
         self.samples = samples
-
-    @property
-    def mc_batch_size(self) -> Optional[int]:
-        return self.context.mc_batch_size
-
-    @property
-    def runtime(self):
-        return self.context.runtime
-
-    def close(self) -> None:
-        """Release the private context's runtime, if this minimizer owns one.
-
-        A context handed in by the caller (the harness) is left alone —
-        its owner closes it.  Safe to call repeatedly.
-        """
-        if self._owns_context:
-            self.context.close()
-
-    def __enter__(self) -> CELFMinimizer:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def run(
         self, graph: DiGraph, eta: int, seed: RandomSource = None

@@ -22,6 +22,7 @@ from repro.diffusion.montecarlo import estimate_spread
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
 from repro.graph.residual import ResidualGraph
+from repro.runtime.context import ExecutionContext
 from repro.utils.rng import RandomSource, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -71,20 +72,17 @@ def degree_seed_minimization(
     eta: int,
     samples: int = 200,
     seed: RandomSource = None,
-    mc_batch_size: Optional[int] = None,
-    context=None,
+    context: Optional[ExecutionContext] = None,
 ) -> DegreeMinimizationResult:
     """Add nodes in decreasing out-degree until MC spread reaches ``eta``.
 
     The simplest non-adaptive seed-minimization strategy; used in tests as
     a floor that ATEUC must beat (or at least match) on seed count.  Each
-    verification estimate runs on the batched forward engine,
-    ``mc_batch_size`` cascades per vectorized call.
+    verification estimate runs on the batched forward engine under
+    ``context``'s ``mc_batch_size`` / ``mc_tolerance`` policy.
     """
     check_positive_int(eta, "eta")
     check_positive_int(samples, "samples")
-    if mc_batch_size is not None:
-        check_positive_int(mc_batch_size, "mc_batch_size")
     if eta > graph.n:
         raise ConfigurationError(f"eta={eta} exceeds node count {graph.n}")
     rng = as_generator(seed)
@@ -94,8 +92,7 @@ def degree_seed_minimization(
     for node in order:
         seeds.append(int(node))
         estimate = estimate_spread(
-            graph, model, seeds, samples=samples, seed=rng,
-            mc_batch_size=mc_batch_size, context=context,
+            graph, model, seeds, samples=samples, seed=rng, context=context
         ).mean
         if estimate >= eta:
             break

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines.opim import InfluenceMaximizationResult, resolve_sampling_policy
+from repro.baselines.opim import InfluenceMaximizationResult
 from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
@@ -53,7 +53,6 @@ def imm_influence_maximization(
     epsilon: float = 0.5,
     seed: RandomSource = None,
     max_samples: Optional[int] = None,
-    sample_batch_size: Optional[int] = None,
     context: Optional[ExecutionContext] = None,
 ) -> InfluenceMaximizationResult:
     """Select ``k`` seeds with IMM's two-phase sampling schedule.
@@ -62,14 +61,11 @@ def imm_influence_maximization(
     :func:`repro.baselines.opim.opim_influence_maximization`, so callers
     can swap solvers freely; IMM's phase diagnostics are attached to the
     certified ratio slot as the fraction ``LB / estimated_spread`` (a
-    quality indicator in [0, 1]).  Explicit ``max_samples`` /
-    ``sample_batch_size`` override the ``context``.
+    quality indicator in [0, 1]).  ``max_samples`` caps every pool;
+    ``context`` supplies the engine policy.
     """
     check_positive_int(k, "k")
     check_fraction(epsilon, "epsilon")
-    max_samples, sample_batch_size = resolve_sampling_policy(
-        max_samples, sample_batch_size, context
-    )
     if k > graph.n:
         raise ConfigurationError(f"k={k} exceeds node count {graph.n}")
     rng = as_generator(seed)
@@ -79,7 +75,7 @@ def imm_influence_maximization(
     log_choose = log_binomial(n, k)
     log_n = math.log(max(n, 2))
 
-    pool = RRCollection(graph, model, seed=rng, batch_size=sample_batch_size)
+    pool = RRCollection(graph, model, seed=rng, context=context)
     lower_bound = 1.0
 
     # Phase 1: geometric search for a lower bound on OPT.
@@ -136,7 +132,6 @@ def imm_diagnostics(
     epsilon: float = 0.5,
     seed: RandomSource = None,
     max_samples: Optional[int] = None,
-    sample_batch_size: Optional[int] = None,
     context: Optional[ExecutionContext] = None,
 ) -> ImmDiagnostics:
     """Run phase 1 only and report the schedule IMM would use.
@@ -146,16 +141,13 @@ def imm_diagnostics(
     """
     check_positive_int(k, "k")
     check_fraction(epsilon, "epsilon")
-    max_samples, sample_batch_size = resolve_sampling_policy(
-        max_samples, sample_batch_size, context
-    )
     rng = as_generator(seed)
     n = graph.n
     eps_prime = math.sqrt(2.0) * epsilon
     log_choose = log_binomial(n, k)
     log_n = math.log(max(n, 2))
 
-    pool = RRCollection(graph, model, seed=rng, batch_size=sample_batch_size)
+    pool = RRCollection(graph, model, seed=rng, context=context)
     lower_bound = 1.0
     rounds = 0
     max_rounds = max(1, int(math.ceil(math.log2(n))) - 1)

@@ -28,13 +28,12 @@ from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
 from repro.graph.residual import ResidualGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.bounds import (
     coverage_lower_bound,
     coverage_upper_bound,
     log_binomial,
 )
-from repro.sampling.engine import DEFAULT_BATCH_SIZE
 from repro.sampling.rr import RRCollection
 from repro.utils.rng import RandomSource, as_generator
 from repro.utils.validation import check_fraction, check_positive_int
@@ -47,7 +46,8 @@ class OpimNodeSelector(SeedSelector):
     root — so the derived constants reuse :class:`TrimParameters` with the
     truncation threshold forced to ``n_i`` (no truncation).  This is exactly
     the design difference the paper evaluates: same machinery, wrong
-    objective for seed minimization.
+    objective for seed minimization.  Engine policy comes from ``context``
+    (``None`` means ``ExecutionContext()``).
     """
 
     def __init__(
@@ -55,33 +55,15 @@ class OpimNodeSelector(SeedSelector):
         model: DiffusionModel,
         epsilon: float = 0.5,
         max_samples: Optional[int] = None,
-        sample_batch_size=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_fraction(epsilon, "epsilon")
-        self.context, self._owns_context = resolve_context(
-            context,
-            "OpimNodeSelector",
-            runtime=runtime,
-            sample_batch_size=sample_batch_size,
-        )
+        self.context = context if context is not None else ExecutionContext()
         self.model = model
         self.epsilon = epsilon
-        # Context supplies the sampling cap unless given explicitly.
-        self.max_samples = (
-            max_samples if max_samples is not None else self.context.max_samples
-        )
+        self.max_samples = max_samples
         self.name = "AdaptIM"
         self.batch_size = 1
-
-    @property
-    def sample_batch_size(self) -> int:
-        return self.context.sample_batch_size
-
-    @property
-    def runtime(self):
-        return self.context.runtime
 
     def select(self, residual: ResidualGraph, rng: np.random.Generator) -> Selection:
         n = residual.n
@@ -133,28 +115,6 @@ class InfluenceMaximizationResult:
     certified_ratio: float
 
 
-def resolve_sampling_policy(
-    max_samples: Optional[int],
-    sample_batch_size: Optional[int],
-    context: Optional[ExecutionContext],
-) -> tuple[Optional[int], int]:
-    """Effective ``(max_samples, sample_batch_size)`` for one solver call.
-
-    Explicit arguments win; otherwise the context's knobs apply; otherwise
-    the engine defaults.  Shared by the standalone IMM/OPIM solvers, which
-    predate :class:`ExecutionContext` but follow the same explicit-override
-    hybrid as the Monte Carlo estimators.
-    """
-    if max_samples is None and context is not None:
-        max_samples = context.max_samples
-    if sample_batch_size is None:
-        sample_batch_size = (
-            context.sample_batch_size if context is not None else None
-        ) or DEFAULT_BATCH_SIZE
-    check_positive_int(sample_batch_size, "sample_batch_size")
-    return max_samples, sample_batch_size
-
-
 def opim_influence_maximization(
     graph: DiGraph,
     model: DiffusionModel,
@@ -162,21 +122,17 @@ def opim_influence_maximization(
     epsilon: float = 0.5,
     seed: RandomSource = None,
     max_samples: Optional[int] = None,
-    sample_batch_size: Optional[int] = None,
     context: Optional[ExecutionContext] = None,
 ) -> InfluenceMaximizationResult:
     """Select ``k`` seeds maximizing expected spread, OPIM-C style.
 
     Greedy max coverage over a doubling RR pool with Lemma A.2 certificates;
     stops when the greedy batch is certified
-    ``(1 - 1/e)(1 - eps)``-optimal among size-``k`` sets.  Explicit
-    ``max_samples`` / ``sample_batch_size`` override the ``context``.
+    ``(1 - 1/e)(1 - eps)``-optimal among size-``k`` sets.  ``max_samples``
+    caps the pool; ``context`` supplies the engine policy.
     """
     check_positive_int(k, "k")
     check_fraction(epsilon, "epsilon")
-    max_samples, sample_batch_size = resolve_sampling_policy(
-        max_samples, sample_batch_size, context
-    )
     if k > graph.n:
         raise ConfigurationError(f"k={k} exceeds node count {graph.n}")
     rng = as_generator(seed)
@@ -195,7 +151,7 @@ def opim_influence_maximization(
     a1 = log_3t_delta + log_choose
     a2 = log_3t_delta
 
-    pool = RRCollection(graph, model, seed=rng, batch_size=sample_batch_size)
+    pool = RRCollection(graph, model, seed=rng, context=context)
     pool.grow_to(theta_0)
     seeds: list[int] = []
     certified = 0.0

@@ -37,8 +37,7 @@ from repro.graph import analysis
 from repro.graph.io import read_edge_list
 from repro.kernels import KERNEL_BACKENDS
 from repro.parallel.runtime import POOL_FAILURE_MODES, FaultPolicy
-from repro.runtime.context import ExecutionContext
-from repro.sampling.engine import DEFAULT_BATCH_SIZE
+from repro.runtime.context import DEFAULT_BATCH_SIZE, ExecutionContext
 from repro.sampling.mrr import estimate_truncated_spread_mrr
 from repro.service.cache import DEFAULT_CACHE_BYTES
 
@@ -416,14 +415,14 @@ def _cmd_datasets(args, out) -> int:
 def _cmd_solve(args, out) -> int:
     graph = _load_graph(args)
     model = _make_model(args.model)
-    with _context_from_args(args, graph=graph) as context, ASTI(
-        model,
-        epsilon=args.epsilon,
-        batch_size=args.batch_size,
-        max_samples=args.max_samples,
-        context=context,
-    ) as algorithm:
-        result = algorithm.run(graph, args.eta, seed=args.seed)
+    with _context_from_args(args, graph=graph) as context:
+        result = ASTI(
+            model,
+            epsilon=args.epsilon,
+            batch_size=args.batch_size,
+            max_samples=args.max_samples,
+            context=context,
+        ).run(graph, args.eta, seed=args.seed)
     print(
         f"{result.policy_name}: {result.seed_count} seeds -> "
         f"{result.spread} influenced (target {args.eta}) "

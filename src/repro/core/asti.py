@@ -33,7 +33,7 @@ from repro.diffusion.base import DiffusionModel
 from repro.diffusion.realization import Realization
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.mrr import CarriedMRRPool
 from repro.utils.rng import RandomSource, as_generator, spawn_generators
 from repro.utils.timing import Stopwatch
@@ -255,30 +255,17 @@ class ASTI:
         epsilon: float = 0.5,
         batch_size: int = 1,
         max_samples: Optional[int] = None,
-        sample_batch_size=UNSET,
-        reuse_pool=UNSET,
-        jobs=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_fraction(epsilon, "epsilon")
         check_positive_int(batch_size, "batch_size")
-        # One execution context carries every engine knob.  An explicit
-        # context= is used as-is (and never closed here — its builder owns
-        # it); the legacy sample_batch_size / reuse_pool / jobs kwargs
-        # build an equivalent private context through the deprecation
-        # shim.  jobs=None keeps the historical single-stream sampling
-        # route; any jobs >= 1 switches every round's pool growth to the
-        # chunk-seeded parallel scheme, whose output is bit-identical for
-        # every worker count (jobs=1 runs the chunks in-process).
-        self.context, self._owns_context = resolve_context(
-            context,
-            type(self).__name__,
-            sample_batch_size=sample_batch_size,
-            reuse_pool=reuse_pool,
-            jobs=jobs,
-        )
-        if max_samples is None:
-            max_samples = self.context.max_samples
+        # One execution context carries every engine knob; ``None`` means
+        # the defaults.  The facade never closes it — its builder does.
+        # jobs=None keeps the single-stream sampling route; any jobs >= 1
+        # switches every round's pool growth to the chunk-seeded parallel
+        # scheme, whose output is bit-identical for every worker count
+        # (jobs=1 runs the chunks in-process).
+        self.context = context if context is not None else ExecutionContext()
         self.model = model
         self.epsilon = epsilon
         self.batch_size = batch_size
@@ -297,36 +284,6 @@ class ASTI:
                 max_samples=max_samples,
                 context=self.context,
             )
-
-    @property
-    def sample_batch_size(self) -> int:
-        return self.context.sample_batch_size
-
-    @property
-    def reuse_pool(self) -> bool:
-        return self.context.reuse_pool
-
-    @property
-    def jobs(self) -> Optional[int]:
-        return self.context.jobs
-
-    def close(self) -> None:
-        """Release the private context's runtime (workers + shared memory).
-
-        A no-op without ``jobs`` or when an explicit ``context=`` was
-        handed in (its owner closes it); safe to call repeatedly.  The
-        runtime also cleans itself up on garbage collection and
-        interpreter exit, so calling this is only required when recycling
-        many facades in one long-lived process.
-        """
-        if self._owns_context:
-            self.context.close()
-
-    def __enter__(self) -> ASTI:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def name(self) -> str:

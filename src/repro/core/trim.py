@@ -21,7 +21,7 @@ from repro.core.policy import SeedSelector, Selection, SelectionDiagnostics
 from repro.diffusion.base import DiffusionModel
 from repro.errors import BudgetExhaustedError, InfeasibleTargetError
 from repro.graph.residual import ResidualGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
 from repro.sampling.mrr import CarriedMRRPool, build_round_pool
 from repro.utils.validation import check_fraction
@@ -36,7 +36,6 @@ class TrimParameters:
     class so the tests can pin each formula independently.
     """
 
-    # repro-lint: disable=REP006 -- cap arrives resolved from the selector
     def __init__(self, n: int, eta: int, epsilon: float, max_samples: Optional[int] = None):
         check_fraction(epsilon, "epsilon")
         if not 1 <= eta <= n:
@@ -101,9 +100,8 @@ class TrimSelector(SeedSelector):
         ``runtime`` (each round's pool growth fans its sample chunks out
         across the workers over the shared-memory residual graph, seeded
         by global chunk index so the pool is bit-identical for any worker
-        count).  The legacy ``sample_batch_size`` / ``reuse_pool`` /
-        ``runtime`` keyword arguments still work (a deprecation shim
-        builds an equivalent private context; outputs are bit-identical).
+        count).  ``None`` means ``ExecutionContext()``; the selector never
+        closes the context it is handed.
     """
 
     def __init__(
@@ -112,40 +110,16 @@ class TrimSelector(SeedSelector):
         epsilon: float = 0.5,
         max_samples: Optional[int] = None,
         strict_budget: bool = False,
-        sample_batch_size=UNSET,
-        reuse_pool=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_fraction(epsilon, "epsilon")
-        self.context, self._owns_context = resolve_context(
-            context,
-            "TrimSelector",
-            runtime=runtime,
-            sample_batch_size=sample_batch_size,
-            reuse_pool=reuse_pool,
-        )
+        self.context = context if context is not None else ExecutionContext()
         self.model = model
         self.epsilon = epsilon
-        # Context supplies the sampling cap unless given explicitly.
-        self.max_samples = (
-            max_samples if max_samples is not None else self.context.max_samples
-        )
+        self.max_samples = max_samples
         self.strict_budget = strict_budget
         self.name = "TRIM"
         self.batch_size = 1
-
-    @property
-    def sample_batch_size(self) -> int:
-        return self.context.sample_batch_size
-
-    @property
-    def reuse_pool(self) -> bool:
-        return self.context.reuse_pool
-
-    @property
-    def runtime(self):
-        return self.context.runtime
 
     def select(self, residual: ResidualGraph, rng: np.random.Generator) -> Selection:
         selection, _ = self.select_with_pool(residual, rng)
@@ -173,7 +147,7 @@ class TrimSelector(SeedSelector):
             residual,
             self.model,
             rng,
-            carry=carry if self.reuse_pool else None,
+            carry=carry if self.context.reuse_pool else None,
             context=self.context,
         )
         pool.grow_to(params.theta_0)
@@ -215,7 +189,9 @@ class TrimSelector(SeedSelector):
                 carry=carry_stats if carry is not None else None,
             ),
         )
-        new_carry = pool.export_carry(residual) if self.reuse_pool else None
+        new_carry = (
+            pool.export_carry(residual) if self.context.reuse_pool else None
+        )
         return selection, new_carry
 
     def __repr__(self) -> str:

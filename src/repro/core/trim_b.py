@@ -19,7 +19,7 @@ from repro.core.policy import SeedSelector, Selection, SelectionDiagnostics
 from repro.diffusion.base import DiffusionModel
 from repro.errors import BudgetExhaustedError, InfeasibleTargetError
 from repro.graph.residual import ResidualGraph
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.sampling.bounds import (
     coverage_lower_bound,
     coverage_upper_bound,
@@ -43,7 +43,6 @@ def batch_guarantee(b: int) -> float:
 class TrimBParameters:
     """The derived constants of Algorithm 3, Lines 1-5."""
 
-    # repro-lint: disable=REP006 -- cap arrives resolved from the selector
     def __init__(
         self,
         n: int,
@@ -112,42 +111,18 @@ class TrimBSelector(SeedSelector):
         epsilon: float = 0.5,
         max_samples: Optional[int] = None,
         strict_budget: bool = False,
-        sample_batch_size=UNSET,
-        reuse_pool=UNSET,
-        runtime=UNSET,
         context: Optional[ExecutionContext] = None,
     ):
         check_fraction(epsilon, "epsilon")
         check_positive_int(b, "b")
-        self.context, self._owns_context = resolve_context(
-            context,
-            "TrimBSelector",
-            runtime=runtime,
-            sample_batch_size=sample_batch_size,
-            reuse_pool=reuse_pool,
-        )
+        self.context = context if context is not None else ExecutionContext()
         self.model = model
         self.b = b
         self.epsilon = epsilon
-        # Context supplies the sampling cap unless given explicitly.
-        self.max_samples = (
-            max_samples if max_samples is not None else self.context.max_samples
-        )
+        self.max_samples = max_samples
         self.strict_budget = strict_budget
         self.name = f"TRIM-B({b})"
         self.batch_size = b
-
-    @property
-    def sample_batch_size(self) -> int:
-        return self.context.sample_batch_size
-
-    @property
-    def reuse_pool(self) -> bool:
-        return self.context.reuse_pool
-
-    @property
-    def runtime(self):
-        return self.context.runtime
 
     def select(self, residual: ResidualGraph, rng: np.random.Generator) -> Selection:
         selection, _ = self.select_with_pool(residual, rng)
@@ -177,7 +152,7 @@ class TrimBSelector(SeedSelector):
             residual,
             self.model,
             rng,
-            carry=carry if self.reuse_pool else None,
+            carry=carry if self.context.reuse_pool else None,
             context=self.context,
         )
         pool.grow_to(params.theta_0)
@@ -219,7 +194,9 @@ class TrimBSelector(SeedSelector):
                 carry=carry_stats if carry is not None else None,
             ),
         )
-        new_carry = pool.export_carry(residual) if self.reuse_pool else None
+        new_carry = (
+            pool.export_carry(residual) if self.context.reuse_pool else None
+        )
         return selection, new_carry
 
     def __repr__(self) -> str:

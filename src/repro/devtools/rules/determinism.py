@@ -72,8 +72,8 @@ class GlobalStateRandomRule(Rule):
     name = "no-global-numpy-rng"
     hint = (
         "draw from a caller-provided numpy.random.Generator "
-        "(ExecutionContext.generator / spawn_seed_sequences) instead of "
-        "the process-global numpy.random state"
+        "(repro.utils.rng.as_generator / spawn_seed_sequences) instead "
+        "of the process-global numpy.random state"
     )
 
     def check(self, module: Module) -> Iterator[Finding]:
@@ -90,25 +90,22 @@ class GlobalStateRandomRule(Rule):
 
 
 class UnseededGeneratorRule(Rule):
-    """REP002 — unseeded RNG construction outside the context's factory.
+    """REP002 — unseeded RNG construction outside ``repro.utils.rng``.
 
     ``default_rng()`` (or ``default_rng(None)``, or ``Generator`` over a
     bit generator built without a seed) mints fresh OS entropy, so the
     stream can never be replayed or attributed to a run's root seed.
-    Only the RNG factory behind ``ExecutionContext.generator`` — where
-    ``seed=None`` is the documented opt-in to fresh entropy — may do it.
+    Only the RNG helpers in :mod:`repro.utils.rng` — where ``seed=None``
+    is the documented opt-in to fresh entropy — may do it.
     """
 
     code = "REP002"
     name = "no-unseeded-rng"
     hint = (
         "take a seed / Generator argument and normalize it via "
-        "ExecutionContext.generator (repro.utils.rng.as_generator)"
+        "repro.utils.rng.as_generator"
     )
-    exempt_paths = (
-        "repro/runtime/context.py",
-        "repro/utils/rng.py",
-    )
+    exempt_paths = ("repro/utils/rng.py",)
 
     def check(self, module: Module) -> Iterator[Finding]:
         for call in iter_calls(module.tree):

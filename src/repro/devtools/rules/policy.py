@@ -1,15 +1,12 @@
 """Policy rule: REP006 — engine policy routes through ``ExecutionContext``.
 
-PR 5 collapsed the per-layer knob chains (``sample_batch_size``,
-``mc_batch_size``, ``jobs``, ...) into one :class:`ExecutionContext`
-owned at the top of a run; the only sanctioned bridge back to per-knob
-keywords is the ``resolve_context`` deprecation shim.  This rule stops
-the chains from growing back: an engine-layer function that takes a bare
-policy knob as a parameter is a finding unless it forwards it through
-``resolve_context``, also accepts a ``context`` parameter (the documented
-explicit-override hybrid: the knob overrides the context per call, it
-does not replace it), or lives in one of the modules that *define* the
-policy layer.
+Every engine-layer function takes its engine policy from one
+:class:`~repro.runtime.context.ExecutionContext`, passed as the single
+``context=`` argument.  This rule stops per-call knob chains from growing
+back: an engine-layer function that takes a parameter named after a
+context knob is a finding — with or without a ``context`` parameter next
+to it, since a knob beside the context is a second way to set the same
+policy.  Only the modules that *define* the policy layer are exempt.
 """
 
 from __future__ import annotations
@@ -17,16 +14,11 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.devtools.rules.base import (
-    Finding,
-    FunctionNode,
-    Module,
-    Rule,
-    parameters_of,
-)
+from repro.devtools.rules.base import Finding, Module, Rule, parameters_of
 
-#: The engine-policy knobs ExecutionContext owns.  A parameter with one of
-#: these names on an engine-layer function is a policy chain regrowing.
+#: The engine-policy knob fields ExecutionContext keeps.  A parameter with
+#: one of these names on an engine-layer function is a policy chain
+#: regrowing.
 POLICY_KWARGS = frozenset(
     {
         "sample_batch_size",
@@ -34,7 +26,6 @@ POLICY_KWARGS = frozenset(
         "mc_tolerance",
         "reuse_pool",
         "jobs",
-        "max_samples",
         "graph_storage",
         "kernel_backend",
     }
@@ -42,14 +33,13 @@ POLICY_KWARGS = frozenset(
 
 
 class ContextPolicyRule(Rule):
-    """REP006 — no bare policy kwargs outside the ``resolve_context`` shim."""
+    """REP006 — no policy knob parameters beside (or instead of) ``context``."""
 
     code = "REP006"
     name = "policy-via-context"
     hint = (
-        "accept context: ExecutionContext instead, or alongside the knob "
-        "as an explicit override (legacy keywords belong behind the "
-        "resolve_context deprecation shim)"
+        "take context: ExecutionContext and read the knob from it; callers "
+        "set engine policy on the context they build"
     )
     #: Engine-layer scope: the installed package only.  Benchmark drivers
     #: and examples legitimately sweep raw knob values from argv/grids.
@@ -76,37 +66,18 @@ class ContextPolicyRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            params = list(parameters_of(node))
             knobs = sorted(
-                param.arg for param in params if param.arg in POLICY_KWARGS
+                param.arg
+                for param in parameters_of(node)
+                if param.arg in POLICY_KWARGS
             )
             if not knobs:
-                continue
-            # A `context` parameter next to the knob is the sanctioned
-            # explicit-override hybrid; the knob is "bare" only when no
-            # context route exists at all.
-            if any(param.arg == "context" for param in params):
-                continue
-            if self._routes_through_shim(node):
                 continue
             yield self.finding(
                 module,
                 node,
-                f"{node.name}() grows bare policy "
+                f"{node.name}() takes policy "
                 f"{'kwarg' if len(knobs) == 1 else 'kwargs'} "
                 f"{', '.join(knobs)} — engine policy routes through "
                 "ExecutionContext",
             )
-
-    @staticmethod
-    def _routes_through_shim(node: FunctionNode) -> bool:
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name == "resolve_context":
-                return True
-        return False

@@ -133,7 +133,7 @@ class DiffusionModel(abc.ABC):
         scratch:
             Optional pooled all-False boolean buffer of length at least
             ``batch * graph.n``; restored to all False before returning
-            (see :func:`run_labeled_reverse_bfs`).  ``None`` allocates a
+            (see :func:`run_labeled_bfs`).  ``None`` allocates a
             fresh bitset.
         kernel:
             ``repro.kernels`` backend knob (``"auto"``, ``"numpy"``,
@@ -354,16 +354,6 @@ def run_labeled_bfs(
     if scratch is not None:
         visited[all_sids * n + all_nodes] = False  # restore the pooled buffer
     return pack_by_sample(all_sids, all_nodes, batch)
-
-
-#: The reverse-direction entry point: each sample's start set is its (m)RR
-#: roots and ``propose`` walks the in-CSR.  Alias of :func:`run_labeled_bfs`,
-#: kept under the established name used by ``reverse_sample_batch``.
-run_labeled_reverse_bfs = run_labeled_bfs
-
-#: The forward-direction entry point: each sample's start set is its seed
-#: set and ``propose`` walks the out-CSR.  Alias of :func:`run_labeled_bfs`.
-run_labeled_forward_bfs = run_labeled_bfs
 
 
 def expand_labeled_frontier(

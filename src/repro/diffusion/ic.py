@@ -17,8 +17,7 @@ from repro.diffusion.base import (
     DiffusionModel,
     expand_labeled_frontier,
     normalize_seeds,
-    run_labeled_forward_bfs,
-    run_labeled_reverse_bfs,
+    run_labeled_bfs,
     tile_starts,
 )
 from repro.diffusion.realization import ICRealization
@@ -101,7 +100,7 @@ class IndependentCascade(DiffusionModel):
 
         backend = resolve_backend(kernel, graph)
         if backend.kernels is not None:
-            return run_labeled_forward_bfs(
+            return run_labeled_bfs(
                 n,
                 starts,
                 starts_indptr,
@@ -120,7 +119,7 @@ class IndependentCascade(DiffusionModel):
             fired = rng.random(len(positions)) < probs[positions]
             return owners[fired] * n + targets[positions[fired]]
 
-        return run_labeled_forward_bfs(
+        return run_labeled_bfs(
             n, starts, starts_indptr, flip_out_edge_coins, scratch
         )
 
@@ -171,7 +170,7 @@ class IndependentCascade(DiffusionModel):
     ):
         """One multi-source labeled reverse BFS generating a whole batch.
 
-        The shared :func:`~repro.diffusion.base.run_labeled_reverse_bfs`
+        The shared :func:`~repro.diffusion.base.run_labeled_bfs`
         driver advances all samples in lockstep; this model's per-level
         rule flips the edge coins for every sample's frontier in a single
         vectorized draw.  Distributionally identical to ``batch``
@@ -186,7 +185,7 @@ class IndependentCascade(DiffusionModel):
 
         backend = resolve_backend(kernel, graph)
         if backend.kernels is not None:
-            return run_labeled_reverse_bfs(
+            return run_labeled_bfs(
                 n,
                 roots,
                 roots_indptr,
@@ -205,6 +204,6 @@ class IndependentCascade(DiffusionModel):
             fired = rng.random(len(positions)) < probs[positions]
             return owners[fired] * n + sources[positions[fired]]
 
-        return run_labeled_reverse_bfs(
+        return run_labeled_bfs(
             n, roots, roots_indptr, flip_in_edge_coins, scratch
         )

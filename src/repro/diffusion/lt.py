@@ -22,8 +22,7 @@ from repro.diffusion.base import (
     DiffusionModel,
     expand_labeled_frontier,
     normalize_seeds,
-    run_labeled_forward_bfs,
-    run_labeled_reverse_bfs,
+    run_labeled_bfs,
     tile_starts,
 )
 from repro.diffusion.realization import LTRealization
@@ -191,7 +190,7 @@ class LinearThreshold(DiffusionModel):
 
         backend = resolve_backend(kernel, graph)
         if backend.kernels is not None:
-            return run_labeled_forward_bfs(
+            return run_labeled_bfs(
                 n,
                 starts,
                 starts_indptr,
@@ -217,7 +216,7 @@ class LinearThreshold(DiffusionModel):
             np.add.at(accumulated, keys, probs[positions])
             return touched[accumulated[touched] >= thresholds[touched]]
 
-        return run_labeled_forward_bfs(
+        return run_labeled_bfs(
             n, starts, starts_indptr, accumulate_and_cross, scratch
         )
 
@@ -288,7 +287,7 @@ class LinearThreshold(DiffusionModel):
 
         backend = resolve_backend(kernel, graph)
         if backend.kernels is not None:
-            return run_labeled_reverse_bfs(
+            return run_labeled_bfs(
                 n,
                 roots,
                 roots_indptr,
@@ -304,6 +303,6 @@ class LinearThreshold(DiffusionModel):
             kept = chosen < indptr[frontier_nodes + 1]
             return frontier_sids[kept] * n + sources[chosen[kept]]
 
-        return run_labeled_reverse_bfs(
+        return run_labeled_bfs(
             n, roots, roots_indptr, keep_one_in_edge, scratch
         )

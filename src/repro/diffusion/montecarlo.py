@@ -11,11 +11,11 @@ Two execution strategies share this module:
 * **fresh-noise estimation** (:func:`estimate_spread`,
   :func:`estimate_truncated_spread`,
   :func:`estimate_activation_probabilities`) — cascades are generated in
-  chunks of ``mc_batch_size`` through
+  chunks of the context's ``mc_batch_size`` through
   :meth:`~repro.diffusion.base.DiffusionModel.simulate_batch`, one labeled
   forward BFS per chunk instead of one Python-level BFS per cascade, with
   an optional early stop once the normal-approximation CI half-width falls
-  below a tolerance;
+  below the context's ``mc_tolerance``;
 * **common-random-numbers evaluation** (:class:`CRNSpreadEvaluator`,
   :func:`estimate_spreads_many`) — one shared batch of live-edge
   realizations is sampled up front and arbitrarily many candidate seed sets
@@ -41,6 +41,7 @@ from repro.diffusion.base import (
 )
 from repro.diffusion.realization import ICRealization, LTRealization
 from repro.graph.digraph import DiGraph
+from repro.runtime.context import ExecutionContext
 from repro.utils.rng import RandomSource, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -49,7 +50,7 @@ from repro.utils.validation import check_positive_int
 #: NumPy dispatch over the chunk, while the chunk's ``mc_batch_size * n``
 #: visitation bitset (plus, under LT, two float arrays of the same shape)
 #: stays cache- and memory-friendly.  Memory-constrained callers on very
-#: large graphs should dial this down via the ``mc_batch_size`` knobs.
+#: large graphs should dial this down via ``ExecutionContext.mc_batch_size``.
 DEFAULT_MC_BATCH_SIZE = 256
 
 #: Visitation-bitset budget (elements) of the CRN evaluator: candidate
@@ -87,31 +88,34 @@ def _estimate_from_sizes(sizes: np.ndarray) -> MonteCarloEstimate:
     return MonteCarloEstimate(float(sizes.mean()), std_error, samples)
 
 
-# repro-lint: disable=REP006 -- receives the resolved batch size
 def _chunked_spread_sizes(
     graph: DiGraph,
     model: DiffusionModel,
     seeds: Sequence[int],
     samples: int,
     rng: np.random.Generator,
-    mc_batch_size: int,
-    ci_halfwidth: Optional[float],
+    context: Optional[ExecutionContext],
     eta: Optional[int] = None,
     z: float = 1.96,
-    kernel: str = "auto",
 ) -> np.ndarray:
     """Cascade sizes in chunks of ``mc_batch_size`` with optional early stop.
 
     Always generates at least one full chunk (``min(samples,
-    mc_batch_size)`` cascades); after each chunk, if ``ci_halfwidth`` is
-    set and the running normal-approximation half-width ``z * stderr`` has
-    fallen below it, stops before reaching ``samples``.
+    mc_batch_size)`` cascades); after each chunk, if the context's
+    ``mc_tolerance`` is set and the running normal-approximation
+    half-width ``z * stderr`` has fallen below it, stops before reaching
+    ``samples``.
 
-    ``mc_batch_size`` is an upper bound: once the first chunk reveals the
-    mean cascade size, subsequent chunks shrink toward
-    ``_CHUNK_WORK_BUDGET / mean`` so the per-chunk working set stays
-    cache-resident on large-cascade seed sets (see the budget's note).
+    ``mc_batch_size`` (the context's, else :data:`DEFAULT_MC_BATCH_SIZE`)
+    is an upper bound: once the first chunk reveals the mean cascade size,
+    subsequent chunks shrink toward ``_CHUNK_WORK_BUDGET / mean`` so the
+    per-chunk working set stays cache-resident on large-cascade seed sets
+    (see the budget's note).
     """
+    if context is None:
+        context = ExecutionContext()
+    mc_batch_size = context.mc_batch_size or DEFAULT_MC_BATCH_SIZE
+    tolerance = context.mc_tolerance
     pieces: list[np.ndarray] = []
     generated = 0
     running_sum = 0.0
@@ -123,7 +127,7 @@ def _chunked_spread_sizes(
     while generated < samples:
         step = min(samples - generated, chunk_cap)
         _, indptr = model.simulate_batch(
-            graph, seeds, step, rng, scratch, kernel=kernel
+            graph, seeds, step, rng, scratch, kernel=context.kernel_backend
         )
         raw_sizes = np.diff(indptr).astype(np.float64)
         sizes = (
@@ -131,7 +135,7 @@ def _chunked_spread_sizes(
         )
         pieces.append(sizes)
         generated += step
-        if ci_halfwidth is not None and generated < samples:
+        if tolerance is not None and generated < samples:
             # O(chunk) running moments, not a re-reduction of everything
             # generated so far; cancellation can only push the variance a
             # hair negative, hence the clamp.
@@ -143,7 +147,7 @@ def _chunked_spread_sizes(
                     (running_sumsq - running_sum**2 / generated)
                     / (generated - 1),
                 )
-                if z * np.sqrt(variance / generated) <= ci_halfwidth:
+                if z * np.sqrt(variance / generated) <= tolerance:
                     break
         if chunk_cap == mc_batch_size:  # adapt once, off the first chunk
             # The cache guard must see the *untruncated* cascade sizes: an
@@ -156,56 +160,26 @@ def _chunked_spread_sizes(
     return np.concatenate(pieces)
 
 
-def _resolve_estimator_policy(
-    mc_batch_size: Optional[int],
-    ci_halfwidth: Optional[float],
-    context,
-) -> tuple[int, Optional[float], str]:
-    """Effective ``(mc_batch_size, ci_halfwidth, kernel)`` for one call.
-
-    Explicit arguments win; otherwise the context's ``mc_batch_size`` /
-    ``mc_tolerance`` / ``kernel_backend`` apply; otherwise the engine
-    defaults.
-    """
-    if mc_batch_size is None:
-        mc_batch_size = (
-            context.mc_batch_size if context is not None else None
-        ) or DEFAULT_MC_BATCH_SIZE
-    if ci_halfwidth is None and context is not None:
-        ci_halfwidth = context.mc_tolerance
-    kernel = context.kernel_backend if context is not None else "auto"
-    return mc_batch_size, ci_halfwidth, kernel
-
-
 def estimate_spread(
     graph: DiGraph,
     model: DiffusionModel,
     seeds: Sequence[int],
     samples: int = 1000,
     seed: RandomSource = None,
-    mc_batch_size: Optional[int] = None,
-    ci_halfwidth: Optional[float] = None,
-    context=None,
+    context: Optional[ExecutionContext] = None,
 ) -> MonteCarloEstimate:
     """Estimate ``E[I(S)]`` by averaging up to ``samples`` forward cascades.
 
-    Cascades are generated ``mc_batch_size`` at a time through the batched
-    forward engine (``None`` defers to ``context.mc_batch_size``, then the
-    engine default).  When ``ci_halfwidth`` (or ``context.mc_tolerance``)
-    is given, estimation stops early — but never before the first chunk —
-    once the 95% CI half-width (``1.96 * stderr``) drops to the tolerance;
-    the returned estimate's ``samples`` field reports how many cascades
-    were actually used.
+    Cascades are generated ``context.mc_batch_size`` at a time (``None``
+    there picks the engine default) through the batched forward engine.
+    When ``context.mc_tolerance`` is set, estimation stops early — but
+    never before the first chunk — once the 95% CI half-width
+    (``1.96 * stderr``) drops to the tolerance; the returned estimate's
+    ``samples`` field reports how many cascades were actually used.
     """
     check_positive_int(samples, "samples")
-    mc_batch_size, ci_halfwidth, kernel = _resolve_estimator_policy(
-        mc_batch_size, ci_halfwidth, context
-    )
-    check_positive_int(mc_batch_size, "mc_batch_size")
-    rng = as_generator(seed)
     sizes = _chunked_spread_sizes(
-        graph, model, seeds, samples, rng, mc_batch_size, ci_halfwidth,
-        kernel=kernel,
+        graph, model, seeds, samples, as_generator(seed), context
     )
     return _estimate_from_sizes(sizes)
 
@@ -217,21 +191,13 @@ def estimate_truncated_spread(
     eta: int,
     samples: int = 1000,
     seed: RandomSource = None,
-    mc_batch_size: Optional[int] = None,
-    ci_halfwidth: Optional[float] = None,
-    context=None,
+    context: Optional[ExecutionContext] = None,
 ) -> MonteCarloEstimate:
     """Estimate ``E[Gamma(S)] = E[min{I(S), eta}]`` by batched simulation."""
     check_positive_int(samples, "samples")
     check_positive_int(eta, "eta")
-    mc_batch_size, ci_halfwidth, kernel = _resolve_estimator_policy(
-        mc_batch_size, ci_halfwidth, context
-    )
-    check_positive_int(mc_batch_size, "mc_batch_size")
-    rng = as_generator(seed)
     sizes = _chunked_spread_sizes(
-        graph, model, seeds, samples, rng, mc_batch_size, ci_halfwidth,
-        eta=eta, kernel=kernel,
+        graph, model, seeds, samples, as_generator(seed), context, eta=eta
     )
     return _estimate_from_sizes(sizes)
 
@@ -242,20 +208,19 @@ def estimate_activation_probabilities(
     seeds: Sequence[int],
     samples: int = 1000,
     seed: RandomSource = None,
-    mc_batch_size: Optional[int] = None,
-    context=None,
+    context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
     """Per-node activation probability under cascades from ``seeds``.
 
     Diagnostic helper: returns a float array ``p[v] = Pr[v active]``.  The
     batched engine's packed output makes the accumulation one ``bincount``
-    per chunk instead of one dense mask addition per cascade.
+    per chunk instead of one dense mask addition per cascade.  Always runs
+    all ``samples`` cascades (no early stop).
     """
     check_positive_int(samples, "samples")
-    mc_batch_size, _, kernel = _resolve_estimator_policy(
-        mc_batch_size, None, context
-    )
-    check_positive_int(mc_batch_size, "mc_batch_size")
+    if context is None:
+        context = ExecutionContext()
+    mc_batch_size = context.mc_batch_size or DEFAULT_MC_BATCH_SIZE
     rng = as_generator(seed)
     totals = np.zeros(graph.n, dtype=np.float64)
     generated = 0
@@ -263,7 +228,7 @@ def estimate_activation_probabilities(
     while generated < samples:
         step = min(samples - generated, mc_batch_size)
         members, _ = model.simulate_batch(
-            graph, seeds, step, rng, scratch, kernel=kernel
+            graph, seeds, step, rng, scratch, kernel=context.kernel_backend
         )
         totals += np.bincount(members, minlength=graph.n)
         generated += step
@@ -395,19 +360,21 @@ class CRNSpreadEvaluator:
     order, so two evaluators built with the same ``(graph, model, n_sims,
     seed)`` score every candidate identically.
 
-    ``mc_batch_size``, when given, bounds the number of concurrently
-    replayed cascades (jobs) per labeled sweep — the CRN analogue of the
-    estimators' chunk size, giving the sweep the same ``mc_batch_size * n``
-    visitation-bitset working set.  The default (``None``) sizes sweeps
-    from ``bitset_budget`` instead, which amortizes dispatch further at the
-    price of a larger (~32 MB) bitset.
+    Engine policy comes from ``context`` (``None`` means
+    ``ExecutionContext()``):
 
-    ``runtime`` shards the sweeps of each evaluation batch across a
-    :class:`~repro.parallel.runtime.ParallelRuntime`'s workers over the
-    shared-memory worlds.  Realizations are always sampled here in the
-    parent, and each sweep is a pure function of pre-sampled noise, so the
-    returned estimates are bit-identical with or without a runtime, for
-    any worker count.
+    * ``mc_batch_size``, when set, bounds the number of concurrently
+      replayed cascades (jobs) per labeled sweep — the CRN analogue of the
+      estimators' chunk size, giving the sweep the same
+      ``mc_batch_size * n`` visitation-bitset working set.  ``None`` sizes
+      sweeps from ``bitset_budget`` instead, which amortizes dispatch
+      further at the price of a larger (~32 MB) bitset;
+    * ``runtime`` shards the sweeps of each evaluation batch across the
+      workers over the shared-memory worlds.  Realizations are always
+      sampled here in the parent, and each sweep is a pure function of
+      pre-sampled noise, so the returned estimates are bit-identical with
+      or without a runtime, for any worker count;
+    * ``kernel_backend`` and ``pool_store`` as for the reverse engine.
     """
 
     def __init__(
@@ -417,22 +384,12 @@ class CRNSpreadEvaluator:
         n_sims: int = 200,
         seed: RandomSource = None,
         bitset_budget: int = _CRN_BITSET_BUDGET,
-        mc_batch_size: Optional[int] = None,
-        runtime=None,
-        context=None,
+        context: Optional[ExecutionContext] = None,
     ):
         check_positive_int(n_sims, "n_sims")
-        # Context defaults with explicit-argument override (the low-level
-        # escape hatch, like the reverse engine's).
-        if context is not None and mc_batch_size is None:
-            mc_batch_size = context.mc_batch_size
-        if context is not None and runtime is None:
-            runtime = context.runtime
-        self._kernel = (
-            context.kernel_backend if context is not None else "auto"
-        )
-        if mc_batch_size is not None:
-            check_positive_int(mc_batch_size, "mc_batch_size")
+        if context is None:
+            context = ExecutionContext()
+        self._kernel = context.kernel_backend
         self.graph = graph
         self.model = model
         self.n_sims = int(n_sims)
@@ -442,11 +399,7 @@ class CRNSpreadEvaluator:
         # exact pre-sampling state), so a hit restores the recorded
         # post-sampling state and is bit-identical to resampling.  Unseeded
         # evaluators skip the store — nothing could ever hit their keys.
-        store = (
-            context.pool_store
-            if context is not None and seed is not None
-            else None
-        )
+        store = context.pool_store if seed is not None else None
         store_key = None
         realizations = None
         if store is not None:
@@ -478,8 +431,7 @@ class CRNSpreadEvaluator:
                     self._kind = kind
                     self._worlds = arrays["worlds"]
                     self._vectorized = True
-                    if context is not None:
-                        context.tally("pool_store_crn_hits")
+                    context.tally("pool_store_crn_hits")
                 else:
                     store_key = None  # unusable artifact: resample, no save
         if not hasattr(self, "_kind"):
@@ -488,8 +440,8 @@ class CRNSpreadEvaluator:
                 for _ in range(self.n_sims)
             ]
         self._bitset_budget = max(int(bitset_budget), graph.n)
-        self._mc_batch_size = mc_batch_size
-        self._runtime = runtime
+        self._mc_batch_size = context.mc_batch_size
+        self._runtime = context.runtime
         self._worlds_handle = None  # lazily published shared-memory worlds
         # The publication lives in an ExitStack entered on the runtime's
         # ``published()`` context manager: the release is registered with
@@ -647,26 +599,17 @@ def estimate_spreads_many(
     n_sims: int = 200,
     eta: Optional[int] = None,
     seed: RandomSource = None,
-    mc_batch_size: Optional[int] = None,
-    runtime=None,
-    context=None,
+    context: Optional[ExecutionContext] = None,
 ) -> np.ndarray:
     """One-shot common-random-number evaluation of many candidate sets.
 
     Convenience wrapper constructing a throwaway :class:`CRNSpreadEvaluator`
     — callers that re-evaluate against the same noise (CELF's lazy queue)
     should hold on to an evaluator instead.  ``context`` supplies the
-    ``mc_batch_size`` / runtime policy (explicit arguments override); a
-    runtime shards the sweeps across workers and the estimates are
-    bit-identical either way.
+    ``mc_batch_size`` / runtime policy; a runtime shards the sweeps across
+    workers and the estimates are bit-identical either way.
     """
     with CRNSpreadEvaluator(
-        graph,
-        model,
-        n_sims=n_sims,
-        seed=seed,
-        mc_batch_size=mc_batch_size,
-        runtime=runtime,
-        context=context,
+        graph, model, n_sims=n_sims, seed=seed, context=context
     ) as evaluator:
         return evaluator.evaluate_many(seed_sets, eta=eta)

@@ -83,36 +83,6 @@ class ServiceError(ReproError):
     code = "internal"
 
 
-class ServiceOverloadError(ServiceError):
-    """Raised when admission control sheds a request.
-
-    The bounded queue is full (``max_in_flight`` running plus
-    ``max_queue`` waiting); the server answers with a typed ``overloaded``
-    reply — the connection stays open and the client may retry.
-    """
-
-    code = "overloaded"
-
-
-class DeadlineExceededError(ServiceError):
-    """Raised when a request's monotonic deadline passes.
-
-    ``stage`` records where the budget ran out: ``"queued"`` (expired
-    before compute started — nothing ran) or ``"running"`` (compute was
-    abandoned mid-flight; its thread finishes in the background but its
-    result is discarded).
-    """
-
-    code = "deadline_exceeded"
-
-    def __init__(self, stage: str, budget_ms: float):
-        self.stage = stage
-        self.budget_ms = budget_ms
-        super().__init__(
-            f"deadline of {budget_ms:.0f}ms exceeded while {stage}"
-        )
-
-
 class SamplingError(ReproError):
     """Raised when sampling (RR / mRR set generation) is misconfigured."""
 

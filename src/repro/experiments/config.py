@@ -23,8 +23,11 @@ from repro.diffusion.lt import LinearThreshold
 from repro.errors import ConfigurationError
 from repro.experiments import datasets
 from repro.kernels import KERNEL_BACKENDS
-from repro.runtime.context import GRAPH_STORAGE_POLICIES, ExecutionContext
-from repro.sampling.engine import DEFAULT_BATCH_SIZE
+from repro.runtime.context import (
+    DEFAULT_BATCH_SIZE,
+    GRAPH_STORAGE_POLICIES,
+    ExecutionContext,
+)
 from repro.utils.validation import (
     check_fraction,
     check_optional_positive_int,
@@ -97,6 +100,7 @@ class ExperimentConfig:
         check_positive_int(self.sample_batch_size, "sample_batch_size")
         check_positive_int(self.jobs, "jobs")
         check_optional_positive_int(self.mc_batch_size, "mc_batch_size")
+        check_optional_positive_int(self.max_samples, "max_samples")
         check_positive_float(self.mc_tolerance, "mc_tolerance")
         if self.graph_storage not in GRAPH_STORAGE_POLICIES:
             raise ConfigurationError(
@@ -182,7 +186,6 @@ class ExperimentConfig:
                 calibration=self.calibration,
                 mc_tolerance=self.mc_tolerance,
                 reuse_pool=self.reuse_pool,
-                max_samples=self.max_samples,
                 graph_storage=self.graph_storage,
                 fault_policy=self.fault_policy(),
                 pool_store=store,
@@ -193,7 +196,6 @@ class ExperimentConfig:
             mc_tolerance=self.mc_tolerance,
             reuse_pool=self.reuse_pool,
             jobs=self.jobs,
-            max_samples=self.max_samples,
             graph_storage=self.graph_storage,
             kernel_backend=self.kernel_backend,
             fault_policy=self.fault_policy(),

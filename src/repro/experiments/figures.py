@@ -92,7 +92,6 @@ def figure3(
 # Figures 4-7 and 9: the threshold sweeps
 # ----------------------------------------------------------------------
 
-# repro-lint: disable=REP006 -- declarative entry point mirroring ExperimentConfig's field
 def threshold_sweep(
     dataset: str = "nethept-sim",
     model_name: str = "IC",
@@ -187,7 +186,6 @@ class Figure8Result:
         return sum(1 for s in self.asti_spreads if s < self.eta)
 
 
-# repro-lint: disable=REP006 -- declarative entry point mirroring ExperimentConfig's field
 def figure8(
     dataset: str = "nethept-sim",
     model_name: str = "IC",
@@ -244,7 +242,6 @@ class Figure10Result:
         return means
 
 
-# repro-lint: disable=REP006 -- declarative entry point mirroring ExperimentConfig's field
 def figure10(
     dataset: str = "nethept-sim",
     model_name: str = "IC",

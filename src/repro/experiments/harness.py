@@ -9,12 +9,12 @@ Non-adaptive ATEUC selects its seed set once per ``(graph, eta)`` and is
 then *evaluated* on each realization — which is where the N/A entries of
 Table 3 come from: a fixed set can undershoot ``eta`` on some worlds.
 
-With ``jobs > 1`` (``ExperimentConfig.jobs`` / ``run_eta_point``'s
-``runtime``) the independent realizations shard across the parallel
-runtime's worker processes over the shared-memory graph and stacked
-live-edge worlds: adaptive sessions run in contiguous blocks through the
-same ``run_batch`` engine, non-adaptive evaluation replays the selected
-set per world in parallel, and CELF's CRN sweeps fan out inside the
+With ``jobs > 1`` (``ExperimentConfig.jobs`` / the runtime of
+``run_eta_point``'s context) the independent realizations shard across
+the parallel runtime's worker processes over the shared-memory graph and
+stacked live-edge worlds: adaptive sessions run in contiguous blocks
+through the same ``run_batch`` engine, non-adaptive evaluation replays the
+selected set per world in parallel, and CELF's CRN sweeps fan out inside the
 selection itself.  Every session keeps the per-realization stream spawned
 from the harness seed, so seed counts, spreads, and marginal series are
 bit-identical for any worker count (including the in-process ``jobs=1``).
@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.graph.digraph import DiGraph
 from repro.parallel.shm import realizations_shareable
-from repro.runtime.context import UNSET, ExecutionContext, resolve_context
+from repro.runtime.context import ExecutionContext
 from repro.utils.rng import spawn_generators, spawn_seed_sequences
 from repro.utils.stats import summarize
 
@@ -98,30 +98,20 @@ def build_algorithm(
     model: DiffusionModel,
     epsilon: float,
     max_samples: Optional[int],
-    sample_batch_size=UNSET,
-    mc_batch_size=UNSET,
-    reuse_pool=UNSET,
-    runtime=UNSET,
     context: Optional[ExecutionContext] = None,
 ):
     """Instantiate a roster entry from its label.
 
-    The entry consumes the engine policy from ``context`` (legacy per-knob
-    kwargs still resolve through the deprecation shim).  Only the CELF
-    entry sees the context's parallel runtime (its CRN sweeps are worker-
-    count invariant); the adaptive entries and ATEUC parallelize at the
-    realization level instead, so handing their pool growth a runtime here
-    would change their sampling streams relative to a ``jobs=1`` run —
-    they receive ``context.sequential()``.
+    The entry consumes the engine policy from ``context`` (``None`` means
+    ``ExecutionContext()``).  Only the CELF entry sees the context's
+    parallel runtime (its CRN sweeps are worker-count invariant); the
+    adaptive entries and ATEUC parallelize at the realization level
+    instead, so handing their pool growth a runtime here would change their
+    sampling streams relative to a ``jobs=1`` run — they receive
+    ``context.sequential()``.
     """
-    context, _ = resolve_context(
-        context,
-        "build_algorithm",
-        runtime=runtime,
-        sample_batch_size=sample_batch_size,
-        mc_batch_size=mc_batch_size,
-        reuse_pool=reuse_pool,
-    )
+    if context is None:
+        context = ExecutionContext()
     sequential = context.sequential()
     if label == "ASTI":
         return ASTI(
@@ -230,28 +220,17 @@ def run_eta_point(
     epsilon: float = 0.5,
     max_samples: Optional[int] = None,
     seed: int = 0,
-    sample_batch_size=UNSET,
-    mc_batch_size=UNSET,
-    reuse_pool=UNSET,
-    runtime=UNSET,
     context: Optional[ExecutionContext] = None,
 ) -> dict[str, "AlgorithmOutcome"]:
     """Compare ``algorithms`` at a single threshold ``eta``.
 
-    The engine policy comes from ``context`` (legacy per-knob kwargs keep
-    working through the deprecation shim).  With a multi-worker runtime on
-    the context, each algorithm's independent realizations run as
-    contiguous shards on the worker pool; results are bit-identical to
-    running without one.
+    The engine policy comes from ``context`` (``None`` means
+    ``ExecutionContext()``).  With a multi-worker runtime on the context,
+    each algorithm's independent realizations run as contiguous shards on
+    the worker pool; results are bit-identical to running without one.
     """
-    context, _ = resolve_context(
-        context,
-        "run_eta_point",
-        runtime=runtime,
-        sample_batch_size=sample_batch_size,
-        mc_batch_size=mc_batch_size,
-        reuse_pool=reuse_pool,
-    )
+    if context is None:
+        context = ExecutionContext()
     outcomes: dict[str, AlgorithmOutcome] = {}
     for label in algorithms:
         spec = dict(

@@ -193,7 +193,9 @@ class DiGraph:
                 raise EdgeError("edge target out of range")
             if np.any(sources == targets):
                 raise EdgeError("self-loops are not allowed")
-            if np.any(probabilities <= 0.0) or np.any(probabilities > 1.0):
+            # Written as "all in range" so NaN (which fails every
+            # comparison) is rejected too.
+            if not np.all((probabilities > 0.0) & (probabilities <= 1.0)):
                 raise EdgeError("edge probabilities must lie in (0, 1]")
 
         if storage == "adaptive":

@@ -3,18 +3,14 @@
 :class:`~repro.runtime.context.ExecutionContext` owns all engine policy —
 batch sizes and tolerances, pool-reuse, the worker count together with the
 lazily created :class:`~repro.parallel.runtime.ParallelRuntime`, the
-``SeedSequence``-rooted RNG factory, the compact-graph-storage policy, and
-the aggregated diagnostics sink.  Construct one at the top of a run (or let
-:meth:`repro.experiments.config.ExperimentConfig.to_context` do it) and
-pass it down as the single ``context=`` argument every engine accepts.
+compact-graph-storage policy, the optional pool store, and the aggregated
+diagnostics sink.  Construct one at the top of a run (or let
+:meth:`repro.experiments.config.ExperimentConfig.to_context` do it), pass
+it down as the single ``context=`` argument every engine accepts, and close
+it when the run ends.
 """
 
-from repro.runtime.context import (
-    UNSET,
-    ExecutionContext,
-    default_context,
-    resolve_context,
-)
+from repro.runtime.context import ExecutionContext
 from repro.runtime.planner import (
     CalibrationEntry,
     CalibrationTable,
@@ -25,9 +21,6 @@ from repro.runtime.planner import (
 
 __all__ = [
     "ExecutionContext",
-    "default_context",
-    "resolve_context",
-    "UNSET",
     "CalibrationEntry",
     "CalibrationTable",
     "GraphStats",

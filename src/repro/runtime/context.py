@@ -1,41 +1,38 @@
 """The unified execution context.
 
 Every engine in the library — the batched (m)RR sampler, the CRN forward
-evaluator, the adaptive-session engine, the experiment harness, and the
-baselines — used to thread its own set of policy knobs (``sample_batch_size``,
-``mc_batch_size``, ``mc_tolerance``, ``reuse_pool``, ``jobs``, ``runtime``)
-through a per-layer parameter chain.  :class:`ExecutionContext` replaces all
-of those chains with one object owned at the top of a run and visible at
-every layer:
+evaluator, the Monte-Carlo estimators, the adaptive-session engine, the
+experiment harness, and the baselines — takes its engine policy from one
+:class:`ExecutionContext`, passed down as the single ``context=`` argument
+(``None`` means ``ExecutionContext()``).  No engine takes a per-call knob
+that duplicates a context field.  The context carries:
 
 * **batching policy** — ``sample_batch_size`` for the reverse engine,
   ``mc_batch_size`` / ``mc_tolerance`` for the forward estimators;
 * **pool policy** — ``reuse_pool`` for the adaptive cross-round carry-over;
 * **parallelism** — ``jobs`` plus the lazily created
-  :class:`~repro.parallel.runtime.ParallelRuntime` (context-manager
-  lifecycle; one owner per sweep — facades that receive a context never
-  close it, facades that build one from legacy kwargs do);
-* **randomness** — a ``SeedSequence``-rooted factory
-  (:meth:`ExecutionContext.generator` / :meth:`spawn_seed_sequences` /
-  :meth:`spawn_generators`) replacing ad-hoc ``spawn_generators`` plumbing;
-* **storage** — the compact-graph policy (``graph_storage``) together with
-  :meth:`note_graph`, which records each graph's dtype decision in the
-  aggregated :attr:`diagnostics` sink.
+  :class:`~repro.parallel.runtime.ParallelRuntime`;
+* **storage** — the compact-graph policy (``graph_storage``), the optional
+  persistent ``pool_store``, and :meth:`note_graph`, which records each
+  graph's dtype decision in the aggregated :attr:`diagnostics` sink.
 
-Legacy per-knob keyword arguments on the public facades keep working
-through :func:`resolve_context`, which builds an equivalent context and
-emits a :class:`DeprecationWarning` — outputs are bit-identical either way
-(the equivalence tests pin this).
+Ownership follows one rule: whoever builds a context closes it (``with
+ExecutionContext(jobs=2) as context: ...``).  Facades and engines never
+close a context they are handed.  A caller that already holds a
+:class:`~repro.parallel.runtime.ParallelRuntime` lends it to a context with
+:meth:`ExecutionContext.attach_runtime` and keeps closing it itself.
+
+Policy never changes results beyond what the documented knob says: batch
+sizes, jobs, kernel backend, and store are pure performance policy for a
+fixed RNG route (``jobs=None`` single-stream vs. any explicit ``jobs``).
+Algorithm inputs — η, ε, TRIM-B's batch ``b``, and the ``max_samples``
+budget cap — are arguments of the algorithms, not context fields.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
-from collections.abc import Iterable
 from typing import TYPE_CHECKING, Any, Optional, Union, cast
-
-import numpy as np
 
 if TYPE_CHECKING:
     from repro.graph.digraph import DiGraph
@@ -46,13 +43,6 @@ if TYPE_CHECKING:
 
 from repro.errors import ConfigurationError
 from repro.kernels import KERNEL_BACKENDS, numba_available, snapshot_stats
-from repro.sampling.engine import DEFAULT_BATCH_SIZE
-from repro.utils.rng import (
-    RandomSource,
-    as_generator,
-    spawn_generators,
-    spawn_seed_sequences,
-)
 from repro.utils.validation import (
     check_jobs,
     check_optional_positive_int,
@@ -60,9 +50,14 @@ from repro.utils.validation import (
     check_positive_int,
 )
 
-#: Sentinel distinguishing "caller did not pass this legacy kwarg" from any
-#: legitimate value (``None`` is legitimate for ``jobs`` and ``runtime``).
-UNSET = type("_Unset", (), {"__repr__": lambda self: "UNSET"})()
+#: Default number of reverse samples generated per engine call.  Large
+#: enough to amortize NumPy dispatch over the whole batch; the price is a
+#: pooled ``batch * n`` boolean visitation bitset per sampler (one byte
+#: per bit — 256 MB at n = 1M), so memory-constrained callers on very
+#: large graphs should dial ``sample_batch_size`` down (the bitset is
+#: allocated lazily with ``np.zeros``, i.e. copy-on-write zero pages, and
+#: is reused across all calls of one sampler).
+DEFAULT_BATCH_SIZE = 256
 
 #: Accepted graph-storage policies: ``adaptive`` downcasts CSR arrays where
 #: lossless (int32 indices, float32 probabilities), ``wide`` pins the
@@ -92,8 +87,6 @@ class ExecutionContext:
         explicit value routes through the chunk-seeded parallel scheme,
         whose output is identical for every worker count (``jobs=1`` runs
         the same chunks in-process).
-    max_samples:
-        Optional per-round cap on (m)RR pool sizes (budget envelope).
     graph_storage:
         ``"adaptive"`` (default) or ``"wide"``; see
         :meth:`repro.graph.digraph.DiGraph.from_arrays`.
@@ -123,7 +116,6 @@ class ExecutionContext:
     mc_tolerance: Optional[float] = None
     reuse_pool: bool = True
     jobs: Optional[int] = None
-    max_samples: Optional[int] = None
     graph_storage: str = "adaptive"
     kernel_backend: str = "auto"
     fault_policy: Optional[FaultPolicy] = None
@@ -147,7 +139,6 @@ class ExecutionContext:
         check_optional_positive_int(self.mc_batch_size, "mc_batch_size")
         check_positive_float(self.mc_tolerance, "mc_tolerance")
         check_jobs(self.jobs)
-        check_optional_positive_int(self.max_samples, "max_samples")
         if self.graph_storage not in GRAPH_STORAGE_POLICIES:
             raise ConfigurationError(
                 f"graph_storage must be one of {GRAPH_STORAGE_POLICIES}, "
@@ -332,34 +323,6 @@ class ExecutionContext:
         )
 
     # ------------------------------------------------------------------
-    # RNG factory
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def generator(seed: RandomSource = None) -> np.random.Generator:
-        """Normalize ``seed`` into a :class:`numpy.random.Generator`."""
-        return as_generator(seed)
-
-    @staticmethod
-    def spawn_seed_sequences(
-        seed: RandomSource, count: int
-    ) -> list[np.random.SeedSequence]:
-        """``count`` independent child sequences rooted at ``seed``.
-
-        The picklable half of the factory: work units shipped to worker
-        processes carry these, so a unit's stream depends only on its
-        global index, never on worker count.
-        """
-        return spawn_seed_sequences(seed, count)
-
-    @staticmethod
-    def spawn_generators(
-        seed: RandomSource, count: int
-    ) -> list[np.random.Generator]:
-        """``count`` independent generators rooted at ``seed``."""
-        return spawn_generators(seed, count)
-
-    # ------------------------------------------------------------------
     # Diagnostics sink
     # ------------------------------------------------------------------
 
@@ -448,57 +411,3 @@ class ExecutionContext:
         self._runtime = None
         self._owns_runtime = False
         self._closed = False
-
-
-def default_context() -> ExecutionContext:
-    """A context with every policy at its documented default."""
-    return ExecutionContext()
-
-
-def _warn_legacy(owner: str, names: Iterable[str]) -> None:
-    warnings.warn(
-        f"{owner}: passing {', '.join(sorted(names))} as per-knob keyword "
-        f"arguments is deprecated [repro-lint REP006: engine policy routes "
-        f"through ExecutionContext]; build an ExecutionContext and pass "
-        f"context= instead (outputs are bit-identical)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_context(
-    context: Optional[ExecutionContext],
-    owner: str,
-    runtime: Any = UNSET,
-    **legacy: Any,
-) -> tuple[ExecutionContext, bool]:
-    """The deprecation shim shared by every public facade.
-
-    Returns ``(context, owns)``:
-
-    * explicit ``context`` — returned as-is, ``owns=False`` (the caller
-      that built it closes it); combining it with legacy per-knob kwargs
-      is a :class:`ConfigurationError` (ambiguous policy);
-    * no context — a fresh one is built from whichever legacy kwargs were
-      actually passed (each emits one :class:`DeprecationWarning`),
-      ``owns=True`` so the facade's ``close`` tears it down.  A legacy
-      ``runtime=`` object is attached without transferring ownership.
-    """
-    passed = {k: v for k, v in legacy.items() if v is not UNSET}
-    has_runtime = runtime is not UNSET
-    if context is not None:
-        if passed or has_runtime:
-            clash = sorted(passed) + (["runtime"] if has_runtime else [])
-            raise ConfigurationError(
-                f"{owner}: pass either context= or the legacy knobs "
-                f"{clash}, not both"
-            )
-        return context, False
-    if passed or has_runtime:
-        _warn_legacy(
-            owner, sorted(passed) + (["runtime"] if has_runtime else [])
-        )
-    built = ExecutionContext(**passed)
-    if has_runtime and runtime is not None:
-        built.attach_runtime(runtime)
-    return built, True

@@ -9,7 +9,6 @@ from repro.sampling.bounds import (
 )
 from repro.sampling.coverage import CoverageIndex, GreedyCoverResult
 from repro.sampling.engine import (
-    DEFAULT_BATCH_SIZE,
     BatchSampler,
     RandomizedRoundingRootDrawer,
     RootDrawer,
@@ -45,7 +44,6 @@ __all__ = [
     "log_binomial",
     "CoverageIndex",
     "GreedyCoverResult",
-    "DEFAULT_BATCH_SIZE",
     "BatchSampler",
     "RootDrawer",
     "UniformRootDrawer",

@@ -22,6 +22,10 @@ families:
 The one-at-a-time ``RRSampler.sample`` / ``MRRSampler.sample`` paths remain
 as the distributional reference that the batch-equivalence tests check
 against.
+
+Engine policy — samples per call, the parallel runtime, the kernel backend,
+the pool store — comes from the sampler's
+:class:`~repro.runtime.context.ExecutionContext`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError, SamplingError
 from repro.graph.digraph import DiGraph
+from repro.runtime.context import ExecutionContext
 from repro.sampling.coverage import CoverageIndex
 from repro.store.keys import (
     artifact_key,
@@ -46,18 +51,7 @@ from repro.store.keys import (
 from repro.utils.rng import RandomSource, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mrr imports engine)
-    from repro.parallel.runtime import ParallelRuntime
-    from repro.runtime.context import ExecutionContext
     from repro.sampling.mrr import RootCountRule
-
-#: Default number of reverse samples generated per engine call.  Large
-#: enough to amortize NumPy dispatch over the whole batch; the price is a
-#: pooled ``batch * n`` boolean visitation bitset per sampler (one byte
-#: per bit — 256 MB at n = 1M), so memory-constrained callers on very
-#: large graphs should dial this down via the ``sample_batch_size`` knobs
-#: (the bitset is allocated lazily with ``np.zeros``, i.e. copy-on-write
-#: zero pages, and is reused across all calls of one sampler).
-DEFAULT_BATCH_SIZE = 256
 
 
 class RootDrawer(abc.ABC):
@@ -183,25 +177,20 @@ class BatchSampler:
         randomized-rounding rule for mRR pools).
     seed:
         Random source; pass the caller's generator to share one stream.
-    batch_size:
-        Samples per engine call.  Larger batches amortize dispatch further
-        but grow the per-call ``batch * n`` visitation bitset.
-    runtime:
-        Optional :class:`~repro.parallel.runtime.ParallelRuntime`.  When
-        set, :meth:`fill` switches to the chunk-seeded parallel scheme:
-        every engine call's chunk draws from its own child stream (spawned
-        from a root :class:`~numpy.random.SeedSequence` by global chunk
-        index), and chunks are sharded across the runtime's workers.  The
-        resulting pool is bit-identical for **any** worker count — a
-        ``jobs=1`` runtime runs the same chunks in-process — but differs
-        from the default single-stream path, which remains the reference
-        when ``runtime`` is ``None``.
     context:
-        Optional :class:`~repro.runtime.context.ExecutionContext` supplying
-        the defaults for ``batch_size`` (``context.sample_batch_size``) and
-        ``runtime`` (``context.runtime``).  Explicit ``batch_size`` /
-        ``runtime`` arguments override the context — this is the low-level
-        escape hatch, so no deprecation applies here.
+        The :class:`~repro.runtime.context.ExecutionContext` (``None``
+        means ``ExecutionContext()``).  ``context.sample_batch_size`` sets
+        the samples per engine call: larger batches amortize dispatch
+        further but grow the per-call ``batch * n`` visitation bitset.
+        With ``context.runtime`` set, :meth:`fill` switches to the
+        chunk-seeded parallel scheme: every engine call's chunk draws from
+        its own child stream (spawned from a root
+        :class:`~numpy.random.SeedSequence` by global chunk index), and
+        chunks are sharded across the runtime's workers.  The resulting
+        pool is bit-identical for **any** worker count — a ``jobs=1``
+        runtime runs the same chunks in-process — but differs from the
+        single-stream path, which remains the reference when ``jobs`` is
+        ``None``.
     """
 
     def __init__(
@@ -210,43 +199,26 @@ class BatchSampler:
         model: DiffusionModel,
         roots: RootDrawer,
         seed: RandomSource = None,
-        batch_size: Optional[int] = None,
-        runtime: Optional[ParallelRuntime] = None,
         context: Optional[ExecutionContext] = None,
     ):
         if graph.n < 1:
             raise SamplingError("cannot sample reverse sets on an empty graph")
-        if batch_size is None:
-            batch_size = (
-                context.sample_batch_size if context is not None
-                else DEFAULT_BATCH_SIZE
-            )
-        if runtime is None and context is not None:
-            runtime = context.runtime
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
+        if context is None:
+            context = ExecutionContext()
         self.graph = graph
         self.model = model
         self.roots = roots
-        self.batch_size = int(batch_size)
+        self.batch_size = context.sample_batch_size
         # Per-level BFS backend knob (see repro.kernels); pools are
         # bit-identical across backends, so this is pure policy.
-        self._kernel = (
-            context.kernel_backend if context is not None else "auto"
-        )
+        self._kernel = context.kernel_backend
         self._rng = as_generator(seed)
-        self._runtime = runtime
+        self._runtime = context.runtime
         # Persistent artifact store (see repro.store): consulted before
         # regenerating a fill.  Disabled for unseeded samplers — their
         # stream is OS entropy, so no future run could ever hit the
         # entries they would write.
-        self._store = (
-            context.pool_store
-            if context is not None and seed is not None
-            else None
-        )
+        self._store = context.pool_store if seed is not None else None
         self._context = context
         self._recipe_fields: Optional[dict[str, object]] = None
         # Chunk-indexed seeding root: one draw from the caller's stream
@@ -256,7 +228,7 @@ class BatchSampler:
         # fill calls are sliced or sharded).
         self._chunk_root = (
             np.random.SeedSequence(int(self._rng.integers(np.iinfo(np.int64).max)))
-            if runtime is not None
+            if self._runtime is not None
             else None
         )
         # Pooled visitation bitset, allocated lazily at batch_size * n and
@@ -470,8 +442,7 @@ class BatchSampler:
         return self._recipe_fields
 
     def _tally(self, name: str) -> None:
-        if self._context is not None:
-            self._context.tally(name)
+        self._context.tally(name)
 
 
 def _roots_token(roots: RootDrawer) -> str:
@@ -510,15 +481,10 @@ def rr_batch_sampler(
     graph: DiGraph,
     model: DiffusionModel,
     seed: RandomSource = None,
-    batch_size: Optional[int] = None,
-    runtime: Optional[ParallelRuntime] = None,
     context: Optional[ExecutionContext] = None,
 ) -> BatchSampler:
     """Engine for single-root RR pools."""
-    return BatchSampler(
-        graph, model, UniformRootDrawer(graph.n), seed, batch_size, runtime,
-        context,
-    )
+    return BatchSampler(graph, model, UniformRootDrawer(graph.n), seed, context)
 
 
 def mrr_batch_sampler(
@@ -526,12 +492,9 @@ def mrr_batch_sampler(
     model: DiffusionModel,
     rule: RootCountRule,
     seed: RandomSource = None,
-    batch_size: Optional[int] = None,
-    runtime: Optional[ParallelRuntime] = None,
     context: Optional[ExecutionContext] = None,
 ) -> BatchSampler:
     """Engine for multi-root mRR pools under a root-count rule."""
     return BatchSampler(
-        graph, model, RandomizedRoundingRootDrawer(rule), seed, batch_size,
-        runtime, context,
+        graph, model, RandomizedRoundingRootDrawer(rule), seed, context
     )

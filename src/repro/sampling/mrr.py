@@ -30,6 +30,7 @@ from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError, SamplingError
 from repro.graph.digraph import DiGraph
 from repro.graph.residual import ResidualGraph
+from repro.runtime.context import ExecutionContext
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler
 from repro.utils.rng import RandomSource, as_generator
@@ -165,7 +166,8 @@ class MRRCollection:
     Per-set root counts are tracked alongside the index so a round's final
     pool can be exported (:meth:`export_carry`) and re-validated into the
     next round's pool (:meth:`adopt`) by the adaptive engine's cross-round
-    carry-over.
+    carry-over.  Engine policy comes from ``context`` (see
+    :class:`~repro.sampling.engine.BatchSampler`).
     """
 
     def __init__(
@@ -175,14 +177,12 @@ class MRRCollection:
         eta: int,
         seed: RandomSource = None,
         rule: RootCountRule = None,
-        batch_size: Optional[int] = None,
-        runtime=None,
-        context=None,
+        context: Optional[ExecutionContext] = None,
     ):
         rng = as_generator(seed)
         self.sampler = MRRSampler(graph, model, eta, rng, rule)
         self.engine = mrr_batch_sampler(
-            graph, model, self.sampler.rule, rng, batch_size, runtime, context
+            graph, model, self.sampler.rule, rng, context
         )
         self.index = CoverageIndex(graph.n)
         self._root_counts = np.empty(0, dtype=np.int64)
@@ -382,10 +382,8 @@ def build_round_pool(
     residual: ResidualGraph,
     model: DiffusionModel,
     rng: np.random.Generator,
-    batch_size: Optional[int] = None,
     carry: Optional[CarriedMRRPool] = None,
-    runtime=None,
-    context=None,
+    context: Optional[ExecutionContext] = None,
 ) -> tuple[MRRCollection, CarryDiagnostics]:
     """One round's mRR pool, optionally pre-loaded from the previous round.
 
@@ -393,27 +391,21 @@ def build_round_pool(
     the :class:`MRRCollection` for ``(residual.graph, residual.shortfall)``,
     and when a :class:`CarriedMRRPool` is offered, adopt every set that
     survives :meth:`CarriedMRRPool.revalidate` before any fresh sampling.
-    ``context`` supplies the ``batch_size`` / ``runtime`` defaults.
+    ``context`` supplies the engine policy and receives the pool tallies.
     """
+    if context is None:
+        context = ExecutionContext()
     pool = MRRCollection(
-        residual.graph,
-        model,
-        residual.shortfall,
-        seed=rng,
-        batch_size=batch_size,
-        runtime=runtime,
-        context=context,
+        residual.graph, model, residual.shortfall, seed=rng, context=context
     )
-    if context is not None:
-        context.tally("mrr_pools_built")
+    context.tally("mrr_pools_built")
     if carry is None:
         return pool, CarryDiagnostics(0, 0, 0, 0)
     kept, diagnostics = carry.revalidate(residual)
     if kept is not None:
         pool.adopt(*kept)
-    if context is not None:
-        context.tally("mrr_sets_carried", diagnostics.sets_carried)
-        context.tally("mrr_sets_dropped", diagnostics.sets_offered - diagnostics.sets_carried)
+    context.tally("mrr_sets_carried", diagnostics.sets_carried)
+    context.tally("mrr_sets_dropped", diagnostics.sets_offered - diagnostics.sets_carried)
     return pool, diagnostics
 
 
@@ -425,33 +417,16 @@ def estimate_truncated_spread_mrr(
     theta: int = 2000,
     seed: RandomSource = None,
     rule: RootCountRule = None,
-    batch_size: Optional[int] = None,
-    jobs: Optional[int] = None,
-    context=None,
+    context: Optional[ExecutionContext] = None,
 ) -> float:
     """One-shot convenience: generate ``theta`` mRR sets and estimate.
 
     Used by tests, examples, and the rounding ablation; production code
     should reuse an :class:`MRRCollection` across queries instead.
-
-    ``context`` supplies the batching/parallelism policy; alternatively the
-    legacy ``jobs`` knob switches pool generation to the chunk-seeded
-    parallel scheme (``None`` keeps the historical in-process stream; any
-    ``jobs >= 1`` yields the same estimate for every worker count).
+    ``context`` supplies the batching/parallelism policy: with ``jobs``
+    set, pool generation takes the chunk-seeded parallel scheme and yields
+    the same estimate for every worker count.
     """
-    from repro.runtime.context import UNSET, resolve_context
-
-    context, owns = resolve_context(
-        context,
-        "estimate_truncated_spread_mrr",
-        jobs=UNSET if jobs is None else jobs,
-    )
-    try:
-        collection = MRRCollection(
-            graph, model, eta, seed, rule, batch_size, context=context
-        )
-        collection.grow_to(theta)
-        return collection.estimated_truncated_spread(seeds)
-    finally:
-        if owns:
-            context.close()
+    collection = MRRCollection(graph, model, eta, seed, rule, context)
+    collection.grow_to(theta)
+    return collection.estimated_truncated_spread(seeds)

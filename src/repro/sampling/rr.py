@@ -20,6 +20,7 @@ import numpy as np
 from repro.diffusion.base import DiffusionModel
 from repro.errors import SamplingError
 from repro.graph.digraph import DiGraph
+from repro.runtime.context import ExecutionContext
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import rr_batch_sampler
 from repro.utils.rng import RandomSource, as_generator
@@ -55,8 +56,9 @@ class RRCollection:
     Convenience wrapper used by the baselines: supports OPIM-style doubling
     (``grow_to``) and converts coverage counts into spread estimates.  Pool
     growth runs through the vectorized
-    :class:`~repro.sampling.engine.BatchSampler`; the single-set
-    :class:`RRSampler` remains available as the distributional reference.
+    :class:`~repro.sampling.engine.BatchSampler` under ``context``'s
+    engine policy; the single-set :class:`RRSampler` remains available as
+    the distributional reference.
     """
 
     def __init__(
@@ -64,15 +66,11 @@ class RRCollection:
         graph: DiGraph,
         model: DiffusionModel,
         seed: RandomSource = None,
-        batch_size: Optional[int] = None,
-        runtime=None,
-        context=None,
+        context: Optional[ExecutionContext] = None,
     ):
         rng = as_generator(seed)
         self.sampler = RRSampler(graph, model, rng)
-        self.engine = rr_batch_sampler(
-            graph, model, rng, batch_size, runtime, context
-        )
+        self.engine = rr_batch_sampler(graph, model, rng, context)
         self.index = CoverageIndex(graph.n)
 
     @property

@@ -39,8 +39,7 @@ from repro.diffusion.lt import LinearThreshold
 from repro.experiments import datasets
 from repro.graph.digraph import DiGraph
 from repro.graph.residual import initial_residual
-from repro.runtime.context import ExecutionContext
-from repro.sampling.engine import DEFAULT_BATCH_SIZE
+from repro.runtime.context import DEFAULT_BATCH_SIZE, ExecutionContext
 from repro.sampling.mrr import CarriedMRRPool, MRRCollection
 from repro.service.protocol import ProtocolError, Request
 
@@ -266,7 +265,8 @@ def run_estimate(
     exactly — same collection construction, same growth call, same
     estimator — so the response is bit-identical to that offline
     reference for the same ``(graph, plan, seed)`` regardless of the
-    carry, the worker count, or any mid-request recovery.
+    carry, the worker count, or any mid-request recovery.  ``context``
+    carries the plan's ``batch_size`` as its ``sample_batch_size``.
     """
     residual = initial_residual(graph, plan.eta)
     collection = MRRCollection(
@@ -274,7 +274,6 @@ def run_estimate(
         make_model(plan.model_name),
         plan.eta,
         seed=plan.seed,
-        batch_size=plan.batch_size,
         context=context,
     )
     carry_status = CARRY_NONE

@@ -45,10 +45,10 @@ def check_fraction(value: float, name: str) -> float:
 def check_optional_positive_int(value: Optional[int], name: str) -> Optional[int]:
     """Validate an optional integer knob: ``None`` passes, else ``>= 1``.
 
-    The shared validator behind every engine-policy knob that may be left
-    unset (``mc_batch_size``, ``jobs``, ``max_samples``): the CLI, the
-    experiment config, and the execution context all funnel through here so
-    a bad value produces the same message no matter which layer catches it.
+    The shared validator behind every optional knob (``mc_batch_size``,
+    ``jobs``, the ``max_samples`` budget cap): the CLI, the experiment
+    config, and the execution context all funnel through here so a bad
+    value produces the same message no matter which layer catches it.
     """
     if value is None:
         return None

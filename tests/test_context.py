@@ -1,11 +1,11 @@
-"""ExecutionContext: propagation, legacy-kwarg equivalence, lifecycle.
+"""ExecutionContext: propagation, ownership, lifecycle.
 
-The tentpole contract of the unified context refactor:
+The contract of the unified context:
 
 * a default context reaches every engine untouched;
-* an explicit context overrides the policy end to end;
-* legacy per-knob kwargs emit ``DeprecationWarning`` while producing
-  bit-identical pools, CRN estimates, and adaptive seed sets;
+* an explicit context sets the policy end to end, and it is the only way
+  to set it — no facade or engine takes a per-call knob;
+* whoever builds a context closes it; facades never close one;
 * the engine-knob validators are shared, so every layer rejects a bad
   value with the identical message.
 """
@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro import ASTI, ExecutionContext, IndependentCascade
 from repro.baselines.adaptim import AdaptIM
 from repro.baselines.ateuc import ATEUC
 from repro.baselines.celf import CELFMinimizer
-from repro.core.trim import TrimSelector
-from repro.core.trim_b import TrimBSelector
 from repro.diffusion.montecarlo import (
     DEFAULT_MC_BATCH_SIZE,
     CRNSpreadEvaluator,
@@ -32,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig, quick_config
 from repro.experiments.harness import build_algorithm, run_eta_point, run_sweep
 from repro.parallel.runtime import ParallelRuntime
-from repro.sampling.engine import DEFAULT_BATCH_SIZE
+from repro.runtime.context import DEFAULT_BATCH_SIZE
 from repro.sampling.mrr import estimate_truncated_spread_mrr
 from repro.utils.rng import spawn_generators
 
@@ -50,7 +47,6 @@ class TestDefaults:
         assert ctx.mc_tolerance is None
         assert ctx.reuse_pool is True
         assert ctx.jobs is None
-        assert ctx.max_samples is None
         assert ctx.graph_storage == "adaptive"
         assert ctx.runtime is None  # jobs=None: historical in-process route
 
@@ -81,17 +77,18 @@ class TestExplicitOverride:
             sample_batch_size=32,
             mc_batch_size=16,
             reuse_pool=False,
-            max_samples=5000,
         )
-        asti = ASTI(model, context=ctx)
-        assert asti.sample_batch_size == 32
-        assert asti.reuse_pool is False
-        assert asti.selector.sample_batch_size == 32
-        assert asti.selector.max_samples == 5000  # context supplies the cap
-        celf = CELFMinimizer(model, context=ctx)
-        assert celf.mc_batch_size == 16
-        ateuc = ATEUC(model, context=ctx)
-        assert ateuc.sample_batch_size == 32
+        asti = ASTI(model, max_samples=5000, context=ctx)
+        assert asti.context is ctx
+        assert asti.selector.context is ctx
+        assert asti.selector.max_samples == 5000  # an algorithm argument
+        assert CELFMinimizer(model, context=ctx).context is ctx
+        assert ATEUC(model, context=ctx).context is ctx
+
+    def test_facades_never_close_the_context(self, model):
+        for facade in (ASTI, AdaptIM, ATEUC, CELFMinimizer):
+            assert not hasattr(facade, "close")
+            assert not hasattr(facade, "__exit__")
 
     def test_build_algorithm_threads_context(self, model):
         ctx = ExecutionContext(sample_batch_size=48, jobs=1)
@@ -113,7 +110,6 @@ class TestExplicitOverride:
             mc_tolerance=2.5,
             reuse_pool=False,
             jobs=2,
-            max_samples=1234,
         )
         ctx = config.to_context()
         assert ctx.sample_batch_size == 96
@@ -121,7 +117,6 @@ class TestExplicitOverride:
         assert ctx.mc_tolerance == 2.5
         assert ctx.reuse_pool is False
         assert ctx.jobs == 2
-        assert ctx.max_samples == 1234
         ctx.close()
 
     def test_mc_tolerance_defaults_the_estimator_early_stop(self, small_social, model):
@@ -172,102 +167,78 @@ class TestExplicitOverride:
             quick_config().scaled(graph_storage="sparse")
 
     def test_pool_tallies_land_in_diagnostics(self, small_social_damped, model):
-        ctx = ExecutionContext(max_samples=4000)
-        ASTI(model, context=ctx).run(small_social_damped, eta=15, seed=4)
+        ctx = ExecutionContext()
+        ASTI(model, max_samples=4000, context=ctx).run(
+            small_social_damped, eta=15, seed=4
+        )
         assert ctx.diagnostics["mrr_pools_built"] >= 1
         assert "mrr_sets_carried" in ctx.diagnostics  # reuse_pool default on
         ctx.close()
 
 
 class TestLegacyEquivalence:
-    def test_legacy_kwargs_warn(self, model):
-        with pytest.deprecated_call():
-            ASTI(model, sample_batch_size=64)
-        with pytest.deprecated_call():
-            AdaptIM(model, jobs=1).close()
-        with pytest.deprecated_call():
-            TrimSelector(model, reuse_pool=False)
-        with pytest.deprecated_call():
-            TrimBSelector(model, b=2, sample_batch_size=8)
-        with pytest.deprecated_call():
-            CELFMinimizer(model, mc_batch_size=32)
-        with pytest.deprecated_call():
-            ATEUC(model, sample_batch_size=16)
+    """The removed per-knob route, pinned.
+
+    The per-call knobs (``sample_batch_size=``, ``jobs=``, ``mc_batch_size=``
+    on facades and engines) are gone; a context setting the same policy
+    must reproduce exactly what those knobs produced.  The expected values
+    were recorded from the knob route before its removal.
+    """
 
     def test_context_plus_legacy_kwargs_is_an_error(self, model):
+        # context= is the only policy route: a per-call knob, with or
+        # without a context, is a TypeError.
         ctx = ExecutionContext()
-        with pytest.raises(ConfigurationError, match="not both"):
+        with pytest.raises(TypeError):
             ASTI(model, sample_batch_size=64, context=ctx)
-        with pytest.raises(ConfigurationError, match="not both"):
+        with pytest.raises(TypeError):
             CELFMinimizer(model, jobs=2, context=ctx)
-        with pytest.raises(ConfigurationError, match="not both"):
-            estimate_truncated_spread_mrr(
-                None, model, [0], 1, jobs=1, context=ctx
-            )
+        with pytest.raises(TypeError):
+            ATEUC(model, runtime=None)
 
     def test_legacy_asti_bit_identical_seed_sets(self, small_social_damped, model):
-        with pytest.deprecated_call():
-            legacy = ASTI(
-                model, epsilon=0.5, sample_batch_size=64, reuse_pool=True
-            ).run(small_social_damped, eta=20, seed=11)
-        modern = ASTI(
+        # Was: ASTI(model, sample_batch_size=64, reuse_pool=True).
+        result = ASTI(
             model,
             epsilon=0.5,
             context=ExecutionContext(sample_batch_size=64, reuse_pool=True),
         ).run(small_social_damped, eta=20, seed=11)
-        assert legacy.seeds == modern.seeds
-        assert legacy.spread == modern.spread
-        assert [r.samples_generated for r in legacy.rounds] == [
-            r.samples_generated for r in modern.rounds
+        assert result.seeds == [4, 0, 12, 3]
+        assert result.spread == 28
+        assert [r.samples_generated for r in result.rounds] == [
+            720, 688, 640, 284
         ]
 
     def test_legacy_jobs_bit_identical_mrr_pools(self, small_social, model):
-        with pytest.deprecated_call():
-            legacy = estimate_truncated_spread_mrr(
-                small_social, model, [0, 3], eta=12, theta=600, seed=5, jobs=1
+        # Was: estimate_truncated_spread_mrr(..., jobs=1).
+        with ExecutionContext(jobs=1) as ctx:
+            estimate = estimate_truncated_spread_mrr(
+                small_social, model, [0, 3], eta=12, theta=600, seed=5,
+                context=ctx,
             )
-        modern = estimate_truncated_spread_mrr(
-            small_social,
-            model,
-            [0, 3],
-            eta=12,
-            theta=600,
-            seed=5,
-            context=ExecutionContext(jobs=1),
-        )
-        assert legacy == modern
+        assert estimate == 11.2
 
     def test_legacy_crn_estimates_bit_identical(self, small_social, model):
-        candidates = [[v] for v in range(12)]
-        explicit = CRNSpreadEvaluator(
-            small_social, model, n_sims=40, seed=9, mc_batch_size=64
-        ).evaluate_many(candidates)
-        via_context = CRNSpreadEvaluator(
+        # Was: CRNSpreadEvaluator(..., mc_batch_size=64).
+        estimates = CRNSpreadEvaluator(
             small_social,
             model,
             n_sims=40,
             seed=9,
             context=ExecutionContext(mc_batch_size=64),
-        ).evaluate_many(candidates)
-        assert np.array_equal(explicit, via_context)
+        ).evaluate_many([[v] for v in range(12)])
+        assert estimates.tolist() == [
+            22.925, 17.9, 5.0, 17.95, 24.875, 3.1,
+            4.175, 14.4, 2.25, 12.75, 3.0, 6.15,
+        ]
 
     def test_legacy_run_eta_point_bit_identical(self, small_social_damped, model):
+        # Was: run_eta_point(..., sample_batch_size=128).
         realizations = [
             model.sample_realization(small_social_damped, rng)
             for rng in spawn_generators(21, 2)
         ]
-        with pytest.deprecated_call():
-            legacy = run_eta_point(
-                small_social_damped,
-                model,
-                10,
-                ("ASTI", "ATEUC"),
-                realizations,
-                max_samples=4000,
-                seed=2,
-                sample_batch_size=128,
-            )
-        modern = run_eta_point(
+        outcomes = run_eta_point(
             small_social_damped,
             model,
             10,
@@ -277,10 +248,12 @@ class TestLegacyEquivalence:
             seed=2,
             context=ExecutionContext(sample_batch_size=128),
         )
-        for label in ("ASTI", "ATEUC"):
-            assert [
-                (r.seed_count, r.spread) for r in legacy[label].runs
-            ] == [(r.seed_count, r.spread) for r in modern[label].runs]
+        assert [(r.seed_count, r.spread) for r in outcomes["ASTI"].runs] == [
+            (1, 11), (2, 17)
+        ]
+        assert [(r.seed_count, r.spread) for r in outcomes["ATEUC"].runs] == [
+            (2, 11), (2, 17)
+        ]
 
 
 class TestLifecycle:

@@ -124,8 +124,9 @@ def test_rep002_accepts_seeded_construction():
 
 def test_rep002_exempts_the_rng_factory_modules():
     src = "import numpy as np\nrng = np.random.default_rng()\n"
-    assert codes(src, "src/repro/runtime/context.py") == []
     assert codes(src, "src/repro/utils/rng.py") == []
+    # The execution context builds no generators, so it is not exempt.
+    assert codes(src, "src/repro/runtime/context.py") == ["REP002"]
 
 
 # ----------------------------------------------------------------------
@@ -267,21 +268,26 @@ def test_rep006_flags_bare_policy_kwarg():
     assert "mc_batch_size" in found[0].message
 
 
-def test_rep006_accepts_context_hybrid():
+def test_rep006_flags_knob_beside_context():
+    # A knob next to context= is a second way to set the same policy.
     src = (
         "def estimate(graph, seeds, mc_batch_size=None, context=None):\n"
         "    return 0\n"
     )
-    assert codes(src) == []
+    found = lint(src)
+    assert [f.code for f in found] == ["REP006"]
+    assert "mc_batch_size" in found[0].message
 
 
-def test_rep006_accepts_resolve_context_shim():
+def test_rep006_flags_knob_forwarded_to_a_resolver():
+    # Routing the knob through a helper that builds a context is no
+    # escape hatch either: the parameter itself is the finding.
     src = (
         "def estimate(graph, seeds, jobs=None):\n"
         "    ctx = resolve_context(None, 'estimate', jobs=jobs)\n"
         "    return ctx\n"
     )
-    assert codes(src) == []
+    assert codes(src) == ["REP006"]
 
 
 def test_rep006_only_applies_inside_the_package():
@@ -294,13 +300,6 @@ def test_rep006_exempts_the_policy_layer_modules():
     src = "def parse(jobs=1, kernel_backend='auto'):\n    return jobs\n"
     for exempt in ("src/repro/cli.py", "src/repro/experiments/config.py"):
         assert codes(src, exempt) == []
-
-
-def test_resolve_context_deprecation_warning_names_rep006(ic_model):
-    from repro.baselines.celf import CELFMinimizer
-
-    with pytest.deprecated_call(match="REP006"):
-        CELFMinimizer(ic_model, samples=8, mc_batch_size=8)
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,13 @@ class TestConstruction:
         with pytest.raises(EdgeError):
             DiGraph.from_edges(2, [(0, 1, 1.5)])
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_non_finite_probability_rejected(self, p):
+        # NaN fails both range comparisons, so only an "all in range" check
+        # catches it.
+        with pytest.raises(EdgeError, match=r"\(0, 1\]"):
+            DiGraph.from_edges(2, [(0, 1, p)])
+
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(EdgeError):
             DiGraph.from_arrays(

@@ -17,8 +17,8 @@ import pytest
 from repro.errors import ConfigurationError, SamplingError
 from repro.graph.builder import GraphBuilder
 from repro.sampling.coverage import CoverageIndex
+from repro.runtime.context import DEFAULT_BATCH_SIZE, ExecutionContext
 from repro.sampling.engine import (
-    DEFAULT_BATCH_SIZE,
     BatchSampler,
     RandomizedRoundingRootDrawer,
     UniformRootDrawer,
@@ -27,6 +27,11 @@ from repro.sampling.engine import (
 )
 from repro.sampling.mrr import MRRCollection, MRRSampler, RootCountRule
 from repro.sampling.rr import RRCollection, RRSampler
+
+
+def _batch(size: int) -> ExecutionContext:
+    """A context setting only the samples per engine call."""
+    return ExecutionContext(sample_batch_size=size)
 
 
 def _mean_sizes(index: CoverageIndex) -> float:
@@ -127,14 +132,14 @@ class TestBatchSampler:
             engine.fill(CoverageIndex(small_social.n), -1)
 
     def test_fill_chunks_to_batch_size(self, ic_model, small_social):
-        engine = rr_batch_sampler(small_social, ic_model, seed=0, batch_size=16)
+        engine = rr_batch_sampler(small_social, ic_model, seed=0, context=_batch(16))
         index = CoverageIndex(small_social.n)
         engine.fill(index, 50)  # 16 + 16 + 16 + 2
         assert len(index) == 50
 
     def test_invalid_batch_size(self, ic_model, small_social):
         with pytest.raises(ConfigurationError):
-            rr_batch_sampler(small_social, ic_model, seed=0, batch_size=0)
+            rr_batch_sampler(small_social, ic_model, seed=0, context=_batch(0))
 
     def test_empty_graph_rejected(self, ic_model):
         empty = GraphBuilder(0).build()
@@ -150,7 +155,7 @@ class TestBatchSampler:
         # The visitation bitset is pooled across calls; a leftover True bit
         # would silently truncate later samples.
         model = request.getfixturevalue(model_fixture)
-        engine = rr_batch_sampler(small_social, model, seed=0, batch_size=16)
+        engine = rr_batch_sampler(small_social, model, seed=0, context=_batch(16))
         for _ in range(5):
             engine.sample_batch(16)
             assert not engine._scratch.any()
@@ -169,7 +174,7 @@ class TestBatchSingleEquivalenceRR:
             single_index, self.THETA
         )
         batched_index = CoverageIndex(small_social.n)
-        rr_batch_sampler(small_social, model, seed=202, batch_size=128).fill(
+        rr_batch_sampler(small_social, model, seed=202, context=_batch(128)).fill(
             batched_index, self.THETA
         )
         assert _close(_mean_sizes(single_index), _mean_sizes(batched_index))
@@ -178,9 +183,9 @@ class TestBatchSingleEquivalenceRR:
     def test_spread_estimates_match(self, model_fixture, small_social, request):
         model = request.getfixturevalue(model_fixture)
         seeds = [0, 5, 17]
-        single = RRCollection(small_social, model, seed=303, batch_size=1)
+        single = RRCollection(small_social, model, seed=303, context=_batch(1))
         single.grow_to(self.THETA)
-        batched = RRCollection(small_social, model, seed=404, batch_size=256)
+        batched = RRCollection(small_social, model, seed=404, context=_batch(256))
         batched.grow_to(self.THETA)
         assert _close(
             single.estimated_spread(seeds), batched.estimated_spread(seeds)
@@ -191,7 +196,7 @@ class TestBatchSingleEquivalenceRR:
         # reference sampler's sets exactly (same draws, same order).
         a = RRSampler(small_social, ic_model, seed=7)
         reference = [np.sort(a.sample()) for _ in range(20)]
-        engine = rr_batch_sampler(small_social, ic_model, seed=7, batch_size=1)
+        engine = rr_batch_sampler(small_social, ic_model, seed=7, context=_batch(1))
         for expected in reference:
             members, indptr = engine.sample_batch(1)
             assert list(indptr) == [0, len(members)]
@@ -214,7 +219,7 @@ class TestBatchSingleEquivalenceMRR:
         ).sample_into(single_index, self.THETA)
         batched_index = CoverageIndex(small_social.n)
         mrr_batch_sampler(
-            small_social, model, rule, seed=222, batch_size=128
+            small_social, model, rule, seed=222, context=_batch(128)
         ).fill(batched_index, self.THETA)
         assert _close(_mean_sizes(single_index), _mean_sizes(batched_index))
 
@@ -223,11 +228,11 @@ class TestBatchSingleEquivalenceMRR:
         model = request.getfixturevalue(model_fixture)
         seeds = [0, 3]
         single = MRRCollection(
-            small_social, model, self.ETA, seed=333, batch_size=1
+            small_social, model, self.ETA, seed=333, context=_batch(1)
         )
         single.grow_to(self.THETA)
         batched = MRRCollection(
-            small_social, model, self.ETA, seed=444, batch_size=256
+            small_social, model, self.ETA, seed=444, context=_batch(256)
         )
         batched.grow_to(self.THETA)
         assert _close(
@@ -237,7 +242,7 @@ class TestBatchSingleEquivalenceMRR:
 
     def test_collection_routes_growth_through_engine(self, ic_model, small_social):
         collection = MRRCollection(
-            small_social, ic_model, self.ETA, seed=5, batch_size=64
+            small_social, ic_model, self.ETA, seed=5, context=_batch(64)
         )
         collection.grow_to(200)
         assert len(collection) == 200
@@ -246,7 +251,7 @@ class TestBatchSingleEquivalenceMRR:
 
 class TestFillRootCounts:
     def test_rr_fill_reports_all_ones(self, small_social, ic_model):
-        engine = rr_batch_sampler(small_social, ic_model, seed=7, batch_size=16)
+        engine = rr_batch_sampler(small_social, ic_model, seed=7, context=_batch(16))
         index = CoverageIndex(small_social.n)
         counts = engine.fill(index, 40)
         assert len(counts) == 40
@@ -257,7 +262,7 @@ class TestFillRootCounts:
 
         rule = RootCountRule.for_target(small_social.n, 9)
         engine = mrr_batch_sampler(
-            small_social, ic_model, rule, seed=7, batch_size=16
+            small_social, ic_model, rule, seed=7, context=_batch(16)
         )
         index = CoverageIndex(small_social.n)
         counts = engine.fill(index, 50)

@@ -353,6 +353,11 @@ class TestSegmentRegistry:
 # Recovery equivalence: recovered bytes == clean bytes
 # ----------------------------------------------------------------------
 
+def _on(runtime, **knobs) -> ExecutionContext:
+    """A context lent ``runtime`` (the caller keeps closing it)."""
+    return ExecutionContext(**knobs).attach_runtime(runtime)
+
+
 def _mrr_pool(graph, runtime, seed=42, sets=240, batch_size=64):
     rule = RootCountRule.for_target(graph.n, max(1, graph.n // 10))
     engine = mrr_batch_sampler(
@@ -360,8 +365,7 @@ def _mrr_pool(graph, runtime, seed=42, sets=240, batch_size=64):
         IndependentCascade(),
         rule,
         seed=seed,
-        batch_size=batch_size,
-        runtime=runtime,
+        context=_on(runtime, sample_batch_size=batch_size),
     )
     index = CoverageIndex(graph.n)
     counts = engine.fill(index, sets)
@@ -390,8 +394,7 @@ class TestRecoveryEquivalence:
                 IndependentCascade(),
                 n_sims=30,
                 seed=5,
-                mc_batch_size=16,
-                runtime=runtime,
+                context=_on(runtime, mc_batch_size=16),
             ) as evaluator:
                 return evaluator.evaluate_many(candidates, eta=25)
 
@@ -433,7 +436,7 @@ class TestRecoveryEquivalence:
                 realizations=realizations,
                 max_samples=4000,
                 seed=2,
-                runtime=runtime,
+                context=None if runtime is None else _on(runtime),
             )
             return {
                 label: [
@@ -457,7 +460,8 @@ class TestRecoveryEquivalence:
         # be measuring anything.
         candidates = [[v] for v in range(25)]
         clean = CRNSpreadEvaluator(
-            bench_graph, IndependentCascade(), n_sims=30, seed=5, mc_batch_size=16
+            bench_graph, IndependentCascade(), n_sims=30, seed=5,
+            context=ExecutionContext(mc_batch_size=16),
         ).evaluate_many(candidates)
         with ParallelRuntime(
             2, injection=FaultInjection("corrupt", nth=0)
@@ -467,15 +471,16 @@ class TestRecoveryEquivalence:
                 IndependentCascade(),
                 n_sims=30,
                 seed=5,
-                mc_batch_size=16,
-                runtime=chaos_rt,
+                context=_on(chaos_rt, mc_batch_size=16),
             ) as evaluator:
                 corrupted = evaluator.evaluate_many(candidates)
         assert not np.array_equal(clean, corrupted)
 
     def test_note_faults_records_recovery(self, bench_graph):
         context = ExecutionContext(
-            jobs=2, fault_injection=FaultInjection("crash", nth=0)
+            sample_batch_size=64,
+            jobs=2,
+            fault_injection=FaultInjection("crash", nth=0),
         )
         with context:
             chaos = estimate_truncated_spread_mrr(
@@ -485,20 +490,19 @@ class TestRecoveryEquivalence:
                 eta=20,
                 theta=400,
                 seed=3,
-                batch_size=64,
                 context=context,
             )
             context.note_faults()
-        clean = estimate_truncated_spread_mrr(
-            bench_graph,
-            IndependentCascade(),
-            [0, 1],
-            eta=20,
-            theta=400,
-            seed=3,
-            batch_size=64,
-            jobs=1,
-        )
+        with ExecutionContext(sample_batch_size=64, jobs=1) as clean_context:
+            clean = estimate_truncated_spread_mrr(
+                bench_graph,
+                IndependentCascade(),
+                [0, 1],
+                eta=20,
+                theta=400,
+                seed=3,
+                context=clean_context,
+            )
         assert chaos == clean
         assert context.diagnostics["fault_rebuilds"] == 1
         assert context.diagnostics["fault_degraded_chunks"] == 0

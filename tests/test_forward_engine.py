@@ -25,6 +25,7 @@ from repro.diffusion.montecarlo import (
 from repro.diffusion.topic import TopicAwareGraph, TopicAwareIC, TopicMixture
 from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.graph import generators, weighting
+from repro.runtime.context import ExecutionContext
 
 
 @pytest.fixture(params=["IC", "LT", "TIC"])
@@ -179,25 +180,26 @@ class TestEarlyStop:
         # must still run the full minimum chunk, never fewer.
         est = estimate_spread(
             path3, ic_model, [0], samples=900, seed=0,
-            mc_batch_size=64, ci_halfwidth=1e9,
+            context=ExecutionContext(mc_batch_size=64, mc_tolerance=1e9),
         )
         assert est.samples == 64
         assert est.mean == pytest.approx(3.0)
 
     def test_runs_to_samples_without_tolerance(self, ic_model, path3):
         est = estimate_spread(
-            path3, ic_model, [0], samples=130, seed=0, mc_batch_size=64
+            path3, ic_model, [0], samples=130, seed=0,
+            context=ExecutionContext(mc_batch_size=64),
         )
         assert est.samples == 130  # 64 + 64 + 2: cap respected exactly
 
     def test_stops_once_tolerance_met(self, ic_model, small_social):
         loose = estimate_spread(
             small_social, ic_model, [0], samples=4000, seed=3,
-            mc_batch_size=100, ci_halfwidth=50.0,
+            context=ExecutionContext(mc_batch_size=100, mc_tolerance=50.0),
         )
         tight = estimate_spread(
             small_social, ic_model, [0], samples=4000, seed=3,
-            mc_batch_size=100, ci_halfwidth=1e-6,
+            context=ExecutionContext(mc_batch_size=100, mc_tolerance=1e-6),
         )
         assert loose.samples == 100          # met after the first chunk
         assert tight.samples == 4000         # never met: runs to the cap
@@ -255,7 +257,8 @@ class TestCRNEvaluator:
         )
         bounded = CRNSpreadEvaluator(
             small_social, ic_model, n_sims=25, seed=12,
-            mc_batch_size=25,  # jobs-per-sweep bound: one candidate per chunk
+            # jobs-per-sweep bound: one candidate per chunk
+            context=ExecutionContext(mc_batch_size=25),
         )
         expected = whole.spread_matrix(sets)
         assert np.array_equal(expected, tiny.spread_matrix(sets))

@@ -19,6 +19,7 @@ from repro.errors import GraphError
 from repro.graph import generators, weighting
 from repro.graph.digraph import DiGraph, csr_index_dtype, csr_prob_dtype
 from repro.parallel.shm import graph_from_handle, share_graph
+from repro.runtime.context import ExecutionContext
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler
 from repro.sampling.mrr import RootCountRule
@@ -135,7 +136,8 @@ class TestBitEquivalence:
         for graph in (compact, wide):
             rule = RootCountRule.for_target(graph.n, 15)
             engine = mrr_batch_sampler(
-                graph, type(model)(), rule, seed=17, batch_size=64
+                graph, type(model)(), rule, seed=17,
+                context=ExecutionContext(sample_batch_size=64),
             )
             index = CoverageIndex(graph.n)
             engine.fill(index, 500)

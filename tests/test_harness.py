@@ -4,6 +4,7 @@ import pytest
 
 from repro.diffusion.ic import IndependentCascade
 from repro.errors import ConfigurationError
+from repro.runtime.context import ExecutionContext
 from repro.experiments.config import quick_config
 from repro.experiments.harness import (
     build_algorithm,
@@ -77,7 +78,8 @@ class TestRunEtaPoint:
         model = IndependentCascade()
         worlds = sample_shared_realizations(small_social_damped, model, 3, seed=4)
         outcomes = run_eta_point(
-            small_social_damped, model, 15, ("CELF",), worlds, mc_batch_size=64
+            small_social_damped, model, 15, ("CELF",), worlds,
+            context=ExecutionContext(mc_batch_size=64),
         )
         counts = {r.seed_count for r in outcomes["CELF"].runs}
         assert len(counts) == 1  # non-adaptive: one selection, many worlds

@@ -89,6 +89,10 @@ class TestTextRoundTrip:
         with pytest.raises(GraphError):
             read_edge_list(io.StringIO("zero one\n"))
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(GraphError):
+            read_edge_list(io.StringIO("0 1 nan\n"))
+
     def test_edge_list_to_string(self, weighted_graph):
         text = edge_list_to_string(weighted_graph)
         assert text.startswith("# nodes 30")

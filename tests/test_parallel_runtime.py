@@ -8,8 +8,9 @@ Three concerns:
   (m)RR pools, CRN spread estimates, adaptive-run seed counts, and harness
   outcomes must be bit-identical between ``jobs=1`` (in-process chunks)
   and any multi-worker run under a fixed seed;
-* end-to-end knobs: ``ExperimentConfig.jobs``, ``ASTI(jobs=...)``, and the
-  CLI ``--jobs`` flags reject non-positive values with a clean error.
+* end-to-end knobs: ``ExperimentConfig.jobs``, ``ExecutionContext(jobs=...)``,
+  and the CLI ``--jobs`` flags reject non-positive values with a clean
+  error.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.experiments.config import ExperimentConfig, quick_config
 from repro.experiments.harness import run_eta_point, sample_shared_realizations
 from repro.graph import generators, weighting
 from repro.parallel import ParallelRuntime
+from repro.runtime.context import ExecutionContext
 from repro.parallel.shm import (
     graph_from_handle,
     realizations_from_handle,
@@ -43,6 +45,11 @@ def bench_graph():
     return weighting.weighted_cascade(topology)
 
 
+def _on(runtime, **knobs) -> ExecutionContext:
+    """A context lent ``runtime`` (the caller keeps closing it)."""
+    return ExecutionContext(**knobs).attach_runtime(runtime)
+
+
 def _mrr_pool(graph, jobs, seed=42, sets=300, batch_size=64):
     rule = RootCountRule.for_target(graph.n, max(1, graph.n // 10))
     with ParallelRuntime(jobs) as runtime:
@@ -51,8 +58,7 @@ def _mrr_pool(graph, jobs, seed=42, sets=300, batch_size=64):
             IndependentCascade(),
             rule,
             seed=seed,
-            batch_size=batch_size,
-            runtime=runtime,
+            context=_on(runtime, sample_batch_size=batch_size),
         )
         index = CoverageIndex(graph.n)
         counts_a = engine.fill(index, sets // 2)       # sliced fills must not
@@ -76,7 +82,7 @@ class TestRuntimeBasics:
         assert not runtime.parallel
         assert runtime._state["executor"] is None
         engine = rr_batch_sampler(
-            bench_graph, IndependentCascade(), seed=1, runtime=runtime
+            bench_graph, IndependentCascade(), seed=1, context=_on(runtime)
         )
         engine.fill(CoverageIndex(bench_graph.n), 50)
         assert runtime._state["executor"] is None  # chunks ran in-process
@@ -171,8 +177,7 @@ class TestWorkerCountInvariance:
                     bench_graph,
                     LinearThreshold(),
                     seed=7,
-                    batch_size=50,
-                    runtime=runtime,
+                    context=_on(runtime, sample_batch_size=50),
                 )
                 index = CoverageIndex(bench_graph.n)
                 engine.fill(index, 180)
@@ -190,17 +195,22 @@ class TestWorkerCountInvariance:
     ):
         model = request.getfixturevalue(model_fixture)
         candidates = [[v] for v in range(25)] + [[0, 3, 9]]
-        kwargs = dict(n_sims=30, seed=5, mc_batch_size=16)
-        legacy = estimate_spreads_many(bench_graph, model, candidates, **kwargs)
+        kwargs = dict(n_sims=30, seed=5)
+        legacy = estimate_spreads_many(
+            bench_graph, model, candidates,
+            context=ExecutionContext(mc_batch_size=16), **kwargs,
+        )
         with ParallelRuntime(1) as rt1:
             inproc = estimate_spreads_many(
-                bench_graph, model, candidates, runtime=rt1, **kwargs
+                bench_graph, model, candidates,
+                context=_on(rt1, mc_batch_size=16), **kwargs,
             )
         with ParallelRuntime(3) as rt3:
             sharded = estimate_spreads_many(
-                bench_graph, model, candidates, runtime=rt3, **kwargs
+                bench_graph, model, candidates,
+                context=_on(rt3, mc_batch_size=16), **kwargs,
             )
-        # CRN evaluation replays pre-sampled noise, so even the legacy
+        # CRN evaluation replays pre-sampled noise, so even the
         # runtime-free path must agree exactly.
         assert np.array_equal(legacy, inproc)
         assert np.array_equal(inproc, sharded)
@@ -213,21 +223,21 @@ class TestWorkerCountInvariance:
                 IndependentCascade(),
                 n_sims=20,
                 seed=8,
-                mc_batch_size=8,
-                runtime=runtime,
+                context=_on(runtime, mc_batch_size=8),
             )
             sharded = evaluator.evaluate_many(candidates, eta=15)
         reference = CRNSpreadEvaluator(
-            bench_graph, IndependentCascade(), n_sims=20, seed=8, mc_batch_size=8
+            bench_graph, IndependentCascade(), n_sims=20, seed=8,
+            context=ExecutionContext(mc_batch_size=8),
         ).evaluate_many(candidates, eta=15)
         assert np.array_equal(reference, sharded)
 
     def test_asti_jobs_invariant_run(self, bench_graph):
         def solve(jobs):
-            with ASTI(
-                IndependentCascade(), max_samples=4000, jobs=jobs
-            ) as algorithm:
-                return algorithm.run(bench_graph, eta=20, seed=9)
+            with ExecutionContext(jobs=jobs) as context:
+                return ASTI(
+                    IndependentCascade(), max_samples=4000, context=context
+                ).run(bench_graph, eta=20, seed=9)
 
         first = solve(1)
         second = solve(2)
@@ -238,14 +248,14 @@ class TestWorkerCountInvariance:
         ]
 
     def test_estimate_mrr_jobs_invariant(self, bench_graph):
-        kwargs = dict(eta=20, theta=400, seed=3, batch_size=64)
-        one = estimate_truncated_spread_mrr(
-            bench_graph, IndependentCascade(), [0, 1], jobs=1, **kwargs
-        )
-        two = estimate_truncated_spread_mrr(
-            bench_graph, IndependentCascade(), [0, 1], jobs=2, **kwargs
-        )
-        assert one == two
+        def estimate(jobs):
+            with ExecutionContext(sample_batch_size=64, jobs=jobs) as context:
+                return estimate_truncated_spread_mrr(
+                    bench_graph, IndependentCascade(), [0, 1],
+                    eta=20, theta=400, seed=3, context=context,
+                )
+
+        assert estimate(1) == estimate(2)
 
 
 class TestHarnessInvariance:
@@ -255,7 +265,7 @@ class TestHarnessInvariance:
         realizations = sample_shared_realizations(bench_graph, model, 3, seed=13)
         labels = ("ASTI", "ATEUC", "CELF")
 
-        def outcomes(runtime):
+        def outcomes(context):
             return run_eta_point(
                 bench_graph,
                 model,
@@ -264,12 +274,12 @@ class TestHarnessInvariance:
                 realizations=realizations,
                 max_samples=4000,
                 seed=2,
-                runtime=runtime,
+                context=context,
             )
 
         base = outcomes(None)
         with ParallelRuntime(2) as runtime:
-            sharded = outcomes(runtime)
+            sharded = outcomes(_on(runtime))
         for label in labels:
             reference = [
                 (r.seed_count, r.spread, r.achieved, r.marginal_spreads)
@@ -288,12 +298,15 @@ class TestHarnessInvariance:
             ExperimentConfig(dataset="nethept-sim", jobs=-2)
         assert quick_config().scaled(jobs=2).jobs == 2
 
-    def test_celf_minimizer_owns_runtime_from_jobs(self, bench_graph):
-        with CELFMinimizer(IndependentCascade(), samples=10, jobs=1) as minimizer:
-            assert minimizer.runtime is not None
-            assert not minimizer.runtime.parallel
+    def test_celf_minimizer_runs_on_the_context_runtime(self, bench_graph):
+        with ExecutionContext(jobs=1) as context:
+            minimizer = CELFMinimizer(
+                IndependentCascade(), samples=10, context=context
+            )
+            assert context.runtime is not None
+            assert not context.runtime.parallel
             result = minimizer.run(bench_graph, eta=10, seed=4)
-        assert minimizer.runtime is None  # owned runtime released on close
+        assert context.runtime is None  # its builder released it
         reference = CELFMinimizer(IndependentCascade(), samples=10).run(
             bench_graph, eta=10, seed=4
         )
@@ -301,11 +314,13 @@ class TestHarnessInvariance:
 
     def test_celf_minimizer_leaves_shared_runtime_open(self, bench_graph):
         with ParallelRuntime(1) as runtime:
+            context = _on(runtime)
             minimizer = CELFMinimizer(
-                IndependentCascade(), samples=10, runtime=runtime
+                IndependentCascade(), samples=10, context=context
             )
-            minimizer.close()  # not the owner: must leave the runtime alone
-            assert minimizer.runtime is runtime
+            minimizer.run(bench_graph, eta=10, seed=4)
+            context.close()  # not the owner: must leave the runtime alone
+            assert context.runtime is runtime
             runtime.publish_graph(bench_graph)  # still usable
 
 
@@ -369,8 +384,7 @@ class TestResourceRelease:
                 IndependentCascade(),
                 n_sims=20,
                 seed=6,
-                mc_batch_size=8,
-                runtime=runtime,
+                context=_on(runtime, mc_batch_size=8),
             )
             sharded = evaluator.evaluate_many(candidates)
             assert evaluator._worlds_handle is not None
@@ -385,7 +399,8 @@ class TestResourceRelease:
     def test_celf_run_releases_worlds_each_selection(self, bench_graph):
         with ParallelRuntime(2) as runtime:
             minimizer = CELFMinimizer(
-                IndependentCascade(), samples=20, mc_batch_size=8, runtime=runtime
+                IndependentCascade(), samples=20,
+                context=_on(runtime, mc_batch_size=8),
             )
             graph_segments = len(runtime._state["bundles"])
             for _ in range(3):

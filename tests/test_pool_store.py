@@ -250,7 +250,6 @@ class TestWarmConsumers:
             IndependentCascade(),
             RootCountRule.for_target(graph.n, 30),
             seed=seed,
-            batch_size=batch,
             context=context,
         )
         index = CoverageIndex(graph.n)

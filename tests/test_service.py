@@ -264,10 +264,10 @@ class TestServiceEndToEnd:
 
     def test_solve_matches_offline_run(self):
         graph = datasets.load_dataset(DATASET, n=120, seed=0)
-        with ExecutionContext(jobs=1) as context, ASTI(
-            IndependentCascade(), context=context
-        ) as algorithm:
-            reference = algorithm.run(graph, 12, seed=3)
+        with ExecutionContext(jobs=1) as context:
+            reference = ASTI(IndependentCascade(), context=context).run(
+                graph, 12, seed=3
+            )
         config = ServiceConfig(jobs=1)
         with ServiceThread(config) as harness:
             with harness.connect() as client:
