@@ -21,6 +21,8 @@ REP006   policy-via-context    engine policy stays in ExecutionContext
 REP007   no-bare-sleep         blocking sleeps route through the sanctioned
                                backoff helper; async code never blocks the
                                event loop (await asyncio.sleep)
+REP008   sort-based-dedup      1-D dedups in diffusion/ and sampling/ use
+                               sorted_unique, not the hashing np.unique
 =======  ====================  ==============================================
 
 Adding a rule: subclass :class:`~repro.devtools.rules.base.Rule` in a
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from repro.devtools.rules.base import Finding, Module, Rule
 from repro.devtools.rules.concurrency import PairedReleaseRule, PicklableDispatchRule
+from repro.devtools.rules.dedup import SortedUniqueRule
 from repro.devtools.rules.determinism import (
     GlobalStateRandomRule,
     UnseededGeneratorRule,
@@ -52,6 +55,7 @@ ALL_RULES: tuple[Rule, ...] = (
     PairedReleaseRule(),
     ContextPolicyRule(),
     BlockingSleepRule(),
+    SortedUniqueRule(),
 )
 
 __all__ = [

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph, gather_csr_rows
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import RandomSource, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -56,7 +57,7 @@ def normalize_seeds(graph: DiGraph, seeds: Sequence[int]) -> np.ndarray:
         if seeds.min() < 0 or seeds.max() >= graph.n:
             offender = seeds[(seeds < 0) | (seeds >= graph.n)][0]
             graph._check_node(int(offender))
-        seeds = np.unique(seeds)
+        seeds = sorted_unique(seeds)
     return seeds
 
 
@@ -307,7 +308,7 @@ def run_labeled_bfs(
     (:mod:`repro.kernels`): it applies the per-level rule, filters, dedups,
     marks ``visited`` in place, and returns the level's fresh keys
     **sorted ascending** — exactly the keys (in exactly the order) the
-    ``propose`` route's filter/``np.unique``/mark sequence produces, so
+    ``propose`` route's filter/``sorted_unique``/mark sequence produces, so
     both routes yield bit-identical results.  Exactly one of ``propose``
     and ``expand`` must be given.
 
@@ -344,7 +345,7 @@ def run_labeled_bfs(
                 keys = keys[~visited[keys]]  # filter first: unique sorts the rest
             if len(keys) == 0:
                 break
-            keys = np.unique(keys)  # dedup within the level
+            keys = sorted_unique(keys)  # dedup within the level
             visited[keys] = True
         frontier_sids, frontier_nodes = np.divmod(keys, n)
         collected_sids.append(frontier_sids)

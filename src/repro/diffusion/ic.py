@@ -25,6 +25,7 @@ from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph, gather_csr_rows
 from repro.kernels import resolve_backend
 from repro.kernels.dispatch import ic_coin_expander
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import RandomSource, as_generator
 
 
@@ -64,7 +65,7 @@ class IndependentCascade(DiffusionModel):
                 break
             fired = rng.random(len(positions)) < probs[positions]
             candidates = targets[positions[fired]]
-            fresh = np.unique(candidates[~active[candidates]])
+            fresh = sorted_unique(candidates[~active[candidates]])
             active[fresh] = True
             frontier = fresh
         return active
@@ -149,7 +150,7 @@ class IndependentCascade(DiffusionModel):
                 break
             fired = rng.random(len(positions)) < probs[positions]
             candidates = sources[positions[fired]]
-            fresh = np.unique(candidates[~visited[candidates]])
+            fresh = sorted_unique(candidates[~visited[candidates]])
             if len(fresh) == 0:
                 break
             visited[fresh] = True

@@ -30,6 +30,7 @@ from repro.errors import ConfigurationError, DiffusionError
 from repro.graph.digraph import DiGraph, gather_csr_rows
 from repro.kernels import resolve_backend
 from repro.kernels.dispatch import lt_forward_expander, lt_walk_expander
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import RandomSource, as_generator
 
 _SUM_TOLERANCE = 1e-9
@@ -144,7 +145,7 @@ class LinearThreshold(DiffusionModel):
                 break
             touched = targets[positions]
             np.add.at(accumulated, touched, probs[positions])
-            crossers = np.unique(touched)
+            crossers = sorted_unique(touched)
             fresh = crossers[
                 (~active[crossers]) & (accumulated[crossers] >= thresholds[crossers])
             ]
@@ -208,7 +209,7 @@ class LinearThreshold(DiffusionModel):
             if len(positions) == 0:
                 return positions
             keys = owners * n + targets[positions]
-            touched = np.unique(keys)
+            touched = sorted_unique(keys)
             fresh = touched[~touched_before[touched]]
             accumulated[fresh] = 0.0
             thresholds[fresh] = rng.random(len(fresh))
@@ -297,7 +298,8 @@ class LinearThreshold(DiffusionModel):
 
         def keep_one_in_edge(frontier_sids, frontier_nodes):
             starts = indptr[frontier_nodes]
-            base = np.where(starts > 0, cum[starts - 1], 0.0)
+            # An edgeless residual has an empty ``cum``: every walk stops.
+            base = np.where(starts > 0, cum[starts - 1], 0.0) if len(cum) else 0.0
             draws = rng.random(len(frontier_nodes))
             chosen = np.searchsorted(cum, base + draws, side="right")
             kept = chosen < indptr[frontier_nodes + 1]

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import DiffusionError, NodeNotFoundError
 from repro.graph.digraph import DiGraph, gather_csr_rows
+from repro.utils.arrays import sorted_unique
 
 
 class Realization(abc.ABC):
@@ -108,7 +109,7 @@ class ICRealization(Realization):
             candidates = targets[positions]
             if allowed is not None:
                 candidates = candidates[allowed[candidates]]
-            fresh = np.unique(candidates[~visited[candidates]])
+            fresh = sorted_unique(candidates[~visited[candidates]])
             visited[fresh] = True
             frontier = fresh
         return visited
@@ -157,7 +158,7 @@ class LTRealization(Realization):
             candidates = candidates[live]
             if allowed is not None:
                 candidates = candidates[allowed[candidates]]
-            fresh = np.unique(candidates[~visited[candidates]])
+            fresh = sorted_unique(candidates[~visited[candidates]])
             visited[fresh] = True
             frontier = fresh
         return visited

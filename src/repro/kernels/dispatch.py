@@ -105,7 +105,7 @@ def lt_forward_expander(
 
     Phase 1 (``lt_touch_level``) returns the level's fresh keys sorted
     ascending so the lazy threshold draw here consumes the stream in the
-    exact order the numpy closure's ``np.unique``-sorted ``fresh`` does;
+    exact order the numpy closure's ``sorted_unique`` ``fresh`` does;
     phase 2 (``lt_cross_level``) accumulates and collects the crossers.
     """
     touch = backend.kernels.lt_touch_level

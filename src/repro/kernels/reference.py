@@ -13,7 +13,7 @@ gathers the frontier's CSR edges, applies the model's per-level rule,
 dedups first-encounter, marks ``visited`` in place, and returns the
 **sorted** fresh ``sid * n + node`` keys.  Sorted-unique output plus
 in-place marking is exactly what the numpy reference path produces with
-``keys[~visited[keys]]`` / ``np.unique`` / ``visited[keys] = True``, so the
+``keys[~visited[keys]]`` / ``sorted_unique`` / ``visited[keys] = True``, so the
 two routes are bit-identical by construction — including member order,
 because the driver collects keys level by level in ascending key order
 either way.
@@ -135,7 +135,7 @@ def lt_touch_level(
     Marks every ``(sim, target)`` pair touched for the first time, zeroes
     its accumulator slot, and returns the sorted fresh keys so the caller
     can draw their lazy thresholds (ascending key order — the same order
-    ``np.unique`` hands the numpy closure its ``fresh`` array in, so the
+    ``sorted_unique`` hands the numpy closure its ``fresh`` array in, so the
     threshold stream is consumed identically).
     """
     total = 0

@@ -85,6 +85,33 @@ class CoverageIndex:
         self._num_sets = 0
         self._counts = np.zeros(n, dtype=np.int64)
 
+    @classmethod
+    def from_packed(
+        cls,
+        n: int,
+        members: np.ndarray,
+        indptr: np.ndarray,
+        num_sets: int,
+        counts: np.ndarray,
+    ) -> CoverageIndex:
+        """Install packed arrays that already satisfy the invariants.
+
+        No copy and no validation: ``members`` (at this index's member
+        dtype) and ``indptr`` may run past the ``num_sets`` sets they hold,
+        and that headroom absorbs later appends.  ``counts`` must equal
+        ``bincount(members[:indptr[num_sets]], minlength=n)``.  The
+        adaptive engine's pool carry-over builds all of these in
+        :meth:`~repro.sampling.mrr.CarriedMRRPool.revalidate`.
+        """
+        index = cls(n)
+        if members.dtype != index._member_dtype or len(counts) != index.n:
+            raise SamplingError("packed arrays do not fit this index")
+        index._members = members
+        index._indptr = indptr
+        index._num_sets = int(num_sets)
+        index._counts = counts
+        return index
+
     # ------------------------------------------------------------------
     # Pool growth
     # ------------------------------------------------------------------
@@ -96,21 +123,13 @@ class CoverageIndex:
             members, np.asarray([0, len(members)], dtype=np.int64)
         )
 
-    def add_batch(
-        self, members: np.ndarray, indptr: np.ndarray, validate: bool = True
-    ) -> None:
+    def add_batch(self, members: np.ndarray, indptr: np.ndarray) -> None:
         """Bulk-append a CSR batch of sets.
 
         ``members`` concatenates the new sets' node ids; ``indptr`` (length
         ``batch + 1``, starting at 0) delimits them.  Equivalent to calling
         :meth:`add` once per set, but the packed copy and the coverage-count
         update are single vectorized operations regardless of batch size.
-
-        ``validate=False`` skips the bounds / non-empty / duplicate checks
-        for batches that provably satisfy the invariants already — the
-        adaptive engine's pool carry-over re-adopts sets that lived in a
-        coverage index the round before, and the duplicate check's full
-        sort is pure overhead there.
         """
         # Keep the incoming integer dtype: parallel sample chunks already
         # arrive at the compact member width, and forcing int64 here would
@@ -126,23 +145,22 @@ class CoverageIndex:
                 "indptr must start at 0 and end at len(members)"
             )
         sizes = np.diff(indptr)
-        if validate:
-            if (sizes <= 0).any():
-                # An empty reverse sample cannot happen (roots are members),
-                # but guard anyway: an empty set covers nothing and breaks
-                # argmax invariants silently.
-                raise SamplingError("cannot add an empty set to the coverage index")
-            if len(members) and (members.min() < 0 or members.max() >= self.n):
-                raise SamplingError("set contains node ids outside the graph")
-            # A node repeated inside one set would inflate its coverage count
-            # relative to coverage_of_set; reject rather than corrupt silently.
-            # Keying members by their set id makes the duplicate check one sort.
-            set_of_member = np.repeat(
-                np.arange(len(sizes), dtype=np.int64), sizes
-            )
-            keyed = np.sort(set_of_member * self.n + members)
-            if len(keyed) > 1 and (keyed[1:] == keyed[:-1]).any():
-                raise SamplingError("a set contains duplicate node ids")
+        if (sizes <= 0).any():
+            # An empty reverse sample cannot happen (roots are members),
+            # but guard anyway: an empty set covers nothing and breaks
+            # argmax invariants silently.
+            raise SamplingError("cannot add an empty set to the coverage index")
+        if len(members) and (members.min() < 0 or members.max() >= self.n):
+            raise SamplingError("set contains node ids outside the graph")
+        # A node repeated inside one set would inflate its coverage count
+        # relative to coverage_of_set; reject rather than corrupt silently.
+        # Keying members by their set id makes the duplicate check one sort.
+        set_of_member = np.repeat(
+            np.arange(len(sizes), dtype=np.int64), sizes
+        )
+        keyed = np.sort(set_of_member * self.n + members)
+        if len(keyed) > 1 and (keyed[1:] == keyed[:-1]).any():
+            raise SamplingError("a set contains duplicate node ids")
 
         batch = len(indptr) - 1
         used = self._indptr[self._num_sets]
@@ -173,6 +191,18 @@ class CoverageIndex:
         """The raw ``(members, indptr)`` CSR arrays (read-only views)."""
         used = self._indptr[self._num_sets]
         return self._members[:used], self._indptr[: self._num_sets + 1]
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(members, indptr, counts)`` of the pool, handed off uncopied.
+
+        Appends only write past the returned ``members``/``indptr`` views,
+        so those stay valid; the counts are updated in place, so the index
+        keeps a private O(n) copy of them from here on.
+        """
+        members, indptr = self.packed()
+        counts = self._counts
+        self._counts = counts.copy()
+        return members, indptr, counts
 
     def total_size(self) -> int:
         """Sum of set sizes; proportional to greedy-cover cost."""

@@ -48,6 +48,7 @@ from repro.store.keys import (
     restore_generator_state,
     rng_state_token,
 )
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import RandomSource, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mrr imports engine)
@@ -108,7 +109,7 @@ class RandomizedRoundingRootDrawer(RootDrawer):
         indptr = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(ks, out=indptr[1:])
         roots = np.empty(indptr[-1], dtype=np.int64)
-        for k in np.unique(ks):
+        for k in sorted_unique(ks):
             rows = np.flatnonzero(ks == k)
             block = self._distinct_rows(rng, len(rows), int(k))
             positions = indptr[rows, None] + np.arange(k, dtype=np.int64)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError, SamplingError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, csr_index_dtype, gather_csr_rows
 from repro.graph.residual import ResidualGraph
 from repro.runtime.context import ExecutionContext
 from repro.sampling.coverage import CoverageIndex
@@ -221,41 +221,42 @@ class MRRCollection:
             counts = self.engine.fill(self.index, missing)
             self._root_counts = np.concatenate([self._root_counts, counts])
 
-    def adopt(
-        self,
-        members: np.ndarray,
-        indptr: np.ndarray,
-        root_counts: np.ndarray,
-    ) -> None:
-        """Seed an empty pool with carried-over sets (residual-local ids).
+    def adopt(self, index: CoverageIndex, root_counts: np.ndarray) -> None:
+        """Seed an empty pool with carried-over sets.
 
-        Must run before any fresh sampling, so carried and fresh sets share
-        one index; the carried sets count toward :attr:`adopted_count`, not
-        toward :attr:`fresh_count`.
+        ``(index, root_counts)`` is what :meth:`CarriedMRRPool.revalidate`
+        returns: a coverage index over this round's residual-local ids,
+        installed as is.  Must run before any fresh sampling, so carried
+        and fresh sets share one index; the carried sets count toward
+        :attr:`adopted_count`, not toward :attr:`fresh_count`.
         """
         if len(self.index):
             raise SamplingError("can only adopt carried sets into an empty pool")
-        if len(indptr) - 1 != len(root_counts):
+        if index.n != self.index.n:
+            raise SamplingError("carried sets belong to a graph of another size")
+        if len(index) != len(root_counts):
             raise SamplingError("root_counts must have one entry per set")
-        if len(root_counts) == 0:
-            return
-        # Carried sets lived in a coverage index last round and revalidation
-        # only drops whole sets / remaps ids, so the invariants still hold.
-        self.index.add_batch(members, indptr, validate=False)
-        self._root_counts = np.asarray(root_counts, dtype=np.int64).copy()
+        self.index = index
+        self._root_counts = root_counts
         self._adopted = len(root_counts)
 
     def export_carry(self, residual: ResidualGraph) -> CarriedMRRPool:
-        """Snapshot the pool in *original* node ids for the next round.
+        """Snapshot the pool for the next round, without copying members.
 
-        ``residual`` must be the residual graph this pool was sampled on;
-        original ids survive the next shrink, residual-local ids do not.
+        ``residual`` must be the residual graph this pool was sampled on:
+        the snapshot keeps its residual-local ids together with that
+        residual's ``original_ids``, which is what
+        :meth:`CarriedMRRPool.revalidate` maps them through.
         """
-        members, indptr = self.index.packed()
+        if residual.n != self.index.n:
+            raise SamplingError("export_carry needs the residual this pool was sampled on")
+        members, indptr, counts = self.index.snapshot()
         return CarriedMRRPool(
-            members=residual.original_ids[members],
-            indptr=indptr.copy(),
-            root_counts=self._root_counts.copy(),
+            members=members,
+            indptr=indptr,
+            root_counts=self._root_counts,
+            original_ids=residual.original_ids,
+            counts=counts,
         )
 
     def estimated_truncated_spread(self, seeds: Sequence[int]) -> float:
@@ -295,7 +296,7 @@ class CarryDiagnostics:
 
 @dataclass(frozen=True)
 class CarriedMRRPool:
-    """A round's final mRR pool, exported in *original* node ids.
+    """A round's final mRR pool, kept in the local ids of its residual.
 
     The carry-over invariant: conditioned on every member being still
     inactive, a stored set is an exact reverse sample on the shrunk
@@ -310,24 +311,58 @@ class CarriedMRRPool:
     falls outside the new rule's support, and triggers a full from-scratch
     fallback when the supports are disjoint (the carried root-count
     distribution cannot represent the new rule at all).
+
+    ``members`` and ``indptr`` may be views into the exporting index's
+    buffers; a snapshot treats every array as read-only.
     """
 
-    members: np.ndarray        # packed member ids (original graph ids)
+    members: np.ndarray        # packed member ids, local to the residual
     indptr: np.ndarray         # set boundaries, length len(self) + 1
     root_counts: np.ndarray    # per-set root count k
+    original_ids: np.ndarray   # that residual's local -> original id map
+    counts: np.ndarray         # per-node coverage counts of the pool
 
     def __len__(self) -> int:
         return len(self.root_counts)
 
+    def _well_formed(self) -> bool:
+        """Whether the arrays describe a pool revalidation can trust.
+
+        O(sets + n) plus one min/max over the members: enough that no
+        member can alias another node or index out of bounds.
+        """
+        members, indptr = self.members, self.indptr
+        ids = self.original_ids
+        if (
+            members.ndim != 1
+            or members.dtype.kind != "i"
+            or indptr.ndim != 1
+            or indptr.dtype.kind != "i"
+            or len(indptr) != len(self.root_counts) + 1
+            or indptr[0] != 0
+            or indptr[-1] != len(members)
+            or (len(indptr) > 1 and (np.diff(indptr) <= 0).any())
+            or len(self.counts) != len(ids)
+            or (len(ids) > 1 and (np.diff(ids) <= 0).any())
+        ):
+            return False
+        return not len(members) or (members.min() >= 0 and members.max() < len(ids))
+
     def revalidate(
         self, residual: ResidualGraph
-    ) -> tuple[Optional[tuple[np.ndarray, np.ndarray, np.ndarray]], CarryDiagnostics]:
+    ) -> tuple[Optional[tuple[CoverageIndex, np.ndarray]], CarryDiagnostics]:
         """Filter the pool against a new residual graph and shortfall.
 
-        Returns ``((members_local, indptr, root_counts), diagnostics)``
-        with surviving sets remapped to the new residual's local ids, or
-        ``(None, diagnostics)`` when carry-over must fall back to a
-        from-scratch pool (see ``diagnostics.fallback`` for the reason).
+        Returns ``((index, root_counts), diagnostics)`` with the surviving
+        sets in a coverage index over the new residual's local ids (ready
+        for :meth:`MRRCollection.adopt`), or ``(None, diagnostics)`` when
+        carry-over must fall back to a from-scratch pool (see
+        ``diagnostics.fallback`` for the reason).
+
+        One gather maps every member through an old-local -> new-local
+        table; sets with a newly activated member are found from the few
+        ``-1`` positions alone, and the survivors' coverage counts follow
+        from the old counts minus the dropped sets' surviving members.
         """
         offered = len(self)
         if not 1 <= residual.shortfall <= residual.n:
@@ -336,9 +371,14 @@ class CarriedMRRPool:
             return None, CarryDiagnostics(
                 offered, 0, 0, 0, fallback="infeasible shortfall"
             )
+        if not self._well_formed():
+            return None, CarryDiagnostics(
+                offered, 0, 0, 0, fallback="corrupt carried pool"
+            )
         rule = RootCountRule.for_target(residual.n, residual.shortfall)
-        support = np.asarray(rule.support(), dtype=np.int64)
-        k_valid = np.isin(self.root_counts, support)
+        # The support is one integer or two adjacent ones: a range test.
+        support = rule.support()
+        k_valid = (self.root_counts >= support[0]) & (self.root_counts <= support[-1])
         if offered and not k_valid.any():
             return None, CarryDiagnostics(
                 offered,
@@ -348,34 +388,59 @@ class CarriedMRRPool:
                 fallback="root-count regime shifted off the carried support",
             )
 
-        # Direct original -> local lookup table: one O(n) fill plus one
-        # gather beats a log-factor searchsorted over the (much larger)
-        # packed members array, which dominates revalidation cost.
-        table_size = 1 + max(
-            int(self.members.max(initial=-1)),
-            int(residual.original_ids[-1]),
-        )
-        local_of = np.full(table_size, -1, dtype=np.int64)
-        local_of[residual.original_ids] = np.arange(residual.n, dtype=np.int64)
-        position = local_of[self.members]
-        present = position >= 0
-        inactive = (
-            np.logical_and.reduceat(present, self.indptr[:-1])
-            if offered
-            else np.empty(0, dtype=bool)
-        )
-        keep = inactive & k_valid
-        sizes = np.diff(self.indptr)
-        members_local = position[np.repeat(keep, sizes)]
-        indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
-        np.cumsum(sizes[keep], out=indptr[1:])
+        # Gather once, straight into a buffer with room for the round's
+        # top-up: the next pool usually regrows to about this one's size.
+        # The members are in range (checked above), so "clip" never clips;
+        # it only spares the temporary copy that "raise" makes of ``out``.
+        n = residual.n
+        table = _local_id_table(self.original_ids, residual.original_ids)
+        size = len(self.members)
+        members = np.empty(size + size // 8 + 1, dtype=table.dtype)
+        mapped = np.take(table, self.members, out=members[:size], mode="clip")
+        dead_at = np.flatnonzero(mapped < 0)
+        dead = np.zeros(offered, dtype=bool)
+        dead[np.searchsorted(self.indptr, dead_at, side="right") - 1] = True
+        keep = k_valid & ~dead
+        kept = int(keep.sum())
+
+        indptr = np.zeros(offered + offered // 8 + 2, dtype=np.int64)
+        survivors = np.flatnonzero(table >= 0)
+        counts = np.zeros(n, dtype=np.int64)
+        counts[table[survivors]] = self.counts[survivors]
+        root_counts = self.root_counts
+        if kept == offered:
+            indptr[: offered + 1] = self.indptr
+        else:
+            np.cumsum(np.diff(self.indptr)[keep], out=indptr[1 : kept + 1])
+            dropped_at = gather_csr_rows(self.indptr, np.flatnonzero(~keep))
+            lost = mapped[dropped_at]
+            counts -= np.bincount(lost[lost >= 0], minlength=n)
+            retained = np.ones(size, dtype=bool)
+            retained[dropped_at] = False
+            members[: indptr[kept]] = mapped[retained]
+            root_counts = root_counts[keep]
         diagnostics = CarryDiagnostics(
             sets_offered=offered,
-            sets_carried=int(keep.sum()),
-            dropped_activated=int((~inactive).sum()),
-            dropped_root_count=int((inactive & ~k_valid).sum()),
+            sets_carried=kept,
+            dropped_activated=int(dead.sum()),
+            dropped_root_count=int((~dead & ~k_valid).sum()),
         )
-        return (members_local, indptr, self.root_counts[keep]), diagnostics
+        index = CoverageIndex.from_packed(n, members, indptr, kept, counts)
+        return (index, root_counts), diagnostics
+
+
+def _local_id_table(old_ids: np.ndarray, new_ids: np.ndarray) -> np.ndarray:
+    """Old-local -> new-local id table, ``-1`` where a node left the residual.
+
+    ``new_ids`` is a residual's sorted ``original_ids``; the table comes out
+    at the new residual's compact member dtype, so gathering members
+    through it lands them directly in that width.
+    """
+    dtype = csr_index_dtype(len(new_ids), 0)
+    position = np.searchsorted(new_ids, old_ids)
+    np.minimum(position, len(new_ids) - 1, out=position)
+    present = new_ids[position] == old_ids
+    return np.where(present, position, -1).astype(dtype, copy=False)
 
 
 def build_round_pool(

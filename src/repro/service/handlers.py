@@ -18,19 +18,23 @@ thread of the admission executor):
 
 Cross-request pool reuse: an estimate's finished mRR pool is exported
 (:meth:`~repro.sampling.mrr.MRRCollection.export_carry`) against the full
-graph's :func:`~repro.graph.residual.initial_residual` and offered to the
-next request with the **exact same** pool key.  Adoption demands full
-survival of :meth:`~repro.sampling.mrr.CarriedMRRPool.revalidate` — all
-``theta`` sets intact — so a hit replays the cold run's pool verbatim;
-anything less (a corrupted cache entry, a tampered root count) discards
-the carry and rebuilds from scratch, trading the speedup for unchanged
-correctness.
+graph's :func:`~repro.graph.residual.initial_residual` (identity
+``original_ids``, so the same carry path as the adaptive rounds) and
+offered to the next request with the **exact same** pool key.  Adoption
+demands full survival of
+:meth:`~repro.sampling.mrr.CarriedMRRPool.revalidate` — all ``theta``
+sets intact — so a hit replays the cold run's pool verbatim; anything
+less (a corrupted cache entry, a tampered root count, a malformed
+snapshot) discards the carry and rebuilds from scratch, trading the
+speedup for unchanged correctness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Optional, Union
+
+import numpy as np
 
 from repro.core.asti import ASTI
 from repro.diffusion.base import DiffusionModel
@@ -247,10 +251,21 @@ class EstimateOutcome:
 
 
 def carried_pool_nbytes(pool: CarriedMRRPool) -> int:
-    """The byte budget one cached pool snapshot charges."""
-    return int(
-        pool.members.nbytes + pool.indptr.nbytes + pool.root_counts.nbytes
+    """The byte budget one cached pool snapshot charges.
+
+    Every array the snapshot keeps alive counts, and a view counts its
+    whole buffer: an exported pool's ``members`` and ``indptr`` are views
+    into the exporting index's (larger) append buffers.
+    """
+    arrays = (
+        pool.members, pool.indptr, pool.root_counts, pool.original_ids, pool.counts
     )
+    return sum(_buffer_nbytes(array) for array in arrays)
+
+
+def _buffer_nbytes(array: np.ndarray) -> int:
+    base = array.base
+    return int(base.nbytes if isinstance(base, np.ndarray) else array.nbytes)
 
 
 def run_estimate(

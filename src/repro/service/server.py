@@ -46,7 +46,7 @@ import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional, TextIO
 
 from repro.errors import (
@@ -87,6 +87,10 @@ from repro.testing.faults import (
     service_slow_handler,
 )
 from repro.utils.timing import Deadline, Stopwatch
+
+#: The arrays a spilled pool snapshot stores; an entry missing any of
+#: them is skipped on warm load.
+_POOL_ARRAYS = tuple(field.name for field in fields(CarriedMRRPool))
 
 
 @dataclass(frozen=True)
@@ -210,9 +214,7 @@ class SeedService:
                 continue
             try:
                 pool = CarriedMRRPool(
-                    members=arrays["members"],
-                    indptr=arrays["indptr"],
-                    root_counts=arrays["root_counts"],
+                    **{name: arrays[name] for name in _POOL_ARRAYS}
                 )
             except KeyError:
                 continue
@@ -242,11 +244,7 @@ class SeedService:
             )
             saved = self.store.save(
                 store_key,
-                {
-                    "members": value.members,
-                    "indptr": value.indptr,
-                    "root_counts": value.root_counts,
-                },
+                {name: getattr(value, name) for name in _POOL_ARRAYS},
                 {"service_key": list(cache_key)},
             )
             if saved:

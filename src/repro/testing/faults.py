@@ -45,7 +45,7 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -247,17 +247,11 @@ def corrupt_carried_pool(pool: CarriedMRRPool) -> CarriedMRRPool:
     breaker, and the chaos gate's job is to prove the safe-invalidation
     path fires, not to defeat it.
     """
-    from repro.sampling.mrr import CarriedMRRPool
-
     if len(pool) == 0:
         return pool
     root_counts = pool.root_counts.copy()
     root_counts[0] = np.iinfo(np.int64).max // 2
-    return CarriedMRRPool(
-        members=pool.members,
-        indptr=pool.indptr,
-        root_counts=root_counts,
-    )
+    return replace(pool, root_counts=root_counts)
 
 
 def echo_chunk(value):

@@ -367,6 +367,42 @@ def test_rep007_exempts_the_timing_module():
 
 
 # ----------------------------------------------------------------------
+# REP008 — sort-based dedup in the engines
+# ----------------------------------------------------------------------
+
+
+def test_rep008_flags_bare_unique_in_engine_packages():
+    src = "import numpy as np\n\ndef level(keys):\n    return np.unique(keys)\n"
+    assert codes(src, "src/repro/diffusion/example.py") == ["REP008"]
+    findings = lint(src, "src/repro/sampling/example.py")
+    assert [f.code for f in findings] == ["REP008"]
+    assert "sorted_unique" in findings[0].hint
+
+
+def test_rep008_flags_aliased_numpy():
+    src = "import numpy\n\ndef level(keys):\n    return numpy.unique(keys[keys > 0])\n"
+    assert codes(src, "src/repro/diffusion/example.py") == ["REP008"]
+
+
+def test_rep008_accepts_keyword_forms_and_the_helper():
+    src = (
+        "import numpy as np\n"
+        "from repro.utils.arrays import sorted_unique\n\n"
+        "def level(keys, pairs):\n"
+        "    values, counts = np.unique(keys, return_counts=True)\n"
+        "    rows = np.unique(pairs, axis=0)\n"
+        "    return sorted_unique(keys)\n"
+    )
+    assert codes(src, "src/repro/diffusion/example.py") == []
+
+
+def test_rep008_is_scoped_to_diffusion_and_sampling():
+    src = "import numpy as np\n\ndef degrees(d):\n    return np.unique(d)\n"
+    assert codes(src, "src/repro/graph/example.py") == []
+    assert codes(src, "benchmarks/example.py") == []
+
+
+# ----------------------------------------------------------------------
 # Suppression pragmas
 # ----------------------------------------------------------------------
 

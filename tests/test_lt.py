@@ -7,6 +7,7 @@ from repro.diffusion.lt import LinearThreshold, check_lt_validity
 from repro.errors import DiffusionError
 from repro.graph import generators, weighting
 from repro.graph.builder import GraphBuilder
+from repro.graph.digraph import DiGraph
 
 
 @pytest.fixture
@@ -131,3 +132,15 @@ class TestReverseSample:
                 wc_social, np.array([rng.integers(wc_social.n)]), rng, scratch
             )
             assert not scratch.any()
+
+    def test_batch_walk_on_edgeless_graph(self, model, rng):
+        # A late adaptive round can leave a residual with no edges: every
+        # walk stops at its roots, on every backend.
+        g = DiGraph.from_edges(5, [])
+        roots, roots_indptr = np.array([0, 1, 3]), np.array([0, 2, 3])
+        for kernel in ("numpy", "python"):
+            members, indptr = model.reverse_sample_batch(
+                g, roots, roots_indptr, rng, kernel=kernel
+            )
+            assert members.tolist() == [0, 1, 3]
+            assert indptr.tolist() == [0, 2, 3]

@@ -188,7 +188,8 @@ class TestCarriedPool:
         carry = collection.export_carry(residual)
         kept, diagnostics = carry.revalidate(residual)
         assert kept is not None
-        members, indptr, root_counts = kept
+        index, root_counts = kept
+        members, indptr = index.packed()
         assert diagnostics.sets_carried == len(collection)
         assert diagnostics.fallback is None
         # Round 1's residual is the identity mapping: bit-equal round-trip.
@@ -206,7 +207,7 @@ class TestCarriedPool:
         kept, diagnostics = carry.revalidate(shrunk)
         assert diagnostics.dropped_activated == coverage
         if kept is not None:
-            members, indptr, _ = kept
+            members, indptr = kept[0].packed()
             # Survivors are remapped to the shrunk residual's local ids.
             assert diagnostics.sets_carried == len(indptr) - 1
             if len(members):
@@ -254,6 +255,64 @@ class TestCarriedPool:
         pool.grow_to(len(collection) + 25)
         assert pool.fresh_count == 25
         assert len(pool.root_counts) == len(pool)
+
+    # -- Malformed snapshots ------------------------------------------
+
+    @staticmethod
+    def _tampered(carry, **arrays):
+        from dataclasses import replace
+
+        return replace(carry, **arrays)
+
+    @pytest.mark.parametrize("bad_id", [-1, "n"])
+    def test_out_of_range_member_is_corrupt(self, small_social, ic_model, bad_id):
+        # A -1 used to wrap around to node n-1 and survive revalidation.
+        residual, collection = self._pool(small_social, ic_model, eta=12)
+        carry = collection.export_carry(residual)
+        members = carry.members.copy()
+        members[0] = residual.n if bad_id == "n" else bad_id
+        kept, diagnostics = self._tampered(carry, members=members).revalidate(residual)
+        assert kept is None
+        assert diagnostics.fallback == "corrupt carried pool"
+        assert diagnostics.sets_carried == 0
+
+    def test_short_indptr_is_corrupt(self, small_social, ic_model):
+        residual, collection = self._pool(small_social, ic_model, eta=12)
+        carry = collection.export_carry(residual)
+        indptr = carry.indptr.copy()
+        indptr[-1] -= 1
+        kept, diagnostics = self._tampered(carry, indptr=indptr).revalidate(residual)
+        assert kept is None
+        assert diagnostics.fallback == "corrupt carried pool"
+
+    def test_root_counts_length_mismatch_is_corrupt(self, small_social, ic_model):
+        residual, collection = self._pool(small_social, ic_model, eta=12)
+        carry = collection.export_carry(residual)
+        tampered = self._tampered(carry, root_counts=carry.root_counts[:-1])
+        kept, diagnostics = tampered.revalidate(residual)
+        assert kept is None
+        assert diagnostics.fallback == "corrupt carried pool"
+
+    def test_corrupt_pool_is_discarded_by_service(self):
+        from repro.runtime.context import ExecutionContext
+        from repro.service import handlers
+        from repro.service.protocol import Request
+
+        params = {"dataset": "nethept-sim", "n": 120, "eta": 12, "theta": 60,
+                  "seeds": [0, 1]}
+        plan = handlers.build_plan(Request(id="a", op="estimate", seed=3, params=params))
+        graph = handlers.load_graph(plan)
+        context = ExecutionContext(sample_batch_size=plan.batch_size)
+        cold = handlers.run_estimate(graph, plan, context)
+        intact = handlers.run_estimate(graph, plan, context, cold.carry)
+        assert intact.carry_status == handlers.CARRY_ADOPTED
+        members = cold.carry.members.copy()
+        members[0] = -1
+        warm = handlers.run_estimate(
+            graph, plan, context, self._tampered(cold.carry, members=members)
+        )
+        assert warm.carry_status == handlers.CARRY_DISCARDED
+        assert warm.result == cold.result
 
     # -- Cross-request reuse (the service's warm-pool cache) -----------
 

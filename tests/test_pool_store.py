@@ -365,6 +365,8 @@ class TestServiceIntegration:
             members=np.array([0, 1, 2, 3], dtype=np.int64),
             indptr=np.array([0, 2, 4], dtype=np.int64),
             root_counts=np.array([1, 2], dtype=np.int64),
+            original_ids=np.arange(4, dtype=np.int64),
+            counts=np.ones(4, dtype=np.int64),
         )
 
     def test_spill_then_warm_start(self, tmp_path):
@@ -386,6 +388,53 @@ class TestServiceIntegration:
         assert np.array_equal(cached.members, pool.members)
         assert np.array_equal(cached.indptr, pool.indptr)
         assert np.array_equal(cached.root_counts, pool.root_counts)
+        assert np.array_equal(cached.original_ids, pool.original_ids)
+        assert np.array_equal(cached.counts, pool.counts)
+
+    def test_nbytes_charges_every_array_a_snapshot_keeps_alive(
+        self, small_social, ic_model
+    ):
+        from repro.graph.residual import initial_residual
+        from repro.sampling.mrr import MRRCollection
+        from repro.service.handlers import carried_pool_nbytes
+
+        collection = MRRCollection(small_social, ic_model, 12, seed=4)
+        collection.grow_to(50)
+        pool = collection.export_carry(initial_residual(small_social, 12))
+        # The exported members/indptr are views into the index's larger
+        # append buffers; the snapshot pins the whole buffers.
+        assert pool.members.base is not None
+        assert pool.members.base.nbytes > pool.members.nbytes
+        expected = (
+            pool.members.base.nbytes
+            + pool.indptr.base.nbytes
+            + pool.root_counts.nbytes
+            + pool.original_ids.nbytes
+            + pool.counts.nbytes
+        )
+        assert carried_pool_nbytes(pool) == expected
+
+    def test_warm_start_skips_entry_without_carry_arrays(self, tmp_path):
+        # A snapshot spilled without the residual's id map and the
+        # coverage counts cannot be revalidated: the next boot is cold.
+        from repro.service.server import SeedService, ServiceConfig
+        from repro.store import PoolStore, artifact_key
+
+        store_dir = str(tmp_path / "service-store")
+        key = ["pool", "nethept-sim", 300, 0, "IC", 30, 64, 7, 256]
+        pool = self._pool()
+        PoolStore(store_dir).save(
+            artifact_key("service", {"service_key": key}),
+            {
+                "members": pool.members,
+                "indptr": pool.indptr,
+                "root_counts": pool.root_counts,
+            },
+            {"service_key": key},
+        )
+        reborn = SeedService(ServiceConfig(pool_store=store_dir))
+        assert reborn.counters["store_warm_loaded"] == 0
+        assert reborn.cache.get(tuple(key)) is None
 
     def test_graph_entries_do_not_spill(self, tmp_path):
         from repro.service.server import SeedService, ServiceConfig
