@@ -4,15 +4,16 @@ Measures forward Monte-Carlo spread-estimation throughput (cascades per
 second) on a ~10k-node generated graph for both execution paths:
 
 * **loop** — the historical reference, one Python-level
-  ``model.simulate`` call per cascade;
+  ``repro.testing.reference.simulate`` call per cascade;
 * **batched** — ``estimate_spread`` on the vectorized
   ``DiffusionModel.simulate_batch`` engine, one multi-cascade labeled
   forward BFS per ``mc_batch_size`` chunk;
 
 plus **CELF end-to-end**: influence maximization with the fresh-noise
-per-cascade estimator (``crn=False``) against the common-random-numbers
-evaluator (``crn=True``), whose singleton initialization runs as a handful
-of batched labeled sweeps.
+per-cascade estimator (``repro.testing.reference.fresh_noise_celf``)
+against the common-random-numbers evaluator
+(``celf_influence_maximization``), whose singleton initialization runs as
+a handful of batched labeled sweeps.
 
 The gated ``cases`` cover the regime the forward engine exists for — the
 small-cascade workloads (singleton and few-seed estimates) that dominate
@@ -51,6 +52,7 @@ from repro.diffusion.lt import LinearThreshold
 from repro.diffusion.montecarlo import estimate_spread
 from repro.graph import generators, weighting
 from repro.runtime.context import ExecutionContext
+from repro.testing.reference import fresh_noise_celf, simulate
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "forward_batching.json"
 
@@ -70,7 +72,7 @@ def _loop_estimate(graph, model, seeds, samples, seed):
     rng = np.random.default_rng(seed)
     total = 0
     for _ in range(samples):
-        total += model.simulate(graph, seeds, rng).sum()
+        total += simulate(model, graph, seeds, rng).sum()
     return total / samples
 
 
@@ -95,13 +97,11 @@ def _measure_spread_case(graph, model, seeds, samples, mc_batch_size, seed):
 
 def _measure_celf_case(graph, model, k, samples, seed):
     start = time.perf_counter()
-    loop_result = celf_influence_maximization(
-        graph, model, k=k, samples=samples, seed=seed, crn=False
-    )
+    loop_result = fresh_noise_celf(graph, model, samples=samples, seed=seed, k=k)
     loop_seconds = time.perf_counter() - start
     start = time.perf_counter()
     crn_result = celf_influence_maximization(
-        graph, model, k=k, samples=samples, seed=seed, crn=True
+        graph, model, k=k, samples=samples, seed=seed
     )
     crn_seconds = time.perf_counter() - start
     return {

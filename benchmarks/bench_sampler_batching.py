@@ -4,7 +4,8 @@ Measures (m)RR pool-growth throughput (sets per second) on a ~10k-node
 generated graph for both generation paths:
 
 * **single** — the one-at-a-time reference (`RRSampler.sample_into` /
-  `MRRSampler.sample_into`), one Python-level reverse BFS per set;
+  `MRRSampler.sample_into` from `repro.testing.reference`), one
+  Python-level reverse BFS per set;
 * **batched** — the vectorized `BatchSampler`, one multi-source labeled
   reverse BFS per `batch_size` sets.
 
@@ -34,8 +35,8 @@ from repro.graph import generators, weighting
 from repro.runtime.context import ExecutionContext
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler, rr_batch_sampler
-from repro.sampling.mrr import MRRSampler, RootCountRule
-from repro.sampling.rr import RRSampler
+from repro.sampling.mrr import RootCountRule
+from repro.testing.reference import MRRSampler, RRSampler
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "sampler_batching.json"
 

@@ -17,26 +17,26 @@ Lazy evaluation exploits submodularity: a node's marginal gain can only
 shrink as the seed set grows, so a stale upper bound that is already below
 the current best pick can be skipped without re-simulation.
 
-Spread estimation runs on the common-random-numbers evaluator by default
-(``crn=True``): one shared batch of ``samples`` realizations is drawn up
-front, the ``n``-singleton initial pass is a handful of batched labeled
-forward sweeps, and every lazy re-evaluation scores against the *same*
-worlds — so gain comparisons in the queue see identical noise and a run is
-a deterministic function of ``(graph, model, samples, seed)``.  Pass
-``crn=False`` for the historical per-cascade loop with fresh noise per
-estimate (kept as the benchmark/regression reference; its lazy queue mixes
-estimates from different draws, so repeated runs can return different seed
-sets).
+Spread estimation runs on the common-random-numbers evaluator: one shared
+batch of ``samples`` realizations is drawn up front, the ``n``-singleton
+initial pass is a handful of batched labeled forward sweeps, and every lazy
+re-evaluation scores against the *same* worlds — so gain comparisons in the
+queue see identical noise and a run is a deterministic function of
+``(graph, model, samples, seed)``.  The historical fresh-noise variant, one
+independent Monte-Carlo estimate per evaluation, is the benchmark oracle
+:func:`repro.testing.reference.fresh_noise_celf`; it drives the same lazy
+queue (:func:`_run_celf`) with other spread callables.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.diffusion.base import DiffusionModel
-from repro.diffusion.montecarlo import CRNSpreadEvaluator, estimate_spread
+from repro.diffusion.montecarlo import CRNSpreadEvaluator
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
 from repro.runtime.context import ExecutionContext
@@ -77,76 +77,42 @@ class _LazyQueue:
 
 
 def _run_celf(
-    graph: DiGraph,
-    model: DiffusionModel,
+    spread_of: Callable[[list[int]], float],
+    singleton_spreads: Callable[[], Sequence[float]],
     samples: int,
-    seed: RandomSource,
     max_seeds: int,
     stop_at_spread: Optional[float],
-    crn: bool,
-    context: Optional[ExecutionContext],
 ) -> CelfResult:
-    rng = as_generator(seed)
+    """The lazy-greedy queue over two spread estimators.
+
+    ``singleton_spreads()`` scores every node alone (the initial pass);
+    ``spread_of(seeds)`` scores one seed set.  Each estimate costs
+    ``samples`` cascades, which is what ``simulations_run`` counts.
+    """
     queue = _LazyQueue()
     seeds: list[int] = []
     current_spread = 0.0
-    simulations = 0
     skips = 0
 
-    if crn:
-        evaluator = CRNSpreadEvaluator(
-            graph, model, n_sims=samples, seed=rng, context=context
-        )
+    initial = singleton_spreads()
+    simulations = samples * len(initial)
+    for v, spread in enumerate(initial):
+        queue.push(float(spread), v, 0)
 
-        def spread_of(candidate_seeds) -> float:
-            nonlocal simulations
+    while len(seeds) < max_seeds and len(queue):
+        gain, node, stamp = queue.pop()
+        if stamp == len(seeds):
+            # Fresh evaluation for the current seed set: commit the pick.
+            seeds.append(node)
+            current_spread += gain
+            skips += len(queue)  # everything left was never re-evaluated
+            if stop_at_spread is not None and current_spread >= stop_at_spread:
+                break
+        else:
+            # Stale: re-evaluate against the current seed set, re-queue.
             simulations += samples
-            return evaluator.evaluate(candidate_seeds)
-
-        def singleton_spreads():
-            nonlocal simulations
-            simulations += samples * graph.n
-            return evaluator.evaluate_many([[v] for v in range(graph.n)])
-    else:
-
-        def spread_of(candidate_seeds) -> float:
-            nonlocal simulations
-            simulations += samples
-            return estimate_spread(
-                graph,
-                model,
-                candidate_seeds,
-                samples=samples,
-                seed=rng,
-                context=context,
-            ).mean
-
-        def singleton_spreads():
-            return [spread_of([v]) for v in range(graph.n)]
-
-    try:
-        # Initial pass: every node's singleton spread (one batched CRN sweep).
-        for v, spread in enumerate(singleton_spreads()):
-            queue.push(float(spread), v, 0)
-
-        while len(seeds) < max_seeds and len(queue):
-            gain, node, stamp = queue.pop()
-            if stamp == len(seeds):
-                # Fresh evaluation for the current seed set: commit the pick.
-                seeds.append(node)
-                current_spread += gain
-                skips += len(queue)  # everything left was never re-evaluated
-                if stop_at_spread is not None and current_spread >= stop_at_spread:
-                    break
-            else:
-                # Stale: re-evaluate against the current seed set, re-queue.
-                fresh_gain = max(0.0, spread_of(seeds + [node]) - current_spread)
-                queue.push(fresh_gain, node, len(seeds))
-    finally:
-        if crn:
-            # Release the evaluator's shared-memory worlds (if a runtime
-            # published them) as soon as the selection loop is done.
-            evaluator.close()
+            fresh_gain = max(0.0, spread_of(seeds + [node]) - current_spread)
+            queue.push(fresh_gain, node, len(seeds))
     return CelfResult(
         seeds=seeds,
         estimated_spread=current_spread,
@@ -155,37 +121,53 @@ def _run_celf(
     )
 
 
+def _crn_celf(
+    graph: DiGraph,
+    model: DiffusionModel,
+    samples: int,
+    seed: RandomSource,
+    max_seeds: int,
+    stop_at_spread: Optional[float],
+    context: Optional[ExecutionContext],
+) -> CelfResult:
+    evaluator = CRNSpreadEvaluator(
+        graph, model, n_sims=samples, seed=as_generator(seed), context=context
+    )
+    # Release the evaluator's shared-memory worlds (if a runtime published
+    # them) as soon as the selection loop is done.
+    with evaluator:
+        return _run_celf(
+            evaluator.evaluate,
+            lambda: evaluator.evaluate_many([[v] for v in range(graph.n)]),
+            samples,
+            max_seeds,
+            stop_at_spread,
+        )
+
+
 def celf_influence_maximization(
     graph: DiGraph,
     model: DiffusionModel,
     k: int,
     samples: int = 200,
     seed: RandomSource = None,
-    crn: bool = True,
     context: Optional[ExecutionContext] = None,
 ) -> CelfResult:
     """Select ``k`` seeds by lazy greedy over Monte-Carlo spreads.
 
-    With the default ``crn=True``, two runs with the same integer ``seed``
-    return identical seed sets (the estimator noise is pinned up front).
-    ``context`` supplies the engine policy: ``mc_batch_size`` bounds the
-    cascades per vectorized engine call on either path, and the parallel
-    runtime shards the CRN sweeps across worker processes without changing
-    any estimate (evaluation replays pre-sampled noise).
+    Two runs with the same integer ``seed`` return identical seed sets (the
+    estimator noise is pinned up front).  ``context`` supplies the engine
+    policy: ``mc_batch_size`` bounds the cascades per vectorized engine
+    call, and the parallel runtime shards the CRN sweeps across worker
+    processes without changing any estimate (evaluation replays
+    pre-sampled noise).
     """
     check_positive_int(k, "k")
     check_positive_int(samples, "samples")
     if k > graph.n:
         raise ConfigurationError(f"k={k} exceeds node count {graph.n}")
-    return _run_celf(
-        graph,
-        model,
-        samples,
-        seed,
-        max_seeds=k,
-        stop_at_spread=None,
-        crn=crn,
-        context=context,
+    return _crn_celf(
+        graph, model, samples, seed, k, stop_at_spread=None, context=context
     )
 
 
@@ -195,7 +177,6 @@ def celf_seed_minimization(
     eta: int,
     samples: int = 200,
     seed: RandomSource = None,
-    crn: bool = True,
     context: Optional[ExecutionContext] = None,
 ) -> CelfResult:
     """Add lazy-greedy seeds until the estimated spread reaches ``eta``.
@@ -209,15 +190,8 @@ def celf_seed_minimization(
     check_positive_int(samples, "samples")
     if eta > graph.n:
         raise ConfigurationError(f"eta={eta} exceeds node count {graph.n}")
-    return _run_celf(
-        graph,
-        model,
-        samples,
-        seed,
-        max_seeds=graph.n,
-        stop_at_spread=float(eta),
-        crn=crn,
-        context=context,
+    return _crn_celf(
+        graph, model, samples, seed, graph.n, float(eta), context=context
     )
 
 

@@ -23,6 +23,8 @@ REP007   no-bare-sleep         blocking sleeps route through the sanctioned
                                event loop (await asyncio.sleep)
 REP008   sort-based-dedup      1-D dedups in diffusion/ and sampling/ use
                                sorted_unique, not the hashing np.unique
+REP009   reference-off-        repro.testing.reference is imported only by
+         production            tests/, benchmarks/ and repro/testing
 =======  ====================  ==============================================
 
 Adding a rule: subclass :class:`~repro.devtools.rules.base.Rule` in a
@@ -42,6 +44,7 @@ from repro.devtools.rules.determinism import (
     GlobalStateRandomRule,
     UnseededGeneratorRule,
 )
+from repro.devtools.rules.imports import ReferenceImportRule
 from repro.devtools.rules.kernels import NjitSafeKernelRule
 from repro.devtools.rules.policy import ContextPolicyRule
 from repro.devtools.rules.sleeps import BlockingSleepRule
@@ -56,6 +59,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ContextPolicyRule(),
     BlockingSleepRule(),
     SortedUniqueRule(),
+    ReferenceImportRule(),
 )
 
 __all__ = [

@@ -26,7 +26,6 @@ POLICY_KWARGS = frozenset(
         "mc_tolerance",
         "reuse_pool",
         "jobs",
-        "graph_storage",
         "kernel_backend",
     }
 )

@@ -3,15 +3,14 @@
 A :class:`DiffusionModel` encapsulates everything the rest of the library
 needs to know about a propagation process:
 
-* forward: sample the set of nodes a seed set activates
-  (:meth:`DiffusionModel.simulate`, batched as
-  :meth:`DiffusionModel.simulate_batch`), or sample a whole live-edge
+* forward: sample the cascades a seed set activates
+  (:meth:`DiffusionModel.simulate_batch`), or sample a whole live-edge
   :class:`~repro.diffusion.realization.Realization` up front
   (:meth:`DiffusionModel.sample_realization`) so the same world can be
   replayed deterministically — the adaptive session depends on this;
-* reverse: perform one stochastic reverse BFS from a set of root nodes
-  (:meth:`DiffusionModel.reverse_sample`), the primitive underlying both
-  single-root RR sets and the paper's multi-root mRR sets.
+* reverse: a batch of stochastic reverse BFS runs from root sets
+  (:meth:`DiffusionModel.reverse_sample_batch`), the primitive underlying
+  both single-root RR sets and the paper's multi-root mRR sets.
 
 Both batched directions run on the same :func:`run_labeled_bfs` driver: the
 frontiers of all samples advance in lockstep over one flat visitation
@@ -21,7 +20,8 @@ forward or reverse CSR) differs between models and directions.
 The two concrete models are :class:`~repro.diffusion.ic.IndependentCascade`
 and :class:`~repro.diffusion.lt.LinearThreshold`; the paper's algorithms are
 model-agnostic given these primitives (Section 2: "our algorithms can be
-easily extended to other propagation models").
+easily extended to other propagation models").  One-sample-at-a-time
+oracles for these primitives are in :mod:`repro.testing.reference`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph, gather_csr_rows
 from repro.utils.arrays import sorted_unique
-from repro.utils.rng import RandomSource, as_generator
+from repro.utils.rng import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.diffusion.realization import Realization
@@ -44,8 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 def normalize_seeds(graph: DiGraph, seeds: Sequence[int]) -> np.ndarray:
     """Validate and deduplicate a seed sequence into a sorted int64 array.
 
-    Every forward entry point (``simulate``, ``simulate_batch``, the
-    Monte-Carlo estimators, the CRN evaluator) funnels seed ids through this
+    Every forward entry point (``simulate_batch``, the Monte-Carlo
+    estimators, the CRN evaluator) funnels seed ids through this
     helper so that out-of-range ids raise
     :class:`~repro.errors.NodeNotFoundError` identically across IC, LT, and
     the topic-aware model.  Duplicate ids are silently deduplicated: seeding
@@ -78,36 +78,6 @@ class DiffusionModel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def reverse_sample(
-        self,
-        graph: DiGraph,
-        roots: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """One stochastic reverse BFS from ``roots``.
-
-        Parameters
-        ----------
-        graph:
-            The (residual) graph to sample in.
-        roots:
-            Array of distinct root node ids (size 1 recovers a vanilla
-            RR set; size ``k`` gives a multi-root mRR set).
-        rng:
-            Generator supplying the edge coin flips.
-        out:
-            A caller-provided boolean scratch array of length ``graph.n``
-            that is **all False on entry**; the implementation marks visited
-            nodes True and must reset it to all False before returning
-            (the sampler pools this buffer across millions of calls).
-
-        Returns
-        -------
-        numpy.ndarray
-            The visited node ids (including the roots themselves).
-        """
-
     def reverse_sample_batch(
         self,
         graph: DiGraph,
@@ -139,7 +109,7 @@ class DiffusionModel(abc.ABC):
         kernel:
             ``repro.kernels`` backend knob (``"auto"``, ``"numpy"``,
             ``"numba"``, ``"python"``); outputs are bit-identical across
-            backends.  The scalar-loop base implementation ignores it.
+            backends.
 
         Returns
         -------
@@ -148,52 +118,12 @@ class DiffusionModel(abc.ABC):
             ids of every sample (roots included, order unspecified) and
             ``indptr`` (length ``batch + 1``) delimits them.
 
-        The base implementation loops :meth:`reverse_sample` once per
-        sample and is the distributional reference; the concrete models
-        override it with a single multi-source labeled reverse BFS that
-        expands all samples' frontiers level by level and flips every
+        The concrete models run a single multi-source labeled reverse BFS
+        that expands all samples' frontiers level by level and flips every
         needed edge coin of a level in one vectorized draw.
         """
-        roots = np.asarray(roots, dtype=np.int64)
-        roots_indptr = np.asarray(roots_indptr, dtype=np.int64)
-        # The scalar loop only needs n of the pooled batch*n bits; each
-        # reverse_sample call restores its slice, honoring the contract.
-        out = (
-            scratch[: graph.n]
-            if scratch is not None
-            else np.zeros(graph.n, dtype=bool)
-        )
-        pieces = []
-        sizes = np.empty(len(roots_indptr) - 1, dtype=np.int64)
-        for i in range(len(roots_indptr) - 1):
-            sample = self.reverse_sample(
-                graph, roots[roots_indptr[i] : roots_indptr[i + 1]], rng, out
-            )
-            pieces.append(sample)
-            sizes[i] = len(sample)
-        indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        members = (
-            np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-        )
-        return members, indptr
 
-    def simulate(
-        self,
-        graph: DiGraph,
-        seeds: Sequence[int],
-        seed: RandomSource = None,
-    ) -> np.ndarray:
-        """Sample one cascade from ``seeds``; returns a boolean active mask.
-
-        Default implementation materializes a realization and walks it; the
-        concrete models override with direct on-the-fly sampling which skips
-        the realization allocation.
-        """
-        seeds = normalize_seeds(graph, seeds)
-        realization = self.sample_realization(graph, seed)
-        return realization.reachable_from(seeds)
-
+    @abc.abstractmethod
     def simulate_batch(
         self,
         graph: DiGraph,
@@ -228,7 +158,7 @@ class DiffusionModel(abc.ABC):
         kernel:
             ``repro.kernels`` backend knob (``"auto"``, ``"numpy"``,
             ``"numba"``, ``"python"``); outputs are bit-identical across
-            backends.  The scalar-loop base implementation ignores it.
+            backends.
 
         Returns
         -------
@@ -239,42 +169,10 @@ class DiffusionModel(abc.ABC):
             ``np.diff(indptr)`` and per-node activation counts are
             ``np.bincount(members, minlength=graph.n)``.
 
-        The base implementation loops :meth:`simulate` once per cascade and
-        is the distributional reference; the concrete models override it
-        with a single multi-cascade labeled forward BFS that expands all
-        simulations' frontiers level by level (one vectorized noise draw
-        per level).
+        The concrete models run a single multi-cascade labeled forward BFS
+        that expands all simulations' frontiers level by level (one
+        vectorized noise draw per level).
         """
-        if n_sims < 0:
-            raise ConfigurationError(f"n_sims must be >= 0, got {n_sims}")
-        seeds = normalize_seeds(graph, seeds)
-        rng = as_generator(seed)
-        pieces = []
-        sizes = np.empty(n_sims, dtype=np.int64)
-        for i in range(n_sims):
-            active = self.simulate(graph, seeds, rng)
-            nodes = np.flatnonzero(active)
-            pieces.append(nodes)
-            sizes[i] = len(nodes)
-        indptr = np.zeros(n_sims + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        members = (
-            np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-        )
-        return members, indptr
-
-    def spread(
-        self,
-        graph: DiGraph,
-        seeds: Sequence[int],
-        seed: RandomSource = None,
-    ) -> int:
-        """Sample one cascade and return its size ``I(S)``."""
-        return int(self.simulate(graph, seeds, seed).sum())
-
-    # Convenience used by a few call sites and the tests.
-    def _rng(self, seed: RandomSource) -> np.random.Generator:
-        return as_generator(seed)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -314,9 +212,7 @@ def run_labeled_bfs(
 
     ``scratch`` is an optional caller-pooled boolean buffer of length at
     least ``batch * n`` that is all False on entry; it is restored to all
-    False before returning (only the visited keys are touched — the
-    batched analogue of :meth:`DiffusionModel.reverse_sample`'s pooled
-    ``out``), so repeated engine calls on large graphs avoid allocating
+    False before returning (only the visited keys are touched), so repeated engine calls on large graphs avoid allocating
     and zeroing a fresh bitset each time.
     """
     if (propose is None) == (expand is None):

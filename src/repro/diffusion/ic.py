@@ -3,13 +3,11 @@
 Each edge ``e`` fires independently with its probability ``p(e)``.  Forward
 simulation flips each out-edge coin the first time its source activates;
 reverse sampling flips each in-edge coin the first time its target is
-visited.  Both directions are frontier-vectorized with
-:func:`repro.graph.digraph.gather_csr_rows`.
+visited.  Both directions run as batched labeled BFS over every sample's
+frontier at once (:func:`repro.diffusion.base.run_labeled_bfs`).
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -22,10 +20,9 @@ from repro.diffusion.base import (
 )
 from repro.diffusion.realization import ICRealization
 from repro.errors import ConfigurationError
-from repro.graph.digraph import DiGraph, gather_csr_rows
+from repro.graph.digraph import DiGraph
 from repro.kernels import resolve_backend
 from repro.kernels.dispatch import ic_coin_expander
-from repro.utils.arrays import sorted_unique
 from repro.utils.rng import RandomSource, as_generator
 
 
@@ -43,33 +40,6 @@ class IndependentCascade(DiffusionModel):
         live = rng.random(graph.m) < probs
         return ICRealization(graph, live)
 
-    def simulate(
-        self,
-        graph: DiGraph,
-        seeds: Sequence[int],
-        seed: RandomSource = None,
-    ) -> np.ndarray:
-        """Forward cascade with on-the-fly coin flips.
-
-        Equivalent in distribution to sampling a realization and walking it,
-        but touches only the edges incident to activated nodes.
-        """
-        rng = as_generator(seed)
-        indptr, targets, probs = graph.out_csr
-        active = np.zeros(graph.n, dtype=bool)
-        active[normalize_seeds(graph, seeds)] = True
-        frontier = np.flatnonzero(active)
-        while len(frontier):
-            positions = gather_csr_rows(indptr, frontier)
-            if len(positions) == 0:
-                break
-            fired = rng.random(len(positions)) < probs[positions]
-            candidates = targets[positions[fired]]
-            fresh = sorted_unique(candidates[~active[candidates]])
-            active[fresh] = True
-            frontier = fresh
-        return active
-
     def simulate_batch(
         self,
         graph: DiGraph,
@@ -86,7 +56,7 @@ class IndependentCascade(DiffusionModel):
         simulation's frontier in lockstep, and this model's per-level rule
         flips the out-edge coins of all frontiers in a single vectorized
         draw.  Distributionally identical to ``n_sims`` independent
-        :meth:`simulate` calls — each ``(simulation, out-edge)`` coin is
+        one-cascade runs — each ``(simulation, out-edge)`` coin is
         still flipped at most once, when its source first activates within
         that simulation.  ``kernel`` selects the per-level backend (see
         :mod:`repro.kernels`); outputs are bit-identical across backends.
@@ -124,42 +94,6 @@ class IndependentCascade(DiffusionModel):
             n, starts, starts_indptr, flip_out_edge_coins, scratch
         )
 
-    def reverse_sample(
-        self,
-        graph: DiGraph,
-        roots: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """Reverse BFS from ``roots``, flipping each in-edge coin once.
-
-        This is the (m)RR-set primitive: the visited set is exactly the set
-        of nodes that reach some root in a random realization, because each
-        edge's coin is flipped at most once (when its target is first
-        expanded) and the BFS explores all live in-edges.
-        """
-        indptr, sources, probs = graph.in_csr
-        visited = out
-        roots = np.asarray(roots, dtype=np.int64)
-        visited[roots] = True
-        collected = [roots]
-        frontier = roots
-        while len(frontier):
-            positions = gather_csr_rows(indptr, frontier)
-            if len(positions) == 0:
-                break
-            fired = rng.random(len(positions)) < probs[positions]
-            candidates = sources[positions[fired]]
-            fresh = sorted_unique(candidates[~visited[candidates]])
-            if len(fresh) == 0:
-                break
-            visited[fresh] = True
-            collected.append(fresh)
-            frontier = fresh
-        result = np.concatenate(collected) if len(collected) > 1 else roots.copy()
-        visited[result] = False  # restore the pooled scratch buffer
-        return result
-
     def reverse_sample_batch(
         self,
         graph: DiGraph,
@@ -175,7 +109,7 @@ class IndependentCascade(DiffusionModel):
         driver advances all samples in lockstep; this model's per-level
         rule flips the edge coins for every sample's frontier in a single
         vectorized draw.  Distributionally identical to ``batch``
-        independent :meth:`reverse_sample` calls — each
+        independent one-sample reverse BFS runs — each
         ``(sample, in-edge)`` coin is still flipped at most once, when its
         target is first expanded within that sample.  ``kernel`` selects
         the per-level backend (see :mod:`repro.kernels`); outputs are

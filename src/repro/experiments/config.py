@@ -23,11 +23,7 @@ from repro.diffusion.lt import LinearThreshold
 from repro.errors import ConfigurationError
 from repro.experiments import datasets
 from repro.kernels import KERNEL_BACKENDS
-from repro.runtime.context import (
-    DEFAULT_BATCH_SIZE,
-    GRAPH_STORAGE_POLICIES,
-    ExecutionContext,
-)
+from repro.runtime.context import DEFAULT_BATCH_SIZE, ExecutionContext
 from repro.utils.validation import (
     check_fraction,
     check_optional_positive_int,
@@ -65,7 +61,6 @@ class ExperimentConfig:
     jobs: int = 1                                # harness worker processes
                                                  # (1 = in-process; results are
                                                  # identical for any value)
-    graph_storage: str = "adaptive"              # CSR layout: "adaptive"|"wide"
     kernel_backend: str = "auto"                 # labeled-BFS backend
                                                  # ("auto"|"numpy"|"numba"|
                                                  # "python"); bit-identical
@@ -102,11 +97,6 @@ class ExperimentConfig:
         check_optional_positive_int(self.mc_batch_size, "mc_batch_size")
         check_optional_positive_int(self.max_samples, "max_samples")
         check_positive_float(self.mc_tolerance, "mc_tolerance")
-        if self.graph_storage not in GRAPH_STORAGE_POLICIES:
-            raise ConfigurationError(
-                f"graph_storage must be one of {GRAPH_STORAGE_POLICIES}, "
-                f"got {self.graph_storage!r}"
-            )
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ConfigurationError(
                 f"kernel_backend must be one of {KERNEL_BACKENDS}, "
@@ -176,7 +166,7 @@ class ExperimentConfig:
         ``kernel_backend``) come from the execution planner
         (:mod:`repro.runtime.planner`, fed by ``calibration``) instead of
         this config's fields; correctness policy (tolerances, pool reuse,
-        storage, fault policy) always comes from the config.
+        fault policy) always comes from the config.
         """
         store = self.make_pool_store()
         if self.plan == "auto" and graph is not None:
@@ -186,7 +176,6 @@ class ExperimentConfig:
                 calibration=self.calibration,
                 mc_tolerance=self.mc_tolerance,
                 reuse_pool=self.reuse_pool,
-                graph_storage=self.graph_storage,
                 fault_policy=self.fault_policy(),
                 pool_store=store,
             )
@@ -196,7 +185,6 @@ class ExperimentConfig:
             mc_tolerance=self.mc_tolerance,
             reuse_pool=self.reuse_pool,
             jobs=self.jobs,
-            graph_storage=self.graph_storage,
             kernel_backend=self.kernel_backend,
             fault_policy=self.fault_policy(),
             pool_store=store,

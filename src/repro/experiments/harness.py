@@ -396,9 +396,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     outcomes: dict[int, dict[str, AlgorithmOutcome]] = {}
     # The graph is built before the context so ``plan="auto"`` configs can
     # hand its statistics to the execution planner.
-    built_graph = config.build_graph()
-    with config.to_context(graph=built_graph) as context:
-        graph = context.apply_storage(built_graph)
+    graph = config.build_graph()
+    with config.to_context(graph=graph) as context:
         context.note_graph(graph)
         realizations = sample_shared_realizations(
             graph, model, config.realizations, seed=config.seed + 10,

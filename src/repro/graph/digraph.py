@@ -15,8 +15,8 @@ what makes a pure-Python reproduction of an RR-set-based system feasible.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from typing import Optional
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -69,7 +69,11 @@ class DiGraph:
 
     Instances are immutable: construct them with :class:`repro.graph.builder.
     GraphBuilder`, the generators in :mod:`repro.graph.generators`, or
-    directly from edge arrays via :meth:`from_edges`.
+    directly from edge arrays via :meth:`from_edges`.  Values derived from
+    the arrays alone (the store fingerprint, LT's validity verdict and
+    cumulative in-probabilities) are computed on first use and kept in a
+    per-instance cache (:meth:`cached`); derived graphs start without one,
+    and the cache is neither pickled nor compared.
 
     Attributes
     ----------
@@ -89,6 +93,7 @@ class DiGraph:
         "_in_indptr",
         "_in_sources",
         "_in_probs",
+        "_cache",
     )
 
     def __init__(
@@ -132,6 +137,7 @@ class DiGraph:
         self._in_indptr = in_indptr
         self._in_sources = in_sources
         self._in_probs = in_probs
+        self._cache: Optional[dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -477,8 +483,37 @@ class DiGraph:
         return sub, kept_ids
 
     # ------------------------------------------------------------------
+    # Derived-value cache
+    # ------------------------------------------------------------------
+
+    def cached(self, key: str, compute: Callable[[DiGraph], Any]) -> Any:
+        """``compute(self)``, evaluated once per graph and kept under ``key``.
+
+        Safe because the graph is immutable: a derived value can never go
+        stale.  Keying on the instance (not on ``id(graph)``) means a value
+        lives and dies with its graph.  Two threads racing on a cold key
+        both compute the same deterministic value; either result may stay.
+        """
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = {}
+        if key not in cache:
+            cache[key] = compute(self)
+        return cache[key]
+
+    # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {
+            name: getattr(self, name) for name in self.__slots__ if name != "_cache"
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._cache = None
 
     def __len__(self) -> int:
         return self.n

@@ -12,9 +12,9 @@ that duplicates a context field.  The context carries:
 * **pool policy** — ``reuse_pool`` for the adaptive cross-round carry-over;
 * **parallelism** — ``jobs`` plus the lazily created
   :class:`~repro.parallel.runtime.ParallelRuntime`;
-* **storage** — the compact-graph policy (``graph_storage``), the optional
-  persistent ``pool_store``, and :meth:`note_graph`, which records each
-  graph's dtype decision in the aggregated :attr:`diagnostics` sink.
+* **storage** — the optional persistent ``pool_store``, and
+  :meth:`note_graph`, which records each graph's dtype decision in the
+  aggregated :attr:`diagnostics` sink.
 
 Ownership follows one rule: whoever builds a context closes it (``with
 ExecutionContext(jobs=2) as context: ...``).  Facades and engines never
@@ -59,11 +59,6 @@ from repro.utils.validation import (
 #: is reused across all calls of one sampler).
 DEFAULT_BATCH_SIZE = 256
 
-#: Accepted graph-storage policies: ``adaptive`` downcasts CSR arrays where
-#: lossless (int32 indices, float32 probabilities), ``wide`` pins the
-#: historical int64/float64 layout.
-GRAPH_STORAGE_POLICIES = ("adaptive", "wide")
-
 
 @dataclass
 class ExecutionContext:
@@ -87,9 +82,6 @@ class ExecutionContext:
         explicit value routes through the chunk-seeded parallel scheme,
         whose output is identical for every worker count (``jobs=1`` runs
         the same chunks in-process).
-    graph_storage:
-        ``"adaptive"`` (default) or ``"wide"``; see
-        :meth:`repro.graph.digraph.DiGraph.from_arrays`.
     kernel_backend:
         Per-level labeled-BFS backend (see :mod:`repro.kernels`):
         ``"auto"`` (default) picks the njit-compiled kernels when numba is
@@ -116,7 +108,6 @@ class ExecutionContext:
     mc_tolerance: Optional[float] = None
     reuse_pool: bool = True
     jobs: Optional[int] = None
-    graph_storage: str = "adaptive"
     kernel_backend: str = "auto"
     fault_policy: Optional[FaultPolicy] = None
     fault_injection: Optional[FaultInjection] = None
@@ -139,11 +130,6 @@ class ExecutionContext:
         check_optional_positive_int(self.mc_batch_size, "mc_batch_size")
         check_positive_float(self.mc_tolerance, "mc_tolerance")
         check_jobs(self.jobs)
-        if self.graph_storage not in GRAPH_STORAGE_POLICIES:
-            raise ConfigurationError(
-                f"graph_storage must be one of {GRAPH_STORAGE_POLICIES}, "
-                f"got {self.graph_storage!r}"
-            )
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ConfigurationError(
                 f"kernel_backend must be one of {KERNEL_BACKENDS}, "
@@ -334,19 +320,6 @@ class ExecutionContext:
         """Accumulate a numeric counter in the diagnostics sink."""
         current = cast("Union[int, float]", self.diagnostics.get(name, 0))
         self.diagnostics[name] = current + amount
-
-    def apply_storage(self, graph: DiGraph) -> DiGraph:
-        """Re-layout ``graph`` under this context's ``graph_storage`` policy.
-
-        A no-op when the graph already follows the policy (the default:
-        graphs are built adaptive).  ``run_sweep`` routes the sweep graph
-        through this, so ``graph_storage="wide"`` pins the int64/float64
-        reference layout end to end — derived residual graphs inherit the
-        policy from their parent.
-        """
-        if graph.storage == self.graph_storage:
-            return graph
-        return graph.with_storage(self.graph_storage)
 
     def note_graph(self, graph: DiGraph, label: str = "graph") -> None:
         """Record a graph's storage decision (dtype choices, byte size)."""

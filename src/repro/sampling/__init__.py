@@ -16,12 +16,11 @@ from repro.sampling.engine import (
     mrr_batch_sampler,
     rr_batch_sampler,
 )
-from repro.sampling.rr import RRCollection, RRSampler
+from repro.sampling.rr import RRCollection
 from repro.sampling.mrr import (
     CarriedMRRPool,
     CarryDiagnostics,
     MRRCollection,
-    MRRSampler,
     RootCountRule,
     build_round_pool,
     estimate_truncated_spread_mrr,
@@ -50,9 +49,7 @@ __all__ = [
     "RandomizedRoundingRootDrawer",
     "rr_batch_sampler",
     "mrr_batch_sampler",
-    "RRSampler",
     "RRCollection",
-    "MRRSampler",
     "CarriedMRRPool",
     "CarryDiagnostics",
     "MRRCollection",

@@ -10,19 +10,20 @@ sets arriving from the :class:`~repro.sampling.engine.BatchSampler` are
 absorbed with a handful of vectorized NumPy operations (:meth:`add_batch`),
 coverage queries reduce over the flat vector, and the greedy
 maximum-coverage routine with its ``1 - (1 - 1/b)^b`` guarantee (Vazirani
-2003; the ``Greedy(R)`` of the paper's Algorithm 3) updates marginal gains
-one *set batch* at a time instead of one element at a time.
+2003; the ``Greedy(R)`` of the paper's Algorithm 3) recomputes the gain of
+only the nodes it pops from a lazy queue.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SamplingError
-from repro.graph.digraph import csr_index_dtype, gather_csr_rows
+from repro.graph.digraph import csr_index_dtype
 
 _INITIAL_MEMBER_CAPACITY = 1024
 _INITIAL_SET_CAPACITY = 256
@@ -253,7 +254,7 @@ class CoverageIndex:
     # ------------------------------------------------------------------
 
     def greedy_max_coverage(
-        self, budget: int, stop_at_coverage: int = None, lazy: bool = True
+        self, budget: int, stop_at_coverage: int = None
     ) -> GreedyCoverResult:
         """Pick up to ``budget`` nodes greedily maximizing covered-set count.
 
@@ -271,22 +272,15 @@ class CoverageIndex:
         the shortest prefix reaching a coverage target, not a fixed-size
         batch).
 
-        Two exactly equivalent execution strategies:
-
-        * ``lazy=True`` (default) — a CELF-style priority queue over stale
-          gains.  Marginal gains are monotone non-increasing as coverage
-          grows, so a popped entry whose recomputed gain still tops the
-          queue is the true argmax; only popped nodes ever pay a
-          recomputation (one slice of the inverted index), and no pick
-          scans all ``n`` gains or touches the covered sets' members.
-        * ``lazy=False`` — the eager reference: per pick, a full
-          ``gains.argmax()`` scan plus one ``bincount`` gain decrement
-          over the members of every newly covered set.
-
-        Both resolve gain ties toward the smallest node id (the documented
-        argmax convention — the heap orders equal gains by node id), so
-        they return identical picks in identical order; the regression
-        test pins this equivalence.
+        The sweep is a CELF-style priority queue over stale gains.
+        Marginal gains are monotone non-increasing as coverage grows, so a
+        popped entry whose recomputed gain still tops the queue is the true
+        argmax; only popped nodes ever pay a recomputation (one slice of
+        the inverted index), and no pick scans all ``n`` gains or touches
+        the covered sets' members.  Gain ties resolve toward the smallest
+        node id (the heap orders equal gains by node id), which is the
+        argmax convention of the eager oracle
+        :func:`repro.testing.reference.greedy_max_coverage_eager`.
         """
         if budget < 1:
             raise ConfigurationError(f"budget must be >= 1, got {budget}")
@@ -294,52 +288,12 @@ class CoverageIndex:
             raise ConfigurationError(
                 f"budget {budget} exceeds node count {self.n}"
             )
-        if lazy:
-            return self._greedy_lazy(budget, stop_at_coverage)
-        return self._greedy_eager(budget, stop_at_coverage)
-
-    def _greedy_eager(
-        self, budget: int, stop_at_coverage: int = None
-    ) -> GreedyCoverResult:
-        members, set_indptr = self.packed()
-        gains = self._counts.copy()
-        covered = np.zeros(self._num_sets, dtype=bool)
-        node_indptr, node_sets = self._inverted_index()
-
-        selected: list[int] = []
-        marginal: list[int] = []
-        covered_total = 0
-        for _ in range(budget):
-            if stop_at_coverage is not None and covered_total >= stop_at_coverage:
-                break
-            v = int(gains.argmax())
-            gain = int(gains[v])
-            if gain < 0:  # every node already selected (tiny graphs)
-                break
-            selected.append(v)
-            marginal.append(max(gain, 0))
-            if gain > 0:
-                candidate_sids = node_sets[node_indptr[v] : node_indptr[v + 1]]
-                fresh = candidate_sids[~covered[candidate_sids]]
-                covered[fresh] = True
-                covered_total += len(fresh)
-                touched = members[gather_csr_rows(set_indptr, fresh)]
-                gains -= np.bincount(touched, minlength=self.n)
-            gains[v] = -1  # never reselect
-        return GreedyCoverResult(selected, covered_total, marginal)
-
-    def _greedy_lazy(
-        self, budget: int, stop_at_coverage: int = None
-    ) -> GreedyCoverResult:
-        import heapq
-
         covered = np.zeros(self._num_sets, dtype=bool)
         node_indptr, node_sets = self._inverted_index()
 
         # Min-heap on (-gain, node): highest gain first, smallest node id
-        # on ties — the same order the eager path's argmax resolves to.
-        # Seeding from the maintained coverage counts costs one O(n) pass
-        # total, not one per pick.
+        # on ties.  Seeding from the maintained coverage counts costs one
+        # O(n) pass total, not one per pick.
         heap = [(-int(g), v) for v, g in enumerate(self._counts)]
         heapq.heapify(heap)
 

@@ -19,9 +19,8 @@ families:
   count ``k in {k_low, k_low + 1}`` with ``E[k] = n / eta``, drawn and
   deduplicated for a whole batch at a time (mRR sets, Definition 3.2).
 
-The one-at-a-time ``RRSampler.sample`` / ``MRRSampler.sample`` paths remain
-as the distributional reference that the batch-equivalence tests check
-against.
+The one-at-a-time samplers in :mod:`repro.testing.reference` are the
+distributional reference that the batch-equivalence tests check against.
 
 Engine policy — samples per call, the parallel runtime, the kernel backend,
 the pool store — comes from the sampler's
@@ -221,7 +220,6 @@ class BatchSampler:
         # entries they would write.
         self._store = context.pool_store if seed is not None else None
         self._context = context
-        self._recipe_fields: Optional[dict[str, object]] = None
         # Chunk-indexed seeding root: one draw from the caller's stream
         # fixes every future chunk's stream up front (SeedSequence.spawn
         # tracks how many children were already spawned, so the k-th chunk
@@ -433,14 +431,12 @@ class BatchSampler:
 
     def _recipe(self) -> dict[str, object]:
         """The generation-recipe fields shared by every fill of this sampler."""
-        if self._recipe_fields is None:
-            self._recipe_fields = {
-                "graph": graph_fingerprint(self.graph),
-                "model": model_key(self.model),
-                "roots": _roots_token(self.roots),
-                "batch_size": self.batch_size,
-            }
-        return self._recipe_fields
+        return {
+            "graph": graph_fingerprint(self.graph),
+            "model": model_key(self.model),
+            "roots": _roots_token(self.roots),
+            "batch_size": self.batch_size,
+        }
 
     def _tally(self, name: str) -> None:
         self._context.tally(name)

@@ -99,69 +99,13 @@ class RootCountRule:
         return min(max(k, 1), self.n)
 
 
-class MRRSampler:
-    """Generates mRR sets on a fixed (residual) graph.
-
-    Parameters
-    ----------
-    graph:
-        The residual graph ``G_i``.
-    model:
-        Diffusion model providing :meth:`reverse_sample`.
-    eta:
-        The (residual) truncation target ``eta_i``; determines the root
-        count rule unless an explicit ``rule`` is supplied.
-    rule:
-        Override the root-count distribution (ablations only).
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        model: DiffusionModel,
-        eta: int,
-        seed: RandomSource = None,
-        rule: RootCountRule = None,
-    ):
-        if graph.n < 1:
-            raise SamplingError("cannot sample mRR sets on an empty graph")
-        if not 1 <= eta <= graph.n:
-            raise SamplingError(
-                f"eta must be in [1, n={graph.n}], got {eta}; an infeasible "
-                f"shortfall should be caught before sampling"
-            )
-        self.graph = graph
-        self.model = model
-        self.eta = int(eta)
-        self.rule = rule if rule is not None else RootCountRule.for_target(graph.n, eta)
-        self._rng = as_generator(seed)
-        self._scratch = np.zeros(graph.n, dtype=bool)
-
-    def sample(self) -> np.ndarray:
-        """One random mRR set (array of member node ids, roots included)."""
-        k = self.rule.draw(self._rng)
-        if k * 8 < self.graph.n:
-            # Rejection-free distinct sampling via permutation is O(n); for
-            # small k the direct choice without replacement is cheaper.
-            roots = self._rng.choice(self.graph.n, size=k, replace=False)
-        else:
-            roots = self._rng.permutation(self.graph.n)[:k]
-        return self.model.reverse_sample(self.graph, roots, self._rng, self._scratch)
-
-    def sample_into(self, index: CoverageIndex, count: int) -> None:
-        """Append ``count`` fresh mRR sets to a coverage index."""
-        if count < 0:
-            raise SamplingError(f"count must be non-negative, got {count}")
-        for _ in range(count):
-            index.add(self.sample())
-
-
 class MRRCollection:
     """Coverage index plus batched engine, with truncated-spread estimation.
 
     Pool growth runs through the vectorized
-    :class:`~repro.sampling.engine.BatchSampler`; the single-set
-    :class:`MRRSampler` remains available as the distributional reference.
+    :class:`~repro.sampling.engine.BatchSampler`.  ``rule`` overrides the
+    root-count distribution (ablations only); by default it follows
+    ``eta`` (:meth:`RootCountRule.for_target`).
 
     Per-set root counts are tracked alongside the index so a round's final
     pool can be exported (:meth:`export_carry`) and re-validated into the
@@ -179,22 +123,22 @@ class MRRCollection:
         rule: RootCountRule = None,
         context: Optional[ExecutionContext] = None,
     ):
-        rng = as_generator(seed)
-        self.sampler = MRRSampler(graph, model, eta, rng, rule)
+        if graph.n < 1:
+            raise SamplingError("cannot sample mRR sets on an empty graph")
+        if not 1 <= eta <= graph.n:
+            raise SamplingError(
+                f"eta must be in [1, n={graph.n}], got {eta}; an infeasible "
+                f"shortfall should be caught before sampling"
+            )
+        self.graph = graph
+        self.eta = int(eta)
+        self.rule = rule if rule is not None else RootCountRule.for_target(graph.n, eta)
         self.engine = mrr_batch_sampler(
-            graph, model, self.sampler.rule, rng, context
+            graph, model, self.rule, as_generator(seed), context
         )
         self.index = CoverageIndex(graph.n)
         self._root_counts = np.empty(0, dtype=np.int64)
         self._adopted = 0
-
-    @property
-    def graph(self) -> DiGraph:
-        return self.sampler.graph
-
-    @property
-    def eta(self) -> int:
-        return self.sampler.eta
 
     def __len__(self) -> int:
         return len(self.index)

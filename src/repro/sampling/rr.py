@@ -15,8 +15,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Optional
 
-import numpy as np
-
 from repro.diffusion.base import DiffusionModel
 from repro.errors import SamplingError
 from repro.graph.digraph import DiGraph
@@ -26,30 +24,6 @@ from repro.sampling.engine import rr_batch_sampler
 from repro.utils.rng import RandomSource, as_generator
 
 
-class RRSampler:
-    """Generates single-root RR sets for a fixed graph and model."""
-
-    def __init__(self, graph: DiGraph, model: DiffusionModel, seed: RandomSource = None):
-        if graph.n < 1:
-            raise SamplingError("cannot sample RR sets on an empty graph")
-        self.graph = graph
-        self.model = model
-        self._rng = as_generator(seed)
-        self._scratch = np.zeros(graph.n, dtype=bool)
-
-    def sample(self) -> np.ndarray:
-        """One random RR set: the nodes reaching a uniform random root."""
-        root = np.asarray([self._rng.integers(self.graph.n)], dtype=np.int64)
-        return self.model.reverse_sample(self.graph, root, self._rng, self._scratch)
-
-    def sample_into(self, index: CoverageIndex, count: int) -> None:
-        """Append ``count`` fresh RR sets to a coverage index."""
-        if count < 0:
-            raise SamplingError(f"count must be non-negative, got {count}")
-        for _ in range(count):
-            index.add(self.sample())
-
-
 class RRCollection:
     """A coverage index plus the batched engine that fills it.
 
@@ -57,8 +31,7 @@ class RRCollection:
     (``grow_to``) and converts coverage counts into spread estimates.  Pool
     growth runs through the vectorized
     :class:`~repro.sampling.engine.BatchSampler` under ``context``'s
-    engine policy; the single-set :class:`RRSampler` remains available as
-    the distributional reference.
+    engine policy.
     """
 
     def __init__(
@@ -68,14 +41,11 @@ class RRCollection:
         seed: RandomSource = None,
         context: Optional[ExecutionContext] = None,
     ):
-        rng = as_generator(seed)
-        self.sampler = RRSampler(graph, model, rng)
-        self.engine = rr_batch_sampler(graph, model, rng, context)
+        if graph.n < 1:
+            raise SamplingError("cannot sample RR sets on an empty graph")
+        self.graph = graph
+        self.engine = rr_batch_sampler(graph, model, as_generator(seed), context)
         self.index = CoverageIndex(graph.n)
-
-    @property
-    def graph(self) -> DiGraph:
-        return self.sampler.graph
 
     def __len__(self) -> int:
         return len(self.index)

@@ -26,9 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DiGraph
 
 #: Bumped whenever the payload layout or key schema changes; part of every
 #: key, so old artifacts become unreachable (and eventually evicted) rather
@@ -60,8 +63,15 @@ def canonical_json(fields: Any) -> str:
     return json.dumps(_jsonable(fields), sort_keys=True, separators=(",", ":"))
 
 
-def graph_fingerprint(graph: Any) -> str:
-    """SHA-256 over the six CSR arrays + dtypes + storage policy + (n, m)."""
+def graph_fingerprint(graph: DiGraph) -> str:
+    """SHA-256 over the six CSR arrays + dtypes + storage policy + (n, m).
+
+    Hashed once per graph and kept in the graph's derived-value cache.
+    """
+    return graph.cached("fingerprint", _hash_csr)
+
+
+def _hash_csr(graph: DiGraph) -> str:
     digest = hashlib.sha256()
     digest.update(f"n={graph.n};m={graph.m};storage={graph.storage}".encode())
     for indptr, indices, probs in (graph.out_csr, graph.in_csr):

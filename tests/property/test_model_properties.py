@@ -3,7 +3,7 @@
 For both IC and LT, the library exposes three computations that must agree
 in distribution:
 
-1. direct forward simulation (``model.simulate``),
+1. direct forward simulation (``repro.testing.reference.simulate``),
 2. sampling a live-edge realization and walking it,
 3. exact enumeration of the realization space.
 
@@ -21,6 +21,7 @@ from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold
 from repro.graph.digraph import DiGraph
 from repro.graph.weighting import normalize_for_lt
+from repro.testing import reference
 
 TRIALS = 800
 TOLERANCE = 0.25  # absolute, on expected spreads of a few nodes
@@ -56,7 +57,7 @@ def test_ic_simulation_matches_exact(graph, data):
     truth = exact_expected_spread(graph, model, [seed_node])
     rng = np.random.default_rng(0)
     simulated = np.mean(
-        [model.simulate(graph, [seed_node], rng).sum() for _ in range(TRIALS)]
+        [reference.spread(model, graph, [seed_node], rng) for _ in range(TRIALS)]
     )
     assert abs(simulated - truth) < TOLERANCE
 
@@ -78,7 +79,7 @@ def test_ic_realization_walk_matches_simulation(graph, data):
         ]
     )
     via_simulation = np.mean(
-        [model.simulate(graph, [seed_node], rng).sum() for _ in range(TRIALS)]
+        [reference.spread(model, graph, [seed_node], rng) for _ in range(TRIALS)]
     )
     assert abs(via_realization - via_simulation) < TOLERANCE
 
@@ -96,7 +97,7 @@ def test_lt_live_edge_equivalence(graph, data):
     seed_node = data.draw(st.integers(0, graph.n - 1))
     rng = np.random.default_rng(2)
     via_threshold = np.mean(
-        [model.simulate(graph, [seed_node], rng).sum() for _ in range(TRIALS)]
+        [reference.spread(model, graph, [seed_node], rng) for _ in range(TRIALS)]
     )
     via_live_edge = np.mean(
         [

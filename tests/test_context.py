@@ -47,7 +47,6 @@ class TestDefaults:
         assert ctx.mc_tolerance is None
         assert ctx.reuse_pool is True
         assert ctx.jobs is None
-        assert ctx.graph_storage == "adaptive"
         assert ctx.runtime is None  # jobs=None: historical in-process route
 
     def test_default_context_reaches_every_facade_untouched(self, model):
@@ -136,35 +135,12 @@ class TestExplicitOverride:
             max_samples=4000,
         )
         context = config.to_context()
-        graph = context.apply_storage(config.build_graph())
+        graph = config.build_graph()
         context.note_graph(graph)
         assert context.diagnostics["graph_storage"] == "adaptive"
         assert context.diagnostics["graph_index_dtype"] == "int32"
         assert "graph_csr_nbytes" in context.diagnostics
         context.close()
-
-    def test_graph_storage_policy_applies_end_to_end(self):
-        config = quick_config(
-            graph_n=120,
-            realizations=2,
-            algorithms=("ASTI",),
-            eta_fractions=(0.1,),
-            max_samples=4000,
-        ).scaled(graph_storage="wide")
-        context = config.to_context()
-        graph = context.apply_storage(config.build_graph())
-        assert graph.storage == "wide"
-        assert str(graph.index_dtype) == "int64"
-        # Residual shrinks inherit the pinned layout.
-        import numpy as _np
-
-        keep = _np.ones(graph.n, dtype=bool)
-        keep[0] = False
-        sub, _ = graph.induced_subgraph(keep)
-        assert sub.storage == "wide"
-        context.close()
-        with pytest.raises(ConfigurationError, match="graph_storage"):
-            quick_config().scaled(graph_storage="sparse")
 
     def test_pool_tallies_land_in_diagnostics(self, small_social_damped, model):
         ctx = ExecutionContext()
@@ -354,10 +330,6 @@ class TestSharedValidation:
             ExecutionContext(mc_tolerance=0.0)
         with pytest.raises(ConfigurationError, match="mc_tolerance must be > 0"):
             ExperimentConfig(dataset="nethept-sim", mc_tolerance=-1.0)
-
-    def test_graph_storage_policy_validated(self):
-        with pytest.raises(ConfigurationError, match="graph_storage"):
-            ExecutionContext(graph_storage="sparse")
 
 
 def test_run_sweep_smoke_with_context_policy():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SamplingError
 from repro.sampling.coverage import CoverageIndex
+from repro.testing.reference import greedy_max_coverage_eager
 
 
 def make_index(n, sets):
@@ -178,8 +179,8 @@ class TestLazyGreedyEquivalence:
     def test_matches_eager_on_random_pools(self, seed):
         index = self._random_pool(n=40, sets=120, max_size=6, seed=seed)
         for budget in (1, 3, 12, 40):
-            eager = index.greedy_max_coverage(budget, lazy=False)
-            lazy = index.greedy_max_coverage(budget, lazy=True)
+            eager = greedy_max_coverage_eager(index, budget)
+            lazy = index.greedy_max_coverage(budget)
             assert eager.nodes == lazy.nodes, (seed, budget)
             assert eager.covered == lazy.covered
             assert eager.marginal_gains == lazy.marginal_gains
@@ -187,8 +188,8 @@ class TestLazyGreedyEquivalence:
     def test_matches_eager_with_stop_at_coverage(self):
         index = self._random_pool(n=30, sets=80, max_size=5, seed=9)
         for stop in (1, 20, 55, 10_000):
-            eager = index.greedy_max_coverage(30, stop_at_coverage=stop, lazy=False)
-            lazy = index.greedy_max_coverage(30, stop_at_coverage=stop, lazy=True)
+            eager = greedy_max_coverage_eager(index, 30, stop_at_coverage=stop)
+            lazy = index.greedy_max_coverage(30, stop_at_coverage=stop)
             assert eager.nodes == lazy.nodes, stop
             assert eager.covered == lazy.covered
             assert eager.marginal_gains == lazy.marginal_gains
@@ -197,14 +198,14 @@ class TestLazyGreedyEquivalence:
         # Budget beyond the covering nodes: both paths pad with untouched
         # nodes in ascending id order (the documented tie-break).
         index = make_index(6, [[1, 2], [2, 3]])
-        eager = index.greedy_max_coverage(5, lazy=False)
-        lazy = index.greedy_max_coverage(5, lazy=True)
+        eager = greedy_max_coverage_eager(index, 5)
+        lazy = index.greedy_max_coverage(5)
         assert eager.nodes == lazy.nodes
         assert lazy.marginal_gains == eager.marginal_gains
         assert lazy.marginal_gains[0] > 0 and lazy.marginal_gains[-1] == 0
 
     def test_tie_break_prefers_smallest_node_id(self):
         index = make_index(5, [[3], [3], [1], [1], [4]])
-        for lazy in (False, True):
-            result = index.greedy_max_coverage(2, lazy=lazy)
+        for greedy in (greedy_max_coverage_eager, CoverageIndex.greedy_max_coverage):
+            result = greedy(index, 2)
             assert result.nodes[0] == 1  # gain tie between 1 and 3

@@ -403,6 +403,49 @@ def test_rep008_is_scoped_to_diffusion_and_sampling():
 
 
 # ----------------------------------------------------------------------
+# REP009 — reference implementations stay off production paths
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import repro.testing.reference",
+        "import repro.testing.reference as ref",
+        "from repro.testing.reference import RRSampler",
+        "from repro.testing import reference",
+        "from repro.testing import faults, reference as ref",
+        "from ..testing.reference import simulate",
+        "from ..testing import reference",
+    ],
+)
+def test_rep009_flags_reference_imports_in_production(statement):
+    src = f"{statement}\n"
+    assert codes(src, "src/repro/sampling/example.py") == ["REP009"]
+    assert codes(src, "examples/example.py") == ["REP009"]
+    findings = lint(src, "src/repro/core/example.py")
+    assert "tests/" in findings[0].message
+
+
+def test_rep009_accepts_other_testing_modules():
+    src = (
+        "from repro.testing import FaultInjection\n"
+        "from repro.testing.carry import rebuild_carried_pool\n"
+        "import repro.testing.faults\n"
+        "from .reference_data import table\n"
+    )
+    assert codes(src, "src/repro/sampling/example.py") == []
+
+
+def test_rep009_allows_tests_benchmarks_and_the_testing_package():
+    src = "from repro.testing.reference import simulate\n"
+    assert codes(src, "tests/test_example.py") == []
+    assert codes(src, "tests/property/test_example.py") == []
+    assert codes(src, "benchmarks/bench_example.py") == []
+    assert codes(src, "src/repro/testing/example.py") == []
+
+
+# ----------------------------------------------------------------------
 # Suppression pragmas
 # ----------------------------------------------------------------------
 

@@ -1,10 +1,14 @@
 """Unit tests for the CSR DiGraph."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import EdgeError, GraphError, NodeNotFoundError
+from repro.diffusion.lt import check_lt_validity
 from repro.graph.digraph import DiGraph, gather_csr_rows, nodes_reachable_from
+from repro.store import graph_fingerprint
 
 
 def make_triangle():
@@ -180,6 +184,55 @@ class TestTransforms:
         assert make_triangle() == make_triangle()
         other = DiGraph.from_edges(3, [(0, 1, 0.5)])
         assert make_triangle() != other
+
+
+class TestDerivedValueCache:
+    def _warm(self):
+        g = make_triangle()
+        graph_fingerprint(g)
+        check_lt_validity(g)
+        return g
+
+    def test_computed_once_then_reused(self):
+        g = DiGraph.from_edges(2, [(0, 1, 0.5)])
+        calls = []
+        assert g.cached("probe", lambda graph: calls.append(graph) or 7) == 7
+        assert g.cached("probe", lambda graph: calls.append(graph) or 8) == 7
+        assert calls == [g]
+
+    def test_cached_fingerprint_equals_a_fresh_computation(self):
+        g = self._warm()
+        cached = graph_fingerprint(g)
+        fresh = DiGraph.from_arrays(g.n, *g.edge_arrays())
+        assert fresh._cache is None
+        assert graph_fingerprint(fresh) == cached
+
+    def test_derived_graphs_start_empty(self):
+        g = self._warm()
+        assert g._cache
+        derived = [
+            g.induced_subgraph(np.array([True, True, False]))[0],
+            g.reverse(),
+            g.with_probabilities(lambda u, v: 0.5),
+            g.with_storage("wide"),
+            g.with_storage("adaptive"),
+            g.relabeled()[0],
+        ]
+        for graph in derived:
+            assert graph._cache is None
+
+    def test_pickle_drops_the_cache(self):
+        g = self._warm()
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone._cache is None
+        assert clone == g
+        assert graph_fingerprint(clone) == graph_fingerprint(g)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        warm, cold = self._warm(), make_triangle()
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert len({warm, cold}) == 1
 
 
 class TestGatherCsrRows:

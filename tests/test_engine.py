@@ -25,8 +25,9 @@ from repro.sampling.engine import (
     mrr_batch_sampler,
     rr_batch_sampler,
 )
-from repro.sampling.mrr import MRRCollection, MRRSampler, RootCountRule
-from repro.sampling.rr import RRCollection, RRSampler
+from repro.sampling.mrr import MRRCollection, RootCountRule
+from repro.sampling.rr import RRCollection
+from repro.testing.reference import MRRSampler, RRSampler
 
 
 def _batch(size: int) -> ExecutionContext:

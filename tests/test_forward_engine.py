@@ -4,7 +4,8 @@ Covers the three contracts the forward engine makes:
 
 * seed validation is identical across IC, LT, and the topic-aware model
   (out-of-range ids raise :class:`NodeNotFoundError`, duplicates dedup);
-* ``simulate_batch`` agrees with the per-cascade ``simulate`` loop —
+* ``simulate_batch`` agrees with the per-cascade loop of
+  :mod:`repro.testing.reference` —
   bit-deterministic under a fixed seed, distributionally on aggregates;
 * the chunked estimators early-stop on the CI tolerance but never before
   the first chunk, and the common-random-number evaluator scores every
@@ -14,7 +15,7 @@ Covers the three contracts the forward engine makes:
 import numpy as np
 import pytest
 
-from repro.diffusion.base import DiffusionModel, normalize_seeds
+from repro.diffusion.base import normalize_seeds
 from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold
 from repro.diffusion.montecarlo import (
@@ -26,6 +27,7 @@ from repro.diffusion.topic import TopicAwareGraph, TopicAwareIC, TopicMixture
 from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.graph import generators, weighting
 from repro.runtime.context import ExecutionContext
+from repro.testing import reference
 
 
 @pytest.fixture(params=["IC", "LT", "TIC"])
@@ -49,7 +51,7 @@ class TestSeedValidation:
     def test_simulate_rejects_out_of_range(self, model_and_graph, bad_seed):
         model, graph = model_and_graph
         with pytest.raises(NodeNotFoundError):
-            model.simulate(graph, [0, bad_seed], seed=0)
+            reference.simulate(model, graph, [0, bad_seed], seed=0)
 
     @pytest.mark.parametrize("bad_seed", [-1, 60, 10_000])
     def test_simulate_batch_rejects_out_of_range(self, model_and_graph, bad_seed):
@@ -58,9 +60,10 @@ class TestSeedValidation:
             model.simulate_batch(graph, [bad_seed], 4, seed=0)
 
     def test_base_class_simulate_validates(self, model_and_graph):
+        # The scalar loop that was the base-class fallback validates too.
         model, graph = model_and_graph
         with pytest.raises(NodeNotFoundError):
-            DiffusionModel.simulate(model, graph, [graph.n], seed=0)
+            reference.simulate_batch(model, graph, [graph.n], 1, seed=0)
 
     def test_duplicates_are_deduplicated(self, model_and_graph):
         model, graph = model_and_graph
@@ -111,7 +114,7 @@ class TestSimulateBatch:
         batched = np.diff(indptr).astype(float)
         rng = np.random.default_rng(10)
         loop = np.array(
-            [model.simulate(graph, [0, 3], rng).sum() for _ in range(sims)],
+            [reference.spread(model, graph, [0, 3], rng) for _ in range(sims)],
             dtype=float,
         )
         margin = 4.0 * np.sqrt(
@@ -120,13 +123,11 @@ class TestSimulateBatch:
         assert abs(batched.mean() - loop.mean()) <= margin + 1e-9
 
     def test_matches_base_class_reference(self, model_and_graph):
-        """The concrete override agrees with the simulate-loop fallback."""
+        """The batched engine agrees with the reference simulate loop."""
         model, graph = model_and_graph
         sims = 500
         _, fast_indptr = model.simulate_batch(graph, [1], sims, seed=21)
-        _, ref_indptr = DiffusionModel.simulate_batch(
-            model, graph, [1], sims, seed=22
-        )
+        _, ref_indptr = reference.simulate_batch(model, graph, [1], sims, seed=22)
         fast = np.diff(fast_indptr).astype(float)
         ref = np.diff(ref_indptr).astype(float)
         margin = 4.0 * np.sqrt(fast.var(ddof=1) / sims + ref.var(ddof=1) / sims)
@@ -157,7 +158,7 @@ class TestHubSeededLT:
         batched = np.diff(indptr).astype(float)
         rng = np.random.default_rng(31)
         loop = np.array(
-            [model.simulate(graph, [hub], rng).sum() for _ in range(sims)],
+            [reference.spread(model, graph, [hub], rng) for _ in range(sims)],
             dtype=float,
         )
         margin = 4.0 * np.sqrt(

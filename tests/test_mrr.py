@@ -9,11 +9,11 @@ from repro.graph import generators
 from repro.graph.residual import initial_residual, shrink_residual
 from repro.sampling.mrr import (
     MRRCollection,
-    MRRSampler,
     RootCountRule,
     build_round_pool,
     estimate_truncated_spread_mrr,
 )
+from repro.testing.reference import MRRSampler
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / np.e
 
@@ -178,7 +178,7 @@ class TestCarriedPool:
     def test_root_counts_tracked(self, small_social, ic_model):
         _, collection = self._pool(small_social, ic_model, eta=12)
         assert len(collection.root_counts) == len(collection)
-        rule = collection.sampler.rule
+        rule = collection.rule
         assert set(np.unique(collection.root_counts)) <= set(rule.support())
         assert collection.adopted_count == 0
         assert collection.fresh_count == len(collection)

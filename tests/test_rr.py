@@ -5,7 +5,8 @@ import pytest
 from repro.diffusion.exact import exact_expected_spread
 from repro.errors import SamplingError
 from repro.graph import generators
-from repro.sampling.rr import RRCollection, RRSampler
+from repro.sampling.rr import RRCollection
+from repro.testing.reference import RRSampler
 
 
 class TestRRSampler:
