@@ -23,23 +23,16 @@ Cases:
 
 Each case also records the supervisor's ``fault_stats`` (rebuilds,
 timeouts, degraded chunks, recovery wall-time), so the trajectory shows
-what the recovery cost, not just that it worked.  Results append to
-``benchmarks/results/fault_recovery.json``.  Run::
+what the recovery cost, not just that it worked.  Every run appends one
+record to ``BENCH_trajectory.json``.  Run::
 
-    python benchmarks/bench_fault_recovery.py             # full profile
-    python benchmarks/bench_fault_recovery.py --quick --gate   # CI chaos job
-
-or through pytest (quick profile), which always enforces the gate.
+    python benchmarks/run.py fault_recovery                  # full profile
+    python benchmarks/run.py fault_recovery --quick --gate   # CI chaos job
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -53,8 +46,6 @@ from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler
 from repro.sampling.mrr import RootCountRule
 from repro.testing.faults import FaultInjection
-
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "fault_recovery.json"
 
 #: Recovery is a correctness property, not a throughput one, so the graphs
 #: stay small enough that every case (including the timeout wait) finishes
@@ -229,111 +220,28 @@ def measure(profile: dict, seed: int = 0) -> dict:
     cases["negative-control/corrupt"] = control
 
     return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "graph_n": graph.n,
         "graph_m": graph.m,
         "jobs": JOBS,
-        "cpus": os.cpu_count(),
         "pool_sets": profile["pool_sets"],
         "crn_jobs": profile["crn_candidates"] * profile["crn_worlds"],
         "cases": cases,
     }
 
 
-def record(result: dict) -> None:
-    """Append one measurement to the JSON trajectory file."""
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        history = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
-    history.append(result)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+#: Rows over the flattened ``measure()`` paths (see ``benchmarks/run.py``).
+CHECKS = ()
 
-
-def report(result: dict, out=sys.stdout) -> None:
-    print(
-        f"graph: n={result['graph_n']} m={result['graph_m']} | "
-        f"jobs={result['jobs']} on {result['cpus']} cpu(s)",
-        file=out,
-    )
-    for name, case in result["cases"].items():
-        verdict = (
-            f"detected {case['detected']}"
-            if "detected" in case
-            else f"bit-identical {case['bit_identical']}"
-        )
-        faults = case["faults"]
-        print(
-            f"  {name:<24} {verdict:<21} {case['seconds']:>6.2f}s   "
-            f"rebuilds {faults['rebuilds']}  timeouts {faults['timeouts']}  "
-            f"retries {faults['retries']}  degraded {faults['degraded_chunks']}  "
-            f"recovery {faults['recovered_seconds']:.3f}s",
-            file=out,
-        )
-
-
-def check_gates(result: dict) -> None:
-    """Raise unless every recovery matched and the control was detected.
-
-    Three bars, all hardware-independent:
-
-    * every injected case is bit-identical to its clean ``jobs=1``
-      reference;
-    * each case's fault counters prove its recovery path actually ran
-      (a crash case with zero rebuilds recovered nothing);
-    * the corrupt negative control was *detected* by the comparison.
-    """
-    broken = [
-        name
-        for name, case in result["cases"].items()
-        if "bit_identical" in case and not case["bit_identical"]
-    ]
-    if broken:
-        raise SystemExit(f"recovery equivalence violated: {broken}")
-    idle = []
-    for name, case in result["cases"].items():
-        faults = case["faults"]
-        if name.endswith("/crash") and faults["rebuilds"] < 1:
-            idle.append(name)
-        if name.endswith("/hang") and faults["timeouts"] < 1:
-            idle.append(name)
-        if name.endswith("/degrade") and faults["degraded_chunks"] < 1:
-            idle.append(name)
-    if idle:
-        raise SystemExit(f"injected fault never fired: {idle}")
-    if not result["cases"]["negative-control/corrupt"]["detected"]:
-        raise SystemExit(
-            "negative control failed: corrupted results passed the "
-            "equivalence comparison — the gate is not measuring anything"
-        )
-
-
-def test_fault_recovery_gate():
-    """The pytest entry point: quick profile, gate always enforced."""
-    result = measure(QUICK)
-    report(result)
-    check_gates(result)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI-scale profile")
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit non-zero unless every recovery is bit-identical, every "
-        "injected fault fired, and the corruption control was detected",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    result = measure(QUICK if args.quick else FULL, seed=args.seed)
-    report(result)
-    record(result)
-    print(f"appended to {RESULTS_PATH}")
-    if args.gate:
-        check_gates(result)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+#: Three bars, all hardware-independent.
+GATES = (
+    # Every injected case is bit-identical to its clean jobs=1 reference.
+    ("cases/*/bit_identical", "==", True),
+    # Each case's fault counters prove its recovery path actually ran (a
+    # crash case with zero rebuilds recovered nothing).
+    ("cases/*/crash/faults/rebuilds", ">=", 1),
+    ("cases/*/hang/faults/timeouts", ">=", 1),
+    ("cases/*/degrade/faults/degraded_chunks", ">=", 1),
+    # The corrupt negative control was *detected* by the comparison: a
+    # chaos gate that stays green under corrupted results measures nothing.
+    ("cases/negative-control/corrupt/detected", "==", True),
+)

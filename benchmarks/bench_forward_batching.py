@@ -24,25 +24,19 @@ modest win (IC) or near parity (LT, whose adaptive chunk shrinking bounds
 the loss); they are recorded for the trajectory and gated only against
 collapse.
 
-Results are appended to ``benchmarks/results/forward_batching.json`` so the
-engine's performance trajectory is tracked from PR to PR.  Run::
+Every run appends one record to ``BENCH_trajectory.json``, so the engine's
+performance trajectory is tracked from change to change.  Run::
 
-    python benchmarks/bench_forward_batching.py            # full profile
-    python benchmarks/bench_forward_batching.py --quick    # CI profile
+    python benchmarks/run.py forward_batching                  # full profile
+    python benchmarks/run.py forward_batching --quick --gate   # CI profile
 
-or through pytest (``pytest benchmarks/bench_forward_batching.py -s``),
-which uses the quick profile and asserts the acceptance bars: **>= 5x**
-spread-estimation throughput on the representative IC case and **>= 3x**
-CELF end-to-end.
+The acceptance bars (``GATES``): **>= 5x** spread-estimation throughput on
+the representative IC case and **>= 3x** CELF end-to-end.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -53,8 +47,6 @@ from repro.diffusion.montecarlo import estimate_spread
 from repro.graph import generators, weighting
 from repro.runtime.context import ExecutionContext
 from repro.testing.reference import fresh_noise_celf, simulate
-
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "forward_batching.json"
 
 FULL = {"graph_n": 10_000, "samples": 4_000, "mc_batch_size": 256,
         "stress_samples": 1_000, "celf_k": 3, "celf_samples": 16}
@@ -162,7 +154,6 @@ def measure(profile: dict, seed: int = 0) -> dict:
         profile["celf_samples"], seed,
     )
     return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "graph_n": graph.n,
         "graph_m": graph.m,
         "samples": samples,
@@ -173,40 +164,8 @@ def measure(profile: dict, seed: int = 0) -> dict:
     }
 
 
-def record(result: dict) -> None:
-    """Append one measurement to the JSON trajectory file."""
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        history = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
-    history.append(result)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
-
-
-def report(result: dict, out=sys.stdout) -> None:
-    print(
-        f"graph: n={result['graph_n']} m={result['graph_m']} | "
-        f"{result['samples']} cascades | mc_batch_size={result['mc_batch_size']}",
-        file=out,
-    )
-    for block in ("cases", "stress_cases"):
-        print(f"  [{block}]", file=out)
-        for name, case in result[block].items():
-            if "loop_cascades_per_s" in case:
-                print(
-                    f"    {name:<13} loop {case['loop_cascades_per_s']:>9.1f}/s   "
-                    f"batched {case['batched_cascades_per_s']:>9.1f}/s   "
-                    f"speedup {case['speedup']:>6.2f}x",
-                    file=out,
-                )
-            else:
-                print(
-                    f"    {name:<13} loop {case['loop_seconds']:>7.2f}s   "
-                    f"crn {case['crn_seconds']:>7.2f}s   "
-                    f"speedup {case['speedup']:>6.2f}x",
-                    file=out,
-                )
-
+#: Rows over the flattened ``measure()`` paths (see ``benchmarks/run.py``).
+CHECKS = ()
 
 #: CI gate per gated case.  Recorded speedups: IC/singleton ~12-17x,
 #: IC/small-set ~7-8x, LT/singleton ~2.5-3.3x, LT/small-set ~1.5-1.8x,
@@ -215,62 +174,16 @@ def report(result: dict, out=sys.stdout) -> None:
 #: still fails.  LT's forward cascades were already cheap per level (one
 #: threshold comparison, no per-edge coins), so its dispatch-amortization
 #: headroom is structurally smaller than IC's.
-GATES = {
-    "IC/singleton": 5.0,
-    "IC/small-set": 4.0,
-    "LT/singleton": 1.7,
-    "LT/small-set": 1.1,
-    "IC/celf": 3.0,
-}
-
+#:
 #: Stress points (hub seeds, cascades covering a sizable graph fraction):
 #: the scalar loop is already frontier-vectorized there, so batching is
-#: near parity (recorded IC ~1.7x, LT ~0.85x); the gate only catches a
-#: collapse of the adaptive chunk shrinking.
-STRESS_GATE = 0.4
-
-
-def test_forward_speedup():
-    """Enforce the per-case throughput gates in ``GATES``."""
-    # No record() here: pytest runs must not dirty the tracked trajectory
-    # file — only explicit `python bench_forward_batching.py` runs append.
-    result = measure(QUICK)
-    report(result)
-    for name, gate in GATES.items():
-        assert result["cases"][name]["speedup"] >= gate, (name, result["cases"][name])
-    for name, case in result["stress_cases"].items():
-        assert case["speedup"] >= STRESS_GATE, (name, case)
-
-
-def check_gates(result: dict) -> None:
-    """Raise if any case falls below its gate (see GATES/STRESS_GATE)."""
-    for name, gate in GATES.items():
-        if result["cases"][name]["speedup"] < gate:
-            raise SystemExit(f"gate failed: {name} {result['cases'][name]}")
-    for name, case in result["stress_cases"].items():
-        if case["speedup"] < STRESS_GATE:
-            raise SystemExit(f"stress gate failed: {name} {case}")
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI-scale profile")
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit non-zero unless the speedup gates hold (CI uses this "
-        "so one measurement both gates and records)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    result = measure(QUICK if args.quick else FULL, seed=args.seed)
-    report(result)
-    record(result)
-    print(f"appended to {RESULTS_PATH}")
-    if args.gate:
-        check_gates(result)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+#: near parity (recorded IC ~1.7x, LT ~0.85x); their 0.4x gate only
+#: catches a collapse of the adaptive chunk shrinking.
+GATES = (
+    ("cases/IC/singleton/speedup", ">=", 5.0),
+    ("cases/IC/small-set/speedup", ">=", 4.0),
+    ("cases/LT/singleton/speedup", ">=", 1.7),
+    ("cases/LT/small-set/speedup", ">=", 1.1),
+    ("cases/IC/celf/speedup", ">=", 3.0),
+    ("stress_cases/*/speedup", ">=", 0.4),
+)

@@ -17,27 +17,19 @@ which the compiled backend is expected to beat numpy on by **>= 2x** (the
 CI gate on numba-enabled runners).
 
 Backends are interchangeable bit for bit; the equivalence leg re-checks
-that here on a small graph through the interpreted ``python`` backend (the
-compiled kernels' source), so the kernel code path is exercised even on
-machines without numba.
+that on every run on a small graph through the interpreted ``python``
+backend (the compiled kernels' source), so the kernel code path is
+exercised even on machines without numba (``CHECKS``).
 
-Results are appended to ``benchmarks/results/kernel_backends.json``.  Run::
+Every run appends one record to ``BENCH_trajectory.json``.  Run::
 
-    python benchmarks/bench_kernel_backends.py            # full profile
-    python benchmarks/bench_kernel_backends.py --quick    # CI profile
-
-or through pytest (``pytest benchmarks/bench_kernel_backends.py -s``),
-which uses the quick profile, always asserts equivalence, and asserts the
-speedup gates only where numba is installed.
+    python benchmarks/run.py kernel_backends                  # full profile
+    python benchmarks/run.py kernel_backends --quick --gate   # CI profile
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +38,6 @@ from repro.diffusion.lt import LinearThreshold
 from repro.diffusion.realization import batch_reachable_from
 from repro.graph import generators, weighting
 from repro.kernels import numba_available, reset_stats, snapshot_stats
-
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "kernel_backends.json"
 
 FULL = {"graph_n": 10_000, "skew_attachment": 8, "forward_sims": 600,
         "stress_sims": 400, "reverse_batch": 3_000, "replay_worlds": 24,
@@ -100,7 +90,11 @@ def _time_per_backend(run) -> dict:
 
 
 def measure(profile: dict, seed: int = 0) -> dict:
-    """Compiled-vs-numpy bars for every kernel driver, plus JIT totals."""
+    """Compiled-vs-numpy bars for every kernel driver, plus JIT totals.
+
+    The ``equivalent`` flag is :func:`check_equivalence` on this profile.
+    """
+    equivalent = check_equivalence(profile, seed=seed)
     base, skewed = build_graphs(profile, seed=seed)
     rng = np.random.default_rng(seed)
     median_node = int(np.argsort(-base.out_degrees())[base.n // 2])
@@ -152,7 +146,7 @@ def measure(profile: dict, seed: int = 0) -> dict:
     }
     stats = snapshot_stats()
     return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "equivalent": equivalent,
         "graph_n": base.n,
         "graph_m": base.m,
         "skew_graph_m": skewed.m,
@@ -163,12 +157,12 @@ def measure(profile: dict, seed: int = 0) -> dict:
     }
 
 
-def check_equivalence(profile: dict, seed: int = 0) -> None:
+def check_equivalence(profile: dict, seed: int = 0) -> bool:
     """Bit-identity of the kernel path on a small graph, via ``python``.
 
-    Covers all six drivers; raises ``AssertionError`` on the first
-    mismatch.  Runs on every machine — this is the benchmark's correctness
-    leg, independent of whether numba is installed.
+    Covers all six drivers; true when every one matches.  Runs on every
+    machine — this is the benchmark's correctness leg, independent of
+    whether numba is installed.
     """
     graph = weighting.weighted_cascade(
         generators.preferential_attachment(
@@ -178,21 +172,20 @@ def check_equivalence(profile: dict, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
     roots = rng.integers(0, graph.n, 80, dtype=np.int64)
     roots_indptr = np.arange(81, dtype=np.int64)
+    identical = []
     for model in (IndependentCascade(), LinearThreshold()):
         fwd = {
             k: model.simulate_batch(graph, [0, 3], 40, seed=5, kernel=k)
             for k in ("numpy", "python")
         }
-        assert np.array_equal(fwd["numpy"][0], fwd["python"][0])
-        assert np.array_equal(fwd["numpy"][1], fwd["python"][1])
+        identical += [np.array_equal(fwd["numpy"][i], fwd["python"][i]) for i in (0, 1)]
         rev = {
             k: model.reverse_sample_batch(
                 graph, roots, roots_indptr, np.random.default_rng(7), kernel=k
             )
             for k in ("numpy", "python")
         }
-        assert np.array_equal(rev["numpy"][0], rev["python"][0])
-        assert np.array_equal(rev["numpy"][1], rev["python"][1])
+        identical += [np.array_equal(rev["numpy"][i], rev["python"][i]) for i in (0, 1)]
         worlds = [
             model.sample_realization(graph, np.random.default_rng(seed + i))
             for i in range(5)
@@ -202,109 +195,22 @@ def check_equivalence(profile: dict, seed: int = 0) -> None:
             k: batch_reachable_from(worlds, seeds_per, kernel=k)
             for k in ("numpy", "python")
         }
-        assert np.array_equal(replay["numpy"], replay["python"])
+        identical.append(np.array_equal(replay["numpy"], replay["python"]))
+    return bool(all(identical))
 
 
-def record(result: dict) -> None:
-    """Append one measurement to the JSON trajectory file."""
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        history = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
-    history.append(result)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+#: Rows over the flattened ``measure()`` paths (see ``benchmarks/run.py``).
+CHECKS = (("equivalent", "==", True),)
 
-
-def report(result: dict, out=sys.stdout) -> None:
-    print(
-        f"graph: n={result['graph_n']} m={result['graph_m']} "
-        f"(skew m={result['skew_graph_m']}) | "
-        f"numba={'yes' if result['numba_available'] else 'no (bars skipped)'} | "
-        f"jit {result['jit_seconds']:.2f}s",
-        file=out,
-    )
-    for name, case in result["cases"].items():
-        if case["speedup"] is None:
-            print(
-                f"  {name:<22} numpy {case['numpy_seconds']:>8.4f}s   "
-                f"numba    (skipped)",
-                file=out,
-            )
-        else:
-            print(
-                f"  {name:<22} numpy {case['numpy_seconds']:>8.4f}s   "
-                f"numba {case['numba_seconds']:>8.4f}s   "
-                f"speedup {case['speedup']:>6.2f}x",
-                file=out,
-            )
-
-
-#: The headline acceptance bar: the compiled hub-seeded LT walk on the
-#: high-skew graph must beat the numpy batched path by at least this much
-#: on numba-enabled runners.
-STRESS_GATE = ("lt_forward/hub-skew", 2.0)
-
-#: Every other compiled bar only gates against collapse — the compiled
-#: kernels must never make a driver materially slower than the closures
-#: (warm, steady-state; shared-runner noise headroom included).
-FLOOR_GATE = 0.5
-
-
-def check_gates(result: dict) -> None:
-    """Raise unless the compiled bars hold their gates (numba runs only)."""
-    if not result["numba_available"]:
-        return  # skipped, not failed
-    name, gate = STRESS_GATE
-    if result["cases"][name]["speedup"] < gate:
-        raise SystemExit(f"gate failed: {name} {result['cases'][name]}")
-    for name, case in result["cases"].items():
-        if case["speedup"] is not None and case["speedup"] < FLOOR_GATE:
-            raise SystemExit(f"floor gate failed: {name} {case}")
-
-
-def test_backend_equivalence():
-    """Bit-identity of the kernel path across all six drivers."""
-    check_equivalence(QUICK)
-
-
-def test_compiled_speedup():
-    """Enforce the compiled-vs-numpy gates (skipped without numba)."""
-    import pytest
-
-    if not numba_available():
-        pytest.skip("numba not installed: compiled bars are skipped")
-    # No record() here: pytest runs must not dirty the tracked trajectory.
-    result = measure(QUICK)
-    report(result)
-    name, gate = STRESS_GATE
-    assert result["cases"][name]["speedup"] >= gate, result["cases"][name]
-    for case_name, case in result["cases"].items():
-        if case["speedup"] is not None:
-            assert case["speedup"] >= FLOOR_GATE, (case_name, case)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI-scale profile")
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit non-zero unless the compiled speedup gates hold "
-        "(no-ops without numba: bars are skipped, not failed)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    profile = QUICK if args.quick else FULL
-    check_equivalence(profile, seed=args.seed)
-    print("equivalence: python backend bit-identical to numpy on all drivers")
-    result = measure(profile, seed=args.seed)
-    report(result)
-    record(result)
-    print(f"appended to {RESULTS_PATH}")
-    if args.gate:
-        check_gates(result)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+#: ``speedup`` is ``None`` without numba, so both gates are skipped, not
+#: failed, on numba-free machines.
+GATES = (
+    # The headline acceptance bar: the compiled hub-seeded LT walk on the
+    # high-skew graph must beat the numpy batched path by at least this
+    # much on numba-enabled runners.
+    ("cases/lt_forward/hub-skew/speedup", ">=", 2.0),
+    # Every other compiled bar only gates against collapse — the compiled
+    # kernels must never make a driver materially slower than the closures
+    # (warm, steady-state; shared-runner noise headroom included).
+    ("cases/*/speedup", ">=", 0.5),
+)

@@ -18,25 +18,20 @@ Determinism is part of the bar: every case also asserts the **worker-count
 invariance** equivalence — ``jobs=N`` output must be bit-identical to
 ``jobs=1`` (and, for CRN, to the runtime-free path).
 
-Results (throughputs, speedups, equivalence flags, worker/CPU counts) are
-appended to ``benchmarks/results/parallel_runtime.json``.  Run::
+Every run appends one record (throughputs, speedups, equivalence flags,
+worker count) to ``BENCH_trajectory.json``.  Run::
 
-    python benchmarks/bench_parallel_runtime.py                   # full, 4 workers
-    python benchmarks/bench_parallel_runtime.py --quick --jobs 2  # CI profile
+    python benchmarks/run.py parallel_runtime                  # full, 4 workers
+    python benchmarks/run.py parallel_runtime --quick --gate   # CI, 2 workers
 
-or through pytest (quick profile), which always asserts the equivalence
-bars and additionally asserts the CI speedup gate (1.3x at 2 workers) when
-the host actually has at least 2 CPUs.
+The equivalence and storage bars (``CHECKS``) are enforced on every run;
+the speedup bar (``GATES``) with ``--gate``, at the profile's
+``min_speedup``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -52,12 +47,15 @@ from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler
 from repro.sampling.mrr import RootCountRule
 
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "parallel_runtime.json"
-
 #: The pool case samples mRR sets at the representative eta/n = 0.1 point;
 #: the CRN case scores singleton candidates on shared worlds with a fixed
 #: sweep size so the chunk count (and thus the shardable work) is stable.
+#: ``jobs`` is the worker count and ``min_speedup`` the gate on the pool
+#: and CRN cases: full runs on a >= 4-core host should clear 2.5x at 4
+#: workers; CI's 2-vCPU runner gates a relaxed 1.3x at 2 workers.
 FULL = {
+    "jobs": 4,
+    "min_speedup": 2.5,
     "graph_n": 10_000,
     "pool_sets": 4_000,
     "batch_size": 256,
@@ -69,6 +67,8 @@ FULL = {
     "harness_realizations": 8,
 }
 QUICK = {
+    "jobs": 2,
+    "min_speedup": 1.3,
     "graph_n": 10_000,
     "pool_sets": 3_000,
     "batch_size": 256,
@@ -79,17 +79,6 @@ QUICK = {
     "harness_n": 600,
     "harness_realizations": 6,
 }
-
-#: Gate thresholds on the gated cases (pool and CRN): full runs on a
-#: >= 4-core host should clear 2.5x at 4 workers; CI's 2-vCPU runner
-#: gates a relaxed 1.3x at 2 workers via --min-speedup.
-DEFAULT_MIN_SPEEDUP = 2.5
-CI_MIN_SPEEDUP = 1.3
-
-#: Compact-storage bar: a fully compact-eligible graph (int32 indices,
-#: float32 probabilities) must pack into at most this fraction of its
-#: int64/float64 segment bytes.  Hardware-independent, enforced always.
-MAX_COMPACT_SEGMENT_RATIO = 0.55
 
 
 def build_graph(n: int, seed: int = 0):
@@ -262,7 +251,7 @@ def measure_storage(profile, seed=0):
       float32-exact, so only the index arrays compact);
     * ``constant-p0.125`` — a fully compact-eligible graph (int32 indices
       *and* lossless float32 probabilities), which must pack into at most
-      ``MAX_COMPACT_SEGMENT_RATIO`` of its int64/float64 bytes.
+      0.55 of its int64/float64 bytes (``CHECKS``).
 
     Both segments really go through ``share_graph`` (alignment included),
     so the recorded bytes are exactly what workers map.
@@ -294,7 +283,8 @@ def measure_storage(profile, seed=0):
     return cases
 
 
-def measure(profile: dict, jobs: int, seed: int = 0) -> dict:
+def measure(profile: dict, seed: int = 0) -> dict:
+    jobs = profile["jobs"]
     graph = build_graph(profile["graph_n"], seed=seed)
     cases = {}
     for model in (IndependentCascade(), LinearThreshold()):
@@ -305,176 +295,32 @@ def measure(profile: dict, jobs: int, seed: int = 0) -> dict:
     cases["crn/IC"] = measure_crn(graph, IndependentCascade(), profile, jobs, seed)
     harness = measure_harness(profile, jobs, seed)
     storage = measure_storage(profile, seed)
-    result = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    return {
         "graph_n": graph.n,
         "graph_m": graph.m,
         "jobs": jobs,
-        "cpus": os.cpu_count(),
         "pool_sets": profile["pool_sets"],
         "crn_jobs": profile["crn_candidates"] * profile["crn_worlds"],
         "cases": cases,
         "harness": harness,
         "storage": storage,
     }
-    if result["cpus"] is None or result["cpus"] < jobs:
-        result["note"] = (
-            f"host has {result['cpus']} CPU(s) for {jobs} workers: speedups "
-            "measure timesharing overhead, not scaling; the bit_identical "
-            "equivalence flags are the meaningful signal on this entry"
-        )
-    return result
 
 
-def record(result: dict) -> None:
-    """Append one measurement to the JSON trajectory file."""
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        history = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
-    history.append(result)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+#: Rows over the flattened ``measure()`` paths (see ``benchmarks/run.py``),
+#: enforced on every run: hardware-independent.
+CHECKS = (
+    # Worker-count invariance: every parallel path matches its jobs=1
+    # reference bit for bit.
+    ("cases/*/bit_identical", "==", True),
+    ("harness/bit_identical", "==", True),
+    # Compact storage actually compacts: a fully compact-eligible graph
+    # (int32 indices, float32 probabilities) packs into at most 0.55 of its
+    # int64/float64 segment bytes; the weighted-cascade graph (indices
+    # only) still shrinks below its wide layout.
+    ("storage/constant-p0.125/ratio", "<=", 0.55),
+    ("storage/weighted-cascade/ratio", "<", 1.0),
+)
 
-
-def report(result: dict, out=sys.stdout) -> None:
-    print(
-        f"graph: n={result['graph_n']} m={result['graph_m']} | "
-        f"jobs={result['jobs']} on {result['cpus']} cpu(s)",
-        file=out,
-    )
-    for name, case in result["cases"].items():
-        rate_keys = [k for k in case if k.endswith("_per_s")]
-        print(
-            f"  {name:<14} jobs=1 {case[rate_keys[0]]:>10.1f}/s   "
-            f"jobs={result['jobs']} {case[rate_keys[1]]:>10.1f}/s   "
-            f"speedup {case['speedup']:>5.2f}x   "
-            f"bit-identical {case['bit_identical']}",
-            file=out,
-        )
-    harness = result["harness"]
-    print(
-        f"  {'harness':<14} jobs=1 {harness['jobs1_seconds']:>9.2f}s    "
-        f"jobs={result['jobs']} {harness['workers_seconds']:>9.2f}s    "
-        f"speedup {harness['speedup']:>5.2f}x   "
-        f"bit-identical {harness['bit_identical']}",
-        file=out,
-    )
-    for name, case in result.get("storage", {}).items():
-        print(
-            f"  storage/{name:<22} {case['compact_segment_bytes']:>10} B "
-            f"vs wide {case['wide_segment_bytes']:>10} B   "
-            f"ratio {case['ratio']:.3f}   "
-            f"({case['index_dtype']}/{case['prob_dtype']})",
-            file=out,
-        )
-
-
-def check_equivalence(result: dict) -> None:
-    """Raise unless every parallel path matched its jobs=1 reference."""
-    broken = [
-        name
-        for name, case in result["cases"].items()
-        if not case["bit_identical"]
-    ]
-    if not result["harness"]["bit_identical"]:
-        broken.append("harness")
-    if broken:
-        raise SystemExit(f"worker-count invariance violated: {broken}")
-    check_storage(result)
-
-
-def check_storage(result: dict) -> None:
-    """Raise unless compact storage actually compacts.
-
-    The fully compact-eligible graph must reach the
-    ``MAX_COMPACT_SEGMENT_RATIO`` bar; the weighted-cascade graph (indices
-    only) must still shrink below its wide layout.
-    """
-    storage = result.get("storage", {})
-    eligible = storage.get("constant-p0.125")
-    if eligible and eligible["ratio"] > MAX_COMPACT_SEGMENT_RATIO:
-        raise SystemExit(
-            f"compact-eligible graph segment ratio {eligible['ratio']} "
-            f"exceeds {MAX_COMPACT_SEGMENT_RATIO}"
-        )
-    wc = storage.get("weighted-cascade")
-    if wc and wc["ratio"] >= 1.0:
-        raise SystemExit(
-            f"weighted-cascade compact segment did not shrink: {wc}"
-        )
-
-
-def check_gates(result: dict, min_speedup: float) -> None:
-    """Raise if a gated case (pool, crn) falls below ``min_speedup``."""
-    check_equivalence(result)
-    failures = {
-        name: case["speedup"]
-        for name, case in result["cases"].items()
-        if case["speedup"] < min_speedup
-    }
-    if failures:
-        raise SystemExit(
-            f"speedup gate failed (< {min_speedup}x at {result['jobs']} "
-            f"workers): {failures}"
-        )
-
-
-def test_parallel_runtime_gate():
-    """Equivalence always; the speedup bar only on comfortably multi-core hosts.
-
-    The worker-count-invariance bars are hardware-independent and always
-    enforced.  The speedup assertion needs real, uncontended cores: on a
-    single-CPU host the workers merely timeshare, and on an exactly-2-vCPU
-    shared runner the measurement is noisy enough to flake tier-1 — there
-    the dedicated CI benchmark step (``--gate --jobs 2 --min-speedup 1.3``)
-    enforces the bar instead, with the recording that makes failures
-    diagnosable.
-    """
-    import pytest
-
-    jobs = 2
-    result = measure(QUICK, jobs=jobs)
-    report(result)
-    check_equivalence(result)
-    if os.cpu_count() is None or os.cpu_count() < 2 * jobs:
-        pytest.skip(
-            f"speedup assertion needs >= {2 * jobs} CPUs for a stable "
-            f"measurement, host has {os.cpu_count()} "
-            f"(the CI benchmark step gates it at {CI_MIN_SPEEDUP}x)"
-        )
-    for name, case in result["cases"].items():
-        assert case["speedup"] >= CI_MIN_SPEEDUP, (name, case)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI-scale profile")
-    parser.add_argument("--jobs", type=int, default=4, help="worker count")
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=DEFAULT_MIN_SPEEDUP,
-        help="gate threshold for the pool and CRN cases "
-        f"(full default {DEFAULT_MIN_SPEEDUP}; CI uses {CI_MIN_SPEEDUP} at 2 workers)",
-    )
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit non-zero unless equivalence holds and every gated case "
-        "clears --min-speedup",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    result = measure(QUICK if args.quick else FULL, jobs=args.jobs, seed=args.seed)
-    report(result)
-    record(result)
-    print(f"appended to {RESULTS_PATH}")
-    if args.gate:
-        check_gates(result, args.min_speedup)
-    else:
-        check_equivalence(result)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+#: The pool and CRN cases must clear the profile's ``min_speedup``.
+GATES = (("cases/*/speedup", ">=", "min_speedup"),)

@@ -16,32 +16,25 @@ store directory:
   runs must select identical per-eta seed counts (the store may only
   change *when* sampling is paid, never *what* is sampled).
 
-The gate: every warm leg at least ``--min-warm-speedup`` (default 5x)
-over its cold leg, and every bit-identity flag true.  A fourth,
+The bars: every bit-identity flag true on every run (``CHECKS``), and,
+with ``--gate``, the pool and CRN warm legs at least 5x over their cold
+legs and the warm sweep no slower than the cold one (``GATES``).  A fourth,
 ungated-by-speedup **planner** leg measures a small ``sample_batch_size``
 grid, feeds the timings to the execution planner as a calibration table,
 and requires the planned pick to be within 10% of the best measured grid
 point (on the recorded timings, so the bar is deterministic).
 
-Results append to ``benchmarks/results/pool_store.json``.  Run::
+Every run appends one record to ``BENCH_trajectory.json``.  Run::
 
-    python benchmarks/bench_pool_store.py                 # full profile
-    python benchmarks/bench_pool_store.py --quick --gate   # CI profile
-
-or through pytest (quick profile), which always asserts the bit-identity
-bars and asserts the warm-speedup bar when the cold legs are slow enough
-to measure reliably.
+    python benchmarks/run.py pool_store                  # full profile
+    python benchmarks/run.py pool_store --quick --gate   # CI profile
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -61,8 +54,6 @@ from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler
 from repro.sampling.mrr import RootCountRule
 from repro.store import PoolStore
-
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "pool_store.json"
 
 FULL = {
     "graph_n": 10_000,
@@ -89,18 +80,9 @@ QUICK = {
     "planner_eta_fraction": 0.1,
 }
 
-#: A warm run is a digest-verified disk read where the cold run is a full
-#: reverse-sampling (or forward-cascade) generation pass; 5x is a loose
-#: floor for any graph big enough that the cold leg is measurable.
-DEFAULT_MIN_WARM_SPEEDUP = 5.0
-
 #: The planner leg's bar: the planned knob combination's *recorded*
 #: seconds must be within this factor of the best recorded grid point.
 PLANNER_MAX_RATIO = 1.10
-
-#: Cold legs faster than this are timer noise, not workloads; the pytest
-#: entry skips the speedup assertion (never the bit-identity bars) there.
-MIN_MEASURABLE_COLD_SECONDS = 0.05
 
 
 def build_graph(n: int, seed: int = 0):
@@ -274,10 +256,8 @@ def measure(profile: dict, seed: int = 0) -> dict:
         }
     planner = measure_planner(graph, profile, seed)
     return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "graph_n": graph.n,
         "graph_m": graph.m,
-        "cpus": os.cpu_count(),
         "pool_sets": profile["pool_sets"],
         "crn_jobs": profile["crn_candidates"] * profile["crn_worlds"],
         "cases": cases,
@@ -285,125 +265,21 @@ def measure(profile: dict, seed: int = 0) -> dict:
     }
 
 
-def record(result: dict) -> None:
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        history = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
-    history.append(result)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+#: Rows over the flattened ``measure()`` paths (see ``benchmarks/run.py``).
+#: Every leg replays bit-identically and the planner picks within
+#: ``PLANNER_MAX_RATIO`` of the best grid point, on every run.
+CHECKS = (
+    ("cases/*/bit_identical", "==", True),
+    ("planner/within_bar", "==", True),
+)
 
-
-def report(result: dict, out=sys.stdout) -> None:
-    print(
-        f"graph: n={result['graph_n']} m={result['graph_m']} | "
-        f"{result['pool_sets']} pool sets, {result['crn_jobs']} CRN evals",
-        file=out,
-    )
-    for name, case in result["cases"].items():
-        print(
-            f"  {name:<6} cold {case['cold_seconds']:>8.3f}s   "
-            f"warm {case['warm_seconds']:>8.3f}s   "
-            f"speedup {case['speedup']:>7.2f}x   "
-            f"bit-identical {case['bit_identical']}",
-            file=out,
-        )
-    planner = result["planner"]
-    print(
-        f"  planner picked batch={planner['picked_batch']} "
-        f"({planner['picked_seconds']:.3f}s) vs best {planner['best_seconds']:.3f}s "
-        f"ratio {planner['ratio']:.3f} [{planner['source']}] "
-        f"within-bar {planner['within_bar']}",
-        file=out,
-    )
-
-
-def check_identity(result: dict) -> None:
-    """Raise unless every leg replayed bit-identically."""
-    broken = [
-        name
-        for name, case in result["cases"].items()
-        if not case["bit_identical"]
-    ]
-    if broken:
-        raise SystemExit(f"store replay not bit-identical: {broken}")
-    if not result["planner"]["within_bar"]:
-        raise SystemExit(
-            f"planner pick outside {PLANNER_MAX_RATIO}x of best grid point: "
-            f"{result['planner']}"
-        )
-
-
-def check_gates(result: dict, min_warm_speedup: float) -> None:
-    check_identity(result)
-    failures = {
-        name: case["speedup"]
-        for name, case in result["cases"].items()
-        if name != "sweep" and case["speedup"] < min_warm_speedup
-    }
-    if failures:
-        raise SystemExit(
-            f"warm-speedup gate failed (< {min_warm_speedup}x): {failures}"
-        )
+GATES = (
+    # A warm run is a digest-verified disk read where the cold run is a
+    # full reverse-sampling (or forward-cascade) generation pass; 5x is a
+    # loose floor for any graph big enough that the cold leg is measurable.
+    ("cases/pool/speedup", ">=", 5.0),
+    ("cases/crn/speedup", ">=", 5.0),
     # The sweep leg re-pays everything but the sampling, so its bar is
     # only "warm is not slower" — the bit-identity flags carry the rigor.
-    if result["cases"]["sweep"]["speedup"] < 1.0:
-        raise SystemExit(
-            f"warm sweep slower than cold: {result['cases']['sweep']}"
-        )
-
-
-def test_pool_store_gate():
-    """Bit-identity always; the speedup bar when the cold legs are real."""
-    import pytest
-
-    result = measure(QUICK)
-    report(result)
-    check_identity(result)
-    slow_enough = all(
-        result["cases"][name]["cold_seconds"] >= MIN_MEASURABLE_COLD_SECONDS
-        for name in ("pool", "crn")
-    )
-    if not slow_enough:
-        pytest.skip(
-            "cold legs under "
-            f"{MIN_MEASURABLE_COLD_SECONDS}s are timer noise; the CI "
-            "benchmark step gates the warm speedup"
-        )
-    for name in ("pool", "crn"):
-        case = result["cases"][name]
-        assert case["speedup"] >= DEFAULT_MIN_WARM_SPEEDUP, (name, case)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI-scale profile")
-    parser.add_argument(
-        "--min-warm-speedup",
-        type=float,
-        default=DEFAULT_MIN_WARM_SPEEDUP,
-        help=f"warm-vs-cold gate on the pool and CRN legs "
-        f"(default {DEFAULT_MIN_WARM_SPEEDUP})",
-    )
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit non-zero unless every bit-identity bar holds, every "
-        "warm leg clears --min-warm-speedup, and the planner pick is "
-        f"within {PLANNER_MAX_RATIO}x of the best grid point",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    result = measure(QUICK if args.quick else FULL, seed=args.seed)
-    report(result)
-    record(result)
-    print(f"appended to {RESULTS_PATH}")
-    if args.gate:
-        check_gates(result, args.min_warm_speedup)
-    else:
-        check_identity(result)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    ("cases/sweep/speedup", ">=", 1.0),
+)

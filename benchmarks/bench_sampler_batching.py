@@ -9,25 +9,19 @@ generated graph for both generation paths:
 * **batched** — the vectorized `BatchSampler`, one multi-source labeled
   reverse BFS per `batch_size` sets.
 
-Results (throughputs, speedups, configuration) are appended to
-``benchmarks/results/sampler_batching.json`` so the engine's performance
-trajectory is tracked from PR to PR.  Run::
+Every run appends one record to ``BENCH_trajectory.json``, so the engine's
+performance trajectory is tracked from change to change.  Run::
 
-    python benchmarks/bench_sampler_batching.py            # full profile
-    python benchmarks/bench_sampler_batching.py --quick    # CI profile
+    python benchmarks/run.py sampler_batching                  # full profile
+    python benchmarks/run.py sampler_batching --quick --gate   # CI profile
 
-or through pytest (``pytest benchmarks/bench_sampler_batching.py -s``),
-which uses the quick profile and asserts the acceptance bar: the batched
-engine must deliver **at least 5x** the single-set throughput.
+The acceptance bar (``GATES``): the batched engine must deliver **at least
+5x** the single-set throughput.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
 from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold
@@ -37,8 +31,6 @@ from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler, rr_batch_sampler
 from repro.sampling.mrr import RootCountRule
 from repro.testing.reference import MRRSampler, RRSampler
-
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "sampler_batching.json"
 
 #: ``eta_fraction`` sets the mRR truncation target eta = fraction * n, i.e.
 #: the mean root count k = n / eta.  0.1 (k ~ 10) is a representative point
@@ -109,7 +101,6 @@ def measure(profile: dict, seed: int = 0) -> dict:
             graph, model, "mrr", stress_eta, stress_rule, sets, batch_size, seed
         )
     return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "graph_n": graph.n,
         "graph_m": graph.m,
         "eta": eta,
@@ -121,89 +112,18 @@ def measure(profile: dict, seed: int = 0) -> dict:
     }
 
 
-def record(result: dict) -> None:
-    """Append one measurement to the JSON trajectory file."""
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        history = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
-    history.append(result)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
-
-
-def report(result: dict, out=sys.stdout) -> None:
-    print(
-        f"graph: n={result['graph_n']} m={result['graph_m']} | "
-        f"{result['sets']} sets | engine batch_size={result['batch_size']}",
-        file=out,
-    )
-    for block, eta_key in (("cases", "eta"), ("stress_cases", "stress_eta")):
-        print(f"  [{block}: eta={result[eta_key]}]", file=out)
-        for name, case in result[block].items():
-            print(
-                f"    {name:<8} single {case['single_sets_per_s']:>9.1f}/s   "
-                f"batched {case['batched_sets_per_s']:>9.1f}/s   "
-                f"speedup {case['speedup']:>6.2f}x",
-                file=out,
-            )
-
+#: Rows over the flattened ``measure()`` paths (see ``benchmarks/run.py``).
+CHECKS = ()
 
 #: CI gate per case.  The recorded speedups are ~5.9x (IC/mrr) to ~15x
 #: (LT pools); the gates sit below them so timing noise on shared CI
 #: runners cannot flake the job, while a real regression (losing the
-#: batching win) still fails.
-GATES = {"IC/rr": 5.0, "LT/rr": 5.0, "LT/mrr": 5.0, "IC/mrr": 4.0}
-STRESS_GATE = 1.2
-
-
-def test_batched_speedup():
-    """Enforce the per-case throughput gates in ``GATES``.
-
-    Recorded speedups are ~5.5-14x; the enforced gates sit below them
-    (5x, except 4x for IC/mrr whose recorded margin is smallest, and
-    1.2x for the large-root-count stress point) so shared-runner noise
-    cannot flake the job while a real loss of the batching win still
-    fails.
-    """
-    # No record() here: pytest runs must not dirty the tracked trajectory
-    # file — only explicit `python bench_sampler_batching.py` runs append.
-    result = measure(QUICK)
-    report(result)
-    for name, case in result["cases"].items():
-        assert case["speedup"] >= GATES[name], (name, case)
-    for name, case in result["stress_cases"].items():
-        assert case["speedup"] >= STRESS_GATE, (name, case)
-
-
-def check_gates(result: dict) -> None:
-    """Raise if any case falls below its gate (see GATES/STRESS_GATE)."""
-    for name, case in result["cases"].items():
-        if case["speedup"] < GATES[name]:
-            raise SystemExit(f"gate failed: {name} {case}")
-    for name, case in result["stress_cases"].items():
-        if case["speedup"] < STRESS_GATE:
-            raise SystemExit(f"stress gate failed: {name} {case}")
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI-scale profile")
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit non-zero unless the speedup gates hold (CI uses this "
-        "so one measurement both gates and records)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    result = measure(QUICK if args.quick else FULL, seed=args.seed)
-    report(result)
-    record(result)
-    print(f"appended to {RESULTS_PATH}")
-    if args.gate:
-        check_gates(result)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+#: batching win) still fails.  The large-root-count stress point is gated
+#: only at 1.2x.
+GATES = (
+    ("cases/IC/rr/speedup", ">=", 5.0),
+    ("cases/LT/rr/speedup", ">=", 5.0),
+    ("cases/LT/mrr/speedup", ">=", 5.0),
+    ("cases/IC/mrr/speedup", ">=", 4.0),
+    ("stress_cases/*/speedup", ">=", 1.2),
+)

@@ -25,23 +25,16 @@ survived to produce it.  Five legs:
   crash: the pool is quarantined and every request degrades to
   in-process execution, still bit-identical.
 
-Results append to ``benchmarks/results/service_load.json``.  Run::
+Every run appends one record to ``BENCH_trajectory.json``.  Run::
 
-    python benchmarks/bench_service_load.py             # full profile
-    python benchmarks/bench_service_load.py --quick --gate   # CI smoke job
-
-or through pytest (quick profile), which always enforces the gate.
+    python benchmarks/run.py service_load                  # full profile
+    python benchmarks/run.py service_load --quick --gate   # CI smoke job
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import threading
 import time
-from pathlib import Path
 
 from repro.diffusion.ic import IndependentCascade
 from repro.experiments import datasets
@@ -51,8 +44,6 @@ from repro.sampling.mrr import estimate_truncated_spread_mrr
 from repro.service import ServiceClient, ServiceConfig, ServiceThread
 from repro.testing.faults import FaultInjection, ServiceFaultInjection
 from repro.utils.timing import backoff_sleep
-
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "service_load.json"
 
 DATASET = "nethept-sim"
 QUERIED_SEEDS = [0, 3, 7]
@@ -330,130 +321,36 @@ def measure(profile: dict, seed: int = 0) -> dict:
         "degrade": _leg_degrade(profile, references),
     }
     return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "graph_n": profile["graph_n"],
         "theta": profile["theta"],
         "request_seeds": profile["request_seeds"],
         "clients": profile["clients"],
-        "cpus": os.cpu_count(),
-        "seed": seed,
         "legs": legs,
     }
 
 
-def record(result: dict) -> None:
-    """Append one measurement to the JSON trajectory file."""
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    history = []
-    if RESULTS_PATH.exists():
-        history = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
-    history.append(result)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+#: Rows over the flattened ``measure()`` paths (see ``benchmarks/run.py``).
+CHECKS = ()
 
-
-def report(result: dict, out=sys.stdout) -> None:
-    legs = result["legs"]
-    print(
-        f"graph: n={result['graph_n']} theta={result['theta']} | "
-        f"{result['request_seeds']} request seeds x {result['clients']} "
-        f"clients on {result['cpus']} cpu(s)",
-        file=out,
-    )
-    for name in ("cold", "warm", "chaos"):
-        leg = legs[name]
-        print(
-            f"  {name:<13} {leg['requests']} requests  "
-            f"failures {leg['failures']}  bit-identical {leg['bit_identical']}  "
-            f"p50 {leg['p50_ms']:.0f}ms  p99 {leg['p99_ms']:.0f}ms  "
-            f"{leg['throughput_rps']:.1f} req/s",
-            file=out,
-        )
-    bp = legs["backpressure"]
-    print(
-        f"  backpressure  sheds {bp['sheds']}  flood-ok {bp['flood_ok']}  "
-        f"stalled-delivered {bp['stalled_delivered']}  retry-ok {bp['retry_ok']}  "
-        f"dropped {bp['dropped_connections']}",
-        file=out,
-    )
-    print(
-        f"  warm carry    adopted {legs['warm']['carry_adopted']}  "
-        f"cache hits {legs['warm']['cache_hits']}",
-        file=out,
-    )
-    print(
-        f"  chaos faults  rebuilds {legs['chaos']['rebuilds']}  "
-        f"carry-discarded {legs['chaos']['carry_discarded']}  "
-        f"invalidations {legs['chaos']['cache_invalidations']}",
-        file=out,
-    )
-    dg = legs["degrade"]
-    print(
-        f"  degrade       failures {dg['failures']}  "
-        f"bit-identical {dg['bit_identical']}  "
-        f"degraded {dg['degraded_requests']}  quarantined {dg['quarantined']}  "
-        f"status {dg['status']}",
-        file=out,
-    )
-
-
-def check_gates(result: dict) -> None:
-    """Raise unless every leg held the robustness bar.
-
-    All hardware-independent: zero failed requests on the ok-path legs,
-    bit-identity everywhere, at least one typed shed with no dropped
-    connection, and fault counters proving each recovery path ran.
-    """
-    legs = result["legs"]
-    broken = [
-        name
-        for name in ("cold", "warm", "chaos", "degrade")
-        if legs[name]["failures"] or not legs[name]["bit_identical"]
-    ]
-    if broken:
-        raise SystemExit(f"service replies failed or diverged from offline: {broken}")
-    if legs["warm"]["carry_adopted"] < 1:
-        raise SystemExit("warm pass never adopted a cached mRR pool")
-    bp = legs["backpressure"]
-    if bp["sheds"] < 1 or bp["dropped_connections"]:
-        raise SystemExit(f"backpressure leg never shed (or dropped a line): {bp}")
-    if not (bp["stalled_delivered"] and bp["retry_ok"]):
-        raise SystemExit(f"shed flood lost real work: {bp}")
-    chaos = legs["chaos"]
-    if chaos["rebuilds"] < 1:
-        raise SystemExit("chaos leg: injected pool faults never forced a rebuild")
-    if chaos["cache_invalidations"] < 1 or chaos["carry_discarded"] < 1:
-        raise SystemExit("chaos leg: corrupted cache entry was never discarded")
-    if legs["degrade"]["degraded_requests"] < 1 or not legs["degrade"]["quarantined"]:
-        raise SystemExit("degrade leg: pool exhaustion never degraded in-process")
-
-
-def test_service_load_gate():
-    """The pytest entry point: quick profile, gate always enforced."""
-    result = measure(QUICK)
-    report(result)
-    check_gates(result)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI-scale profile")
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit non-zero unless every reply is bit-identical to the "
-        "offline reference, load was shed (not dropped), and every "
-        "injected fault's recovery path fired",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    result = measure(QUICK if args.quick else FULL, seed=args.seed)
-    report(result)
-    record(result)
-    print(f"appended to {RESULTS_PATH}")
-    if args.gate:
-        check_gates(result)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+#: Every leg holds the robustness bar, all hardware-independent.
+GATES = (
+    # Zero failed requests on the ok-path legs (cold, warm, chaos,
+    # degrade), every reply bit-identical to the offline reference.
+    ("legs/*/failures", "==", 0),
+    ("legs/*/bit_identical", "==", True),
+    # The warm pass adopts cached mRR pools.
+    ("legs/warm/carry_adopted", ">=", 1),
+    # At least one typed shed, no dropped line, no lost work.
+    ("legs/backpressure/sheds", ">=", 1),
+    ("legs/backpressure/dropped_connections", "==", 0),
+    ("legs/backpressure/stalled_delivered", "==", True),
+    ("legs/backpressure/retry_ok", "==", True),
+    # Fault counters prove each recovery path ran: injected pool faults
+    # forced a rebuild, the corrupted cache entry was discarded, and pool
+    # exhaustion degraded requests in-process.
+    ("legs/chaos/rebuilds", ">=", 1),
+    ("legs/chaos/cache_invalidations", ">=", 1),
+    ("legs/chaos/carry_discarded", ">=", 1),
+    ("legs/degrade/degraded_requests", ">=", 1),
+    ("legs/degrade/quarantined", "==", True),
+)

@@ -4,7 +4,7 @@ Every module under ``benchmarks/`` regenerates one artifact of the paper
 (a table or a figure) at a reduced scale, prints it in ASCII, and asserts
 its qualitative shape.  Run them with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/bench_*.py --benchmark-only -s
 
 The ``-s`` flag shows the regenerated tables.  The QUICK profile keeps the
 full suite in the minutes range; raise the constants for a closer-to-paper
