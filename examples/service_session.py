@@ -5,7 +5,9 @@ wire protocol — health, a cold and a warm estimate (the warm one adopts
 the cached mRR pool), an over-deadline request answered with a typed
 ``deadline_exceeded`` — and finishes with the robustness finale: SIGTERM
 while a request is in flight, which must still deliver that reply
-before the server drains and exits 0.
+before the server drains and exits 0.  The server runs with a
+``--pool-store`` directory, so a second server booted on it answers the
+same estimate from the stored pool: the same bytes, without resampling.
 
 Run::
 
@@ -19,6 +21,7 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 
 ESTIMATE = {
@@ -30,12 +33,13 @@ ESTIMATE = {
 }
 
 
-def start_server() -> "tuple[subprocess.Popen, int]":
+def start_server(pool_store: str) -> "tuple[subprocess.Popen, int]":
     env = dict(os.environ)
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.path.join(repo, "src")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--pool-store", pool_store],
         stdout=subprocess.PIPE, text=True, env=env,
     )
     # The first stdout line announces the bound port.
@@ -47,9 +51,7 @@ def start_server() -> "tuple[subprocess.Popen, int]":
     return process, int(match.group(1))
 
 
-def main() -> None:
-    process, port = start_server()
-    print(f"server up on port {port}")
+def connect(port: int):
     conn = socket.create_connection(("127.0.0.1", port), timeout=120)
     wire = conn.makefile("rwb")
 
@@ -58,6 +60,19 @@ def main() -> None:
         wire.flush()
         return json.loads(wire.readline())
 
+    return conn, wire, request
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as pool_store:
+        cold = first_session(pool_store)
+        restarted_session(pool_store, cold)
+
+
+def first_session(pool_store: str) -> dict:
+    process, port = start_server(pool_store)
+    print(f"server up on port {port}")
+    conn, wire, request = connect(port)
     try:
         health = request({"op": "health", "id": "h1"})
         print(f"health: {health['result']['status']}")
@@ -88,6 +103,28 @@ def main() -> None:
         code = process.wait(timeout=60)
         assert code == 0, f"server exited {code}"
         print("server drained and exited 0")
+        return cold
+    finally:
+        conn.close()
+        if process.poll() is None:
+            process.kill()
+
+
+def restarted_session(pool_store: str, cold: dict) -> None:
+    """Boot a second server on the same store and replay the estimate."""
+    process, port = start_server(pool_store)
+    print(f"second server up on port {port}")
+    conn, _, request = connect(port)
+    try:
+        again = request(dict(ESTIMATE, id="restart"))
+        assert again["result"] == cold["result"], "restart must be bit-identical"
+        store = request({"op": "health", "id": "h2"})["result"]["store"]
+        assert store["hits"] >= 1, f"restart resampled the pool: {store}"
+        print(f"after restart: {again['result']['estimate']} "
+              f"({again['ms']:.0f}ms, {store['hits']} pool-store hit(s))")
+        process.send_signal(signal.SIGTERM)
+        code = process.wait(timeout=60)
+        assert code == 0, f"second server exited {code}"
     finally:
         conn.close()
         if process.poll() is None:

@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
-        help="LRU byte budget for cached graphs and warm mRR pools",
+        help="in-memory LRU byte budget for cached graphs and finished "
+        "mRR pools (a pool hit replays the cold run's pool as is)",
     )
     serve.add_argument(
         "--quarantine-seconds", type=float, default=30.0,
@@ -222,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--pool-store", default=None, metavar="PATH",
-        help="persistent artifact store directory: warm mRR pools load "
-        "from it on boot and spill back to it on drain, surviving "
-        "restarts (omit to keep the cache memory-only)",
+        help="persistent artifact store directory: estimates write their "
+        "mRR pools through it, so after a restart an estimate loads its "
+        "pool instead of resampling it (omit to keep the cache memory-only)",
     )
     _add_kernel_argument(serve)
     _add_fault_arguments(serve)

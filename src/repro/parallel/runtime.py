@@ -438,13 +438,24 @@ class ParallelRuntime:
         attempt: int,
         payload: tuple[Any, ...],
     ) -> Future[Any]:
-        if self._injection is not None:
-            from repro.testing.faults import run_with_injection
+        """Submit one chunk; a pool found broken at submit time yields an
+        already-failed future, so the gather loop's broken-pool recovery
+        handles it like a worker that died mid-chunk."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
 
-            return executor.submit(
-                run_with_injection, self._injection, chunk_id, attempt, fn, payload
-            )
-        return executor.submit(fn, *payload)
+        try:
+            if self._injection is not None:
+                from repro.testing.faults import run_with_injection
+
+                return executor.submit(
+                    run_with_injection, self._injection, chunk_id, attempt, fn, payload
+                )
+            return executor.submit(fn, *payload)
+        except BrokenProcessPool as exc:
+            failed: Future[Any] = Future()
+            failed.set_exception(exc)
+            return failed
 
     def _run_degraded(self, fn: Callable[..., Any], payload: tuple[Any, ...]) -> Any:
         """One chunk in-process: the graceful-degradation executor.

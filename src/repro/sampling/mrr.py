@@ -169,10 +169,11 @@ class MRRCollection:
         """Seed an empty pool with carried-over sets.
 
         ``(index, root_counts)`` is what :meth:`CarriedMRRPool.revalidate`
-        returns: a coverage index over this round's residual-local ids,
-        installed as is.  Must run before any fresh sampling, so carried
-        and fresh sets share one index; the carried sets count toward
-        :attr:`adopted_count`, not toward :attr:`fresh_count`.
+        (or :meth:`CarriedMRRPool.replay`) returns: a coverage index over
+        this round's residual-local ids, installed as is.  Must run before
+        any fresh sampling, so carried and fresh sets share one index; the
+        carried sets count toward :attr:`adopted_count`, not toward
+        :attr:`fresh_count`.
         """
         if len(self.index):
             raise SamplingError("can only adopt carried sets into an empty pool")
@@ -291,6 +292,29 @@ class CarriedMRRPool:
         ):
             return False
         return not len(members) or (members.min() >= 0 and members.max() < len(ids))
+
+    def replay(self, eta: int) -> Optional[tuple[CoverageIndex, np.ndarray]]:
+        """The pool as is, for a collection on the residual it was exported from.
+
+        Returns ``(index, root_counts)`` ready for :meth:`MRRCollection.adopt`,
+        or ``None`` when the arrays are malformed or a root count lies
+        outside the support of ``RootCountRule.for_target(n, eta)``.  No
+        member is remapped or dropped: the caller guarantees the exact
+        residual and target, so this is only an integrity check.
+        """
+        n = len(self.original_ids)
+        if not 1 <= eta <= n or not self._well_formed():
+            return None
+        if self.members.dtype != csr_index_dtype(n, 0):
+            return None
+        support = RootCountRule.for_target(n, eta).support()
+        k = self.root_counts
+        if len(k) and (k.min() < support[0] or k.max() > support[-1]):
+            return None
+        index = CoverageIndex.from_packed(
+            n, self.members, self.indptr, len(self), self.counts.copy()
+        )
+        return index, k
 
     def revalidate(
         self, residual: ResidualGraph

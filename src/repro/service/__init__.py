@@ -3,7 +3,7 @@
 A stdlib-asyncio NDJSON server over the library's solvers and
 estimators, built for robustness: per-request monotonic deadlines,
 bounded admission with typed load shedding, a byte-budget cache of
-graphs and warm mRR pools behind per-key circuit breakers, graceful
+graphs and finished mRR pools (hits are exact replays), graceful
 degradation to in-process execution when the worker pool exhausts its
 fault budgets, and drain-then-exit shutdown.  Every response ``result``
 is bit-identical to a cold offline ``jobs=1`` run of the same request

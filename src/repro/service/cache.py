@@ -1,4 +1,4 @@
-"""Cross-request cache: graphs and warm mRR pools, safely invalidated.
+"""Cross-request cache: graphs and finished mRR pools in one LRU.
 
 Two entry kinds share one LRU byte budget:
 
@@ -9,53 +9,31 @@ Two entry kinds share one LRU byte budget:
   identity), so with ``--jobs >= 2`` the graph is packed into shm once,
   not once per request.
 * **pool entries** — a :class:`~repro.sampling.mrr.CarriedMRRPool`
-  snapshot of a finished estimate's mRR pool, generalizing the adaptive
-  engine's cross-round carry-over to cross-*request* reuse.
+  snapshot of a finished estimate's mRR pool.
 
 Pool keys are **exact** — ``(graph_key, model, eta, theta, pool_seed,
-batch_size)`` — so a hit is a pure replay of the cold run and adoption
-preserves bit-identity by construction.  Safe invalidation still runs on
-every hit: the stored pool goes through
-:meth:`~repro.sampling.mrr.CarriedMRRPool.revalidate` against the full
-graph's initial residual, and anything short of full survival (a
-corrupted entry, a regime mismatch) discards the entry and rebuilds from
-scratch — the response stays correct, the cache just didn't help.
-
-A per-key **circuit breaker** quarantines keys whose cached entries keep
-failing regeneration: after ``failure_threshold`` consecutive discards
-the key is *open* — the cache refuses to store or serve that key, so a
-poisoned entry cannot be re-offered every request — until
-``cooldown_seconds`` pass (*half-open*: one store is allowed again); a
-subsequent clean hit closes the breaker.
+batch_size)`` — so a hit is a replay of the cold run: the estimate
+handler checks the snapshot's integrity
+(:meth:`~repro.sampling.mrr.CarriedMRRPool.replay`) and installs it as
+is.  A snapshot that fails the check is dropped
+(:meth:`ServiceCache.discard`) and replaced by the rebuilt pool in the
+same settle step.  This cache is the memory tier only; persistence
+across restarts is the :class:`~repro.store.PoolStore` the estimate
+context writes through.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import ConfigurationError
 
 #: Default LRU byte budget (graph CSR bytes + pool array bytes).
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
-#: Consecutive regeneration failures that open a key's breaker.
-DEFAULT_FAILURE_THRESHOLD = 3
-
-#: Seconds an open breaker waits before allowing another store.
-DEFAULT_COOLDOWN_SECONDS = 30.0
-
 CacheKey = tuple[Any, ...]
-
-
-@dataclass
-class _Breaker:
-    """Per-key circuit-breaker state."""
-
-    failures: int = 0
-    opened_at: Optional[float] = None
 
 
 @dataclass
@@ -73,8 +51,6 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     invalidations: int = 0
-    breaker_opened: int = 0
-    breaker_rejected: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
@@ -82,7 +58,7 @@ class CacheStats:
 
 @dataclass
 class ServiceCache:
-    """One LRU byte budget over graph and pool entries, with breakers.
+    """One LRU byte budget over graph and pool entries.
 
     Not thread-safe by itself: the server mutates it exclusively from the
     event-loop thread (lookups before dispatching compute, stores after
@@ -90,10 +66,6 @@ class ServiceCache:
     """
 
     max_bytes: int = DEFAULT_CACHE_BYTES
-    failure_threshold: int = DEFAULT_FAILURE_THRESHOLD
-    cooldown_seconds: float = DEFAULT_COOLDOWN_SECONDS
-    #: Injectable monotonic clock (tests freeze it).
-    clock: Callable[[], float] = time.monotonic
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
@@ -101,21 +73,8 @@ class ServiceCache:
             raise ConfigurationError(
                 f"max_bytes must be a non-negative int, got {self.max_bytes!r}"
             )
-        if self.failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if not self.cooldown_seconds >= 0.0:
-            raise ConfigurationError(
-                f"cooldown_seconds must be >= 0, got {self.cooldown_seconds}"
-            )
         self._entries: OrderedDict[CacheKey, _Entry] = OrderedDict()
-        self._breakers: dict[CacheKey, _Breaker] = {}
         self._bytes = 0
-
-    # ------------------------------------------------------------------
-    # LRU core
-    # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -125,10 +84,7 @@ class ServiceCache:
         return self._bytes
 
     def get(self, key: CacheKey) -> Optional[Any]:
-        """The cached value, or ``None`` on a miss or an open breaker."""
-        if self._breaker_open(key):
-            self.stats.breaker_rejected += 1
-            return None
+        """The cached value (now most recent), or ``None`` on a miss."""
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -137,27 +93,13 @@ class ServiceCache:
         self.stats.hits += 1
         return entry.value
 
-    def entries(self) -> list[tuple[CacheKey, Any, int]]:
-        """Every live entry as ``(key, value, nbytes)``, LRU-first.
-
-        A read-only snapshot (does not touch recency); the server's
-        drain path walks it to spill pool entries to the persistent
-        artifact store.
-        """
-        return [
-            (key, entry.value, entry.nbytes)
-            for key, entry in self._entries.items()
-        ]
-
     def put(self, key: CacheKey, value: Any, nbytes: int) -> bool:
-        """Store ``value``; returns False when the key's breaker is open.
+        """Store ``value``, evicting least-recent entries past the budget.
 
         An entry larger than the whole budget is not stored (storing it
-        would evict everything for a guaranteed-evicted entry).
+        would evict everything for a guaranteed-evicted entry); returns
+        whether the entry was stored.
         """
-        if self._breaker_open(key):
-            self.stats.breaker_rejected += 1
-            return False
         if nbytes > self.max_bytes:
             return False
         old = self._entries.pop(key, None)
@@ -172,44 +114,9 @@ class ServiceCache:
             self.stats.evictions += 1
         return True
 
-    # ------------------------------------------------------------------
-    # Safe invalidation + circuit breaker
-    # ------------------------------------------------------------------
-
     def discard(self, key: CacheKey) -> None:
-        """Drop a key after its entry failed regeneration; count a strike.
-
-        The caller (the estimate handler) calls this when a cached pool
-        did not survive revalidation intact — the entry is removed, the
-        key's breaker accumulates a failure, and at
-        :attr:`failure_threshold` consecutive failures the breaker opens.
-        """
+        """Drop a key whose cached entry failed its integrity check."""
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._bytes -= entry.nbytes
         self.stats.invalidations += 1
-        breaker = self._breakers.setdefault(key, _Breaker())
-        breaker.failures += 1
-        if breaker.failures >= self.failure_threshold:
-            if breaker.opened_at is None:
-                self.stats.breaker_opened += 1
-            # (Re)open — a failure during half-open restarts the cooldown.
-            breaker.opened_at = self.clock()
-
-    def succeed(self, key: CacheKey) -> None:
-        """A clean regeneration/hit: reset the key's breaker (close it)."""
-        self._breakers.pop(key, None)
-
-    def breaker_state(self, key: CacheKey) -> str:
-        """``"closed"``, ``"open"``, or ``"half-open"`` for one key."""
-        breaker = self._breakers.get(key)
-        if breaker is None or breaker.opened_at is None:
-            return "closed"
-        if self.clock() - breaker.opened_at >= self.cooldown_seconds:
-            return "half-open"
-        return "open"
-
-    def _breaker_open(self, key: CacheKey) -> bool:
-        if self.breaker_state(key) != "open":
-            return False
-        return True

@@ -13,20 +13,18 @@ thread of the admission executor):
    ``(op, seed, params)`` — warm pools, shared runtimes, retries, and
    degraded re-runs can change *where* and *how fast* the work happens,
    never the bytes;
-3. **settle** (event loop) — the server stores the returned carry
-   snapshot / strikes the circuit breaker and writes the reply.
+3. **settle** (event loop) — the server stores a fresh pool snapshot,
+   drops a rejected one, and writes the reply.
 
 Cross-request pool reuse: an estimate's finished mRR pool is exported
 (:meth:`~repro.sampling.mrr.MRRCollection.export_carry`) against the full
-graph's :func:`~repro.graph.residual.initial_residual` (identity
-``original_ids``, so the same carry path as the adaptive rounds) and
-offered to the next request with the **exact same** pool key.  Adoption
-demands full survival of
-:meth:`~repro.sampling.mrr.CarriedMRRPool.revalidate` — all ``theta``
-sets intact — so a hit replays the cold run's pool verbatim; anything
-less (a corrupted cache entry, a tampered root count, a malformed
-snapshot) discards the carry and rebuilds from scratch, trading the
-speedup for unchanged correctness.
+graph's :func:`~repro.graph.residual.initial_residual` and offered to the
+next request with the **exact same** pool key.  A hit is therefore a
+replay of the cold run: :meth:`~repro.sampling.mrr.CarriedMRRPool.replay`
+checks the snapshot's integrity and root-count support and installs it
+as is.  A malformed or tampered snapshot (or one of the wrong size) is
+discarded and the pool rebuilt from scratch, trading the speedup for
+unchanged bytes.
 """
 
 from __future__ import annotations
@@ -52,8 +50,8 @@ CacheKey = tuple[Any, ...]
 #: How a request's pool carry-over went (reported in the reply envelope's
 #: ``meta``, never in the deterministic ``result`` body).
 CARRY_NONE = "none"        # no cached pool was offered
-CARRY_ADOPTED = "adopted"  # the cached pool survived revalidation intact
-CARRY_DISCARDED = "discarded"  # revalidation rejected it; rebuilt fresh
+CARRY_ADOPTED = "adopted"  # the cached pool was replayed as is
+CARRY_DISCARDED = "discarded"  # the cached pool was rejected; rebuilt fresh
 
 
 def _require_int(
@@ -246,7 +244,7 @@ class EstimateOutcome:
     """What the estimate compute hands back to the settle phase."""
 
     result: dict[str, Any]
-    carry: Optional[CarriedMRRPool]
+    carry: Optional[CarriedMRRPool]  # a fresh snapshot to cache; None if adopted
     carry_status: str  # CARRY_NONE / CARRY_ADOPTED / CARRY_DISCARDED
 
 
@@ -283,7 +281,6 @@ def run_estimate(
     carry, the worker count, or any mid-request recovery.  ``context``
     carries the plan's ``batch_size`` as its ``sample_batch_size``.
     """
-    residual = initial_residual(graph, plan.eta)
     collection = MRRCollection(
         graph,
         make_model(plan.model_name),
@@ -293,19 +290,14 @@ def run_estimate(
     )
     carry_status = CARRY_NONE
     if carry is not None:
-        kept, diagnostics = carry.revalidate(residual)
-        if (
-            kept is not None
-            and diagnostics.fallback is None
-            and diagnostics.sets_carried == diagnostics.sets_offered == plan.theta
-        ):
-            collection.adopt(*kept)
-            carry_status = CARRY_ADOPTED
-        else:
-            # Anything short of full survival means the entry cannot be
-            # an exact replay (corruption, tampering, a stale key):
-            # rebuild from scratch and let the server strike the breaker.
+        replayed = carry.replay(plan.eta) if len(carry) == plan.theta else None
+        if replayed is None:
+            # A malformed or tampered entry cannot be an exact replay:
+            # rebuild from scratch and let the server drop the entry.
             carry_status = CARRY_DISCARDED
+        else:
+            collection.adopt(*replayed)
+            carry_status = CARRY_ADOPTED
     collection.grow_to(plan.theta)
     estimate = collection.estimated_truncated_spread(list(plan.seeds))
     result = {
@@ -315,7 +307,10 @@ def run_estimate(
         "seeds": list(plan.seeds),
         "model": plan.model_name,
     }
-    new_carry = collection.export_carry(residual)
+    if carry_status == CARRY_ADOPTED:
+        # The cached entry already is this pool; nothing to store again.
+        return EstimateOutcome(result=result, carry=None, carry_status=carry_status)
+    new_carry = collection.export_carry(initial_residual(graph, plan.eta))
     return EstimateOutcome(result=result, carry=new_carry, carry_status=carry_status)
 
 

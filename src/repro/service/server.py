@@ -14,10 +14,14 @@ A stdlib-asyncio NDJSON server (TCP or stdio; see
   while running abandons the compute thread (it finishes in the
   background, bounded by the executor) and answers immediately — both
   are structured ``deadline_exceeded`` replies naming the stage;
-* **cross-request cache** — graphs and warm mRR pools in a byte-budget
-  LRU with revalidation-on-hit and a per-key circuit breaker
-  (:mod:`repro.service.cache`); all cache access happens on the event
-  loop thread, so no lock is needed;
+* **cross-request cache** — graphs and finished mRR pools in a
+  byte-budget LRU (:mod:`repro.service.cache`); a pool hit is an exact
+  replay, integrity-checked and installed as is.  All cache access
+  happens on the event loop thread, so no lock is needed;
+* **persistence** — with ``pool_store`` set, estimates write their pools
+  through the :class:`~repro.store.PoolStore` (the recipe-keyed path the
+  samplers already have), so after a restart the first estimate for a
+  key loads its pool from disk, bit-identical to the cold run;
 * **graceful degradation** — a request whose shared worker pool exhausts
   its :class:`~repro.parallel.runtime.FaultPolicy` budgets
   (``WorkerPoolError``) is transparently re-run on an in-process
@@ -46,7 +50,7 @@ import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, TextIO
 
 from repro.errors import (
@@ -63,12 +67,7 @@ from repro.parallel.runtime import FaultPolicy, ParallelRuntime
 from repro.runtime.context import ExecutionContext
 from repro.sampling.mrr import CarriedMRRPool
 from repro.service import handlers
-from repro.service.cache import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_COOLDOWN_SECONDS,
-    DEFAULT_FAILURE_THRESHOLD,
-    ServiceCache,
-)
+from repro.service.cache import DEFAULT_CACHE_BYTES, ServiceCache
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -78,7 +77,7 @@ from repro.service.protocol import (
     ok_reply,
     parse_request,
 )
-from repro.store import PoolStore, artifact_key
+from repro.store import PoolStore
 from repro.testing.faults import (
     FaultInjection,
     ServiceFaultInjection,
@@ -87,10 +86,6 @@ from repro.testing.faults import (
     service_slow_handler,
 )
 from repro.utils.timing import Deadline, Stopwatch
-
-#: The arrays a spilled pool snapshot stores; an entry missing any of
-#: them is skipped on warm load.
-_POOL_ARRAYS = tuple(field.name for field in fields(CarriedMRRPool))
 
 
 @dataclass(frozen=True)
@@ -104,13 +99,11 @@ class ServiceConfig:
     max_in_flight: int = 4
     max_queue: int = 16
     cache_bytes: int = DEFAULT_CACHE_BYTES
-    breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD
-    breaker_cooldown: float = DEFAULT_COOLDOWN_SECONDS
     quarantine_seconds: float = 30.0
     kernel_backend: str = "auto"
     #: Persistent artifact store directory (None = memory-only cache).
-    #: On boot the cache warm-starts from spilled pool snapshots; on
-    #: drain the live pool entries are spilled back (see ``--pool-store``).
+    #: Estimates write their pools through it, so they survive restarts
+    #: (see ``--pool-store``).
     pool_store: Optional[str] = None
     fault_policy: Optional[FaultPolicy] = None
     #: Chaos only: wrapped around the shared runtime's worker submissions.
@@ -144,11 +137,7 @@ class SeedService:
         #: Set once the listener is bound (TCP) or stdio is wired — safe
         #: to read from other threads (tests start :meth:`run` in one).
         self.ready = threading.Event()
-        self.cache = ServiceCache(
-            max_bytes=config.cache_bytes,
-            failure_threshold=config.breaker_threshold,
-            cooldown_seconds=config.breaker_cooldown,
-        )
+        self.cache = ServiceCache(max_bytes=config.cache_bytes)
         self.counters: dict[str, int] = {
             "requests_total": 0,
             "requests_ok": 0,
@@ -160,8 +149,7 @@ class SeedService:
             "carry_adopted": 0,
             "carry_discarded": 0,
             "shutting_down_replies": 0,
-            "store_warm_loaded": 0,
-            "store_spilled": 0,
+            "internal_errors": 0,
         }
         self.store: Optional[PoolStore] = (
             PoolStore(config.pool_store) if config.pool_store else None
@@ -183,72 +171,6 @@ class SeedService:
         self._runtime: Optional[ParallelRuntime] = None
         self._runtime_lock = threading.Lock()
         self._quarantine: Optional[Deadline] = None
-        self._warm_start_cache()
-
-    # ------------------------------------------------------------------
-    # Persistent pool store (warm-start / spill)
-    # ------------------------------------------------------------------
-
-    def _warm_start_cache(self) -> None:
-        """Reload spilled pool snapshots from the persistent store.
-
-        Runs once at construction, before the listener binds, so the
-        first request after a restart can adopt a pool the previous
-        incarnation spilled on drain.  Loads are digest-verified by the
-        store; anything unreadable is silently discarded (the cache just
-        starts cold for that key).  Revalidation-on-hit still guards
-        every adoption, so a stale snapshot can degrade only the
-        speedup, never the reply bytes.
-        """
-        if self.store is None:
-            return
-        for store_key in self.store.keys():
-            if not store_key.startswith("service-"):
-                continue
-            loaded = self.store.load(store_key)
-            if loaded is None:
-                continue
-            arrays, meta = loaded
-            raw_key = meta.get("service_key")
-            if not isinstance(raw_key, list):
-                continue
-            try:
-                pool = CarriedMRRPool(
-                    **{name: arrays[name] for name in _POOL_ARRAYS}
-                )
-            except KeyError:
-                continue
-            cache_key: tuple[Any, ...] = tuple(raw_key)
-            if self.cache.put(
-                cache_key, pool, handlers.carried_pool_nbytes(pool)
-            ):
-                self.counters["store_warm_loaded"] += 1
-
-    def _spill_cache(self) -> None:
-        """Write the cache's live pool entries to the persistent store.
-
-        Runs on drain (event-loop thread, after every admitted request
-        settled).  Only pool snapshots spill — graph entries are cheap
-        to rebuild from the dataset loader.  ``save`` never raises, so a
-        full disk or a lost directory degrades to a cold next boot.
-        """
-        if self.store is None:
-            return
-        for cache_key, value, _nbytes in self.cache.entries():
-            if not (cache_key and cache_key[0] == "pool"):
-                continue
-            if not isinstance(value, CarriedMRRPool):
-                continue
-            store_key = artifact_key(
-                "service", {"service_key": list(cache_key)}
-            )
-            saved = self.store.save(
-                store_key,
-                {name: getattr(value, name) for name in _POOL_ARRAYS},
-                {"service_key": list(cache_key)},
-            )
-            if saved:
-                self.counters["store_spilled"] += 1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -286,7 +208,6 @@ class SeedService:
         finally:
             for signum in installed:
                 self._loop.remove_signal_handler(signum)
-            self._spill_cache()
             self._executor.shutdown(wait=True, cancel_futures=True)
             with self._runtime_lock:
                 if self._runtime is not None:
@@ -493,7 +414,14 @@ class SeedService:
                 return error_reply(request.id, exc.code, str(exc))
             except ReproError as exc:
                 return error_reply(request.id, "internal", str(exc))
-        # Settle (loop thread): cache writes, breaker strikes, envelope.
+            except Exception as exc:
+                # A bug, not a bad request: answer it on the open
+                # connection instead of killing the connection task.
+                self.counters["internal_errors"] += 1
+                return error_reply(
+                    request.id, "internal", f"{type(exc).__name__}: {exc}"
+                )
+        # Settle (loop thread): cache writes and the reply envelope.
         result, loaded_graph, carry_out, carry_status, degraded = outcome
         if graph is None and loaded_graph is not None:
             self.cache.put(
@@ -505,7 +433,6 @@ class SeedService:
                 self.cache.discard(plan.pool_key)
             elif carry_status == handlers.CARRY_ADOPTED:
                 self.counters["carry_adopted"] += 1
-                self.cache.succeed(plan.pool_key)
             if carry_out is not None:
                 self.cache.put(
                     plan.pool_key, carry_out,
@@ -591,16 +518,18 @@ class SeedService:
         runtime: Optional[ParallelRuntime],
         carry: Optional[CarriedMRRPool],
     ) -> tuple[dict[str, Any], Optional[CarriedMRRPool], str]:
-        sample_batch = (
-            plan.batch_size
-            if isinstance(plan, handlers.EstimatePlan)
-            else plan.sample_batch_size
-        )
+        if isinstance(plan, handlers.EstimatePlan):
+            sample_batch, store = plan.batch_size, self.store
+        else:
+            # Solves never write through the store: each adaptive round
+            # would persist an artifact that no later request reuses.
+            sample_batch, store = plan.sample_batch_size, None
         context = ExecutionContext(
             sample_batch_size=sample_batch,
             jobs=1,
             kernel_backend=self.config.kernel_backend,
             fault_policy=self.config.fault_policy,
+            pool_store=store,
         )
         if runtime is not None:
             context.attach_runtime(runtime)

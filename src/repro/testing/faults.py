@@ -64,9 +64,9 @@ FAULT_KINDS = ("crash", "kill", "hang", "raise", "corrupt")
 #: request's compute phase (exercises deadlines and backpressure),
 #: ``pool_kill`` SIGKILLs one live worker of the shared runtime
 #: mid-request (exercises the rebuild/recovery path under load), and
-#: ``cache_corrupt`` tampers with the warm-pool carry offered to a
-#: request (exercises revalidation-as-safe-invalidation plus the circuit
-#: breaker — the response must stay bit-identical anyway).
+#: ``cache_corrupt`` tampers with the cached pool offered to a request
+#: (exercises the replay integrity check and the discard-and-rebuild
+#: path — the response must stay bit-identical anyway).
 SERVICE_FAULT_KINDS = ("slow_handler", "pool_kill", "cache_corrupt")
 
 
@@ -238,14 +238,14 @@ def corrupt_carried_pool(pool: CarriedMRRPool) -> CarriedMRRPool:
 
     The first set's root count is pushed far outside any
     :class:`~repro.sampling.mrr.RootCountRule` support, so
-    :meth:`~repro.sampling.mrr.CarriedMRRPool.revalidate` must reject at
-    least that set — the estimate handler then discards the whole carry
-    and rebuilds from scratch, keeping the response bit-identical to a
-    cold run.  A corruption the revalidation machinery could *not* catch
-    (silently perturbing a member to another valid id) is deliberately
-    not offered here: cached pools are trusted snapshots guarded by the
-    breaker, and the chaos gate's job is to prove the safe-invalidation
-    path fires, not to defeat it.
+    :meth:`~repro.sampling.mrr.CarriedMRRPool.replay` (and
+    :meth:`~repro.sampling.mrr.CarriedMRRPool.revalidate`) must reject
+    it — the estimate handler then discards the whole carry and rebuilds
+    from scratch, keeping the response bit-identical to a cold run.  A
+    corruption the integrity check could *not* catch (silently perturbing
+    a member to another valid id) is deliberately not offered here:
+    cached pools are trusted snapshots under an exact key, and the chaos
+    gate's job is to prove the discard path fires, not to defeat it.
     """
     if len(pool) == 0:
         return pool

@@ -52,6 +52,7 @@ from repro.testing.faults import (
     _corrupt_result,
     echo_chunk,
     interrupt_chunk,
+    kill_one_worker,
 )
 
 
@@ -382,6 +383,35 @@ class TestRecoveryEquivalence:
         ) as chaos_rt:
             recovered = _mrr_pool(bench_graph, chaos_rt)
             assert chaos_rt.fault_stats["rebuilds"] == 1
+        for reference, survivor in zip(clean, recovered):
+            assert np.array_equal(reference, survivor)
+
+    def test_pool_broken_before_dispatch_recovers_via_rebuild(self, bench_graph):
+        # A worker killed between dispatches leaves an executor that
+        # raises BrokenProcessPool from submit() itself; the next dispatch
+        # must rebuild the pool, not surface the error.
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ParallelRuntime(1) as clean_rt:
+            clean = _mrr_pool(bench_graph, clean_rt)
+        with ParallelRuntime(2) as rt:
+            assert rt.map_ordered(echo_chunk, [(0,), (1,)]) == [0, 1]
+            executor = rt._state["executor"]
+            assert kill_one_worker(rt) > 0
+            # Wait on sentinels until the executor has noticed the death
+            # (it fails pending work, then refuses new submissions).
+            broken = False
+            for _ in range(10_000):
+                try:
+                    executor.submit(echo_chunk, 0).result(timeout=60)
+                except BrokenProcessPool:
+                    broken = True
+                    break
+            assert broken
+            with pytest.raises(BrokenProcessPool):
+                executor.submit(echo_chunk, 0)
+            recovered = _mrr_pool(bench_graph, rt)
+            assert rt.fault_stats["rebuilds"] == 1
         for reference, survivor in zip(clean, recovered):
             assert np.array_equal(reference, survivor)
 

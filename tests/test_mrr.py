@@ -314,6 +314,58 @@ class TestCarriedPool:
         assert warm.carry_status == handlers.CARRY_DISCARDED
         assert warm.result == cold.result
 
+    # -- Exact replay (the service's pool cache) -----------------------
+
+    def test_replay_installs_exported_pool_as_is(self, small_social, ic_model):
+        residual, collection = self._pool(small_social, ic_model, eta=12)
+        carry = collection.export_carry(residual)
+        snapshot_counts = carry.counts.copy()
+        replayed = carry.replay(12)
+        assert replayed is not None
+        index, root_counts = replayed
+        members, indptr = index.packed()
+        packed_members, packed_indptr = collection.index.packed()
+        assert np.array_equal(members, packed_members)
+        assert np.array_equal(indptr, packed_indptr)
+        assert np.array_equal(index.coverage_counts(), snapshot_counts)
+        assert np.array_equal(root_counts, collection.root_counts)
+        fresh = MRRCollection(small_social, ic_model, 12, seed=9)
+        fresh.adopt(*replayed)
+        assert fresh.estimated_truncated_spread(
+            [0, 3]
+        ) == collection.estimated_truncated_spread([0, 3])
+        # Growing the replayed pool leaves the cached snapshot untouched.
+        fresh.grow_to(len(collection) + 10)
+        assert np.array_equal(carry.counts, snapshot_counts)
+        assert len(carry) == len(collection)
+
+    @pytest.mark.parametrize(
+        "tamper", ["root_count", "indptr_order", "member_high", "member_low"]
+    )
+    def test_replay_rejects_tampered_pool(self, small_social, ic_model, tamper):
+        from repro.testing.faults import corrupt_carried_pool
+
+        residual, collection = self._pool(small_social, ic_model, eta=12)
+        carry = collection.export_carry(residual)
+        if tamper == "root_count":
+            bad = corrupt_carried_pool(carry)
+        elif tamper == "indptr_order":
+            indptr = carry.indptr.copy()
+            indptr[1], indptr[2] = indptr[2], indptr[1]
+            bad = self._tampered(carry, indptr=indptr)
+        else:
+            members = carry.members.copy()
+            members[0] = residual.n if tamper == "member_high" else -1
+            bad = self._tampered(carry, members=members)
+        assert bad.replay(12) is None
+
+    def test_replay_rejects_another_target(self, small_social, ic_model):
+        # eta=1 needs n-root sets; eta beyond n is no target at all.
+        residual, collection = self._pool(small_social, ic_model, eta=12)
+        carry = collection.export_carry(residual)
+        assert carry.replay(1) is None
+        assert carry.replay(small_social.n + 1) is None
+
     # -- Cross-request reuse (the service's warm-pool cache) -----------
 
     def test_cross_request_regime_shift_falls_back(self, small_social, ic_model):

@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.store` disk layer directly (round trips, digest
 verification, LRU eviction, concurrency) and its consumers (warm fills,
-CRN replay, harness worlds, service warm-start/spill) end to end, always
+CRN replay, harness worlds, service write-through) end to end, always
 with the bar that matters: a warm run is byte-for-byte the cold run.
 """
 
@@ -358,38 +358,50 @@ class TestWarmConsumers:
 
 
 class TestServiceIntegration:
-    def _pool(self):
-        from repro.sampling.mrr import CarriedMRRPool
-
-        return CarriedMRRPool(
-            members=np.array([0, 1, 2, 3], dtype=np.int64),
-            indptr=np.array([0, 2, 4], dtype=np.int64),
-            root_counts=np.array([1, 2], dtype=np.int64),
-            original_ids=np.arange(4, dtype=np.int64),
-            counts=np.ones(4, dtype=np.int64),
-        )
-
-    def test_spill_then_warm_start(self, tmp_path):
-        from repro.service.handlers import carried_pool_nbytes
-        from repro.service.server import SeedService, ServiceConfig
+    def test_restart_replays_pool_from_store(self, tmp_path):
+        # Service A computes an estimate cold and writes its pool through
+        # the store; service B, booted on the same directory, misses its
+        # empty LRU but hits the store: same result bytes, no resampling.
+        from repro.service import ServiceConfig, ServiceThread
 
         store_dir = str(tmp_path / "service-store")
-        service = SeedService(ServiceConfig(pool_store=store_dir))
-        pool = self._pool()
-        key = ("pool", "nethept-sim", 300, 0, "IC", 30, 64, 7, 256)
-        service.cache.put(key, pool, carried_pool_nbytes(pool))
-        service._spill_cache()
-        assert service.counters["store_spilled"] == 1
+        request = {
+            "op": "estimate", "id": "e", "seed": 7,
+            "params": {
+                "dataset": "nethept-sim", "n": 160, "eta": 16,
+                "seeds": [0, 3, 7], "theta": 400,
+            },
+        }
 
-        reborn = SeedService(ServiceConfig(pool_store=store_dir))
-        assert reborn.counters["store_warm_loaded"] == 1
-        cached = reborn.cache.get(key)
-        assert cached is not None
-        assert np.array_equal(cached.members, pool.members)
-        assert np.array_equal(cached.indptr, pool.indptr)
-        assert np.array_equal(cached.root_counts, pool.root_counts)
-        assert np.array_equal(cached.original_ids, pool.original_ids)
-        assert np.array_equal(cached.counts, pool.counts)
+        def boot_and_estimate():
+            with ServiceThread(ServiceConfig(pool_store=store_dir)) as harness:
+                with harness.connect() as client:
+                    reply = client.request(request)
+                    health = client.request({"op": "health", "id": "h"})
+            return reply, health["result"]["store"]
+
+        cold, cold_store = boot_and_estimate()
+        warm, warm_store = boot_and_estimate()
+        assert cold["ok"] and warm["ok"]
+        assert warm["result"] == cold["result"]
+        # A store hit, not an LRU hit: the fresh cache offered no carry.
+        assert warm["meta"]["carry"] == "none"
+        assert cold_store["stores"] >= 1
+        assert warm_store["hits"] >= 1
+        assert warm_store["stores"] == 0
+
+    def test_solves_do_not_write_through(self, tmp_path):
+        from repro.service import ServiceConfig, ServiceThread
+
+        store_dir = tmp_path / "service-store"
+        with ServiceThread(ServiceConfig(pool_store=str(store_dir))) as harness:
+            with harness.connect() as client:
+                reply = client.request({
+                    "op": "solve", "id": "s", "seed": 3,
+                    "params": {"dataset": "nethept-sim", "n": 120, "eta": 12},
+                })
+        assert reply["ok"]
+        assert len(PoolStore(store_dir)) == 0
 
     def test_nbytes_charges_every_array_a_snapshot_keeps_alive(
         self, small_social, ic_model
@@ -414,45 +426,6 @@ class TestServiceIntegration:
         )
         assert carried_pool_nbytes(pool) == expected
 
-    def test_warm_start_skips_entry_without_carry_arrays(self, tmp_path):
-        # A snapshot spilled without the residual's id map and the
-        # coverage counts cannot be revalidated: the next boot is cold.
-        from repro.service.server import SeedService, ServiceConfig
-        from repro.store import PoolStore, artifact_key
-
-        store_dir = str(tmp_path / "service-store")
-        key = ["pool", "nethept-sim", 300, 0, "IC", 30, 64, 7, 256]
-        pool = self._pool()
-        PoolStore(store_dir).save(
-            artifact_key("service", {"service_key": key}),
-            {
-                "members": pool.members,
-                "indptr": pool.indptr,
-                "root_counts": pool.root_counts,
-            },
-            {"service_key": key},
-        )
-        reborn = SeedService(ServiceConfig(pool_store=store_dir))
-        assert reborn.counters["store_warm_loaded"] == 0
-        assert reborn.cache.get(tuple(key)) is None
-
-    def test_graph_entries_do_not_spill(self, tmp_path):
-        from repro.service.server import SeedService, ServiceConfig
-
-        store_dir = str(tmp_path / "service-store")
-        service = SeedService(ServiceConfig(pool_store=store_dir))
-        service.cache.put(("graph", "nethept-sim", 300, 0), object(), 64)
-        service._spill_cache()
-        assert service.counters["store_spilled"] == 0
-        assert len(service.store) == 0
-
-    def test_no_store_service_noop(self):
-        from repro.service.server import SeedService, ServiceConfig
-
-        service = SeedService(ServiceConfig())
-        assert service.store is None
-        service._spill_cache()  # must not raise
-
     def test_health_reports_store(self, tmp_path):
         from repro.service.server import SeedService, ServiceConfig
 
@@ -462,14 +435,3 @@ class TestServiceIntegration:
         health = service._health()
         assert health["store"]["stores"] == 0
         assert "service-store" in health["store"]["root"]
-
-    def test_cache_entries_snapshot(self):
-        from repro.service.cache import ServiceCache
-
-        cache = ServiceCache(max_bytes=1000)
-        cache.put(("a",), 1, 10)
-        cache.put(("b",), 2, 10)
-        cache.get(("a",))  # most recent now
-        entries = cache.entries()
-        assert [key for key, _, _ in entries] == [("b",), ("a",)]
-        assert [value for _, value, _ in entries] == [2, 1]

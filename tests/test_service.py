@@ -16,7 +16,6 @@ deterministic exercise:
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 import time
@@ -157,7 +156,7 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# Cache + circuit breaker
+# Cache
 # ----------------------------------------------------------------------
 
 
@@ -179,64 +178,21 @@ class TestServiceCache:
         assert not cache.put(("big",), "X", 11)
         assert len(cache) == 0
 
-    def test_breaker_opens_after_threshold_discards(self):
-        clock = itertools.count().__next__
-        cache = ServiceCache(
-            max_bytes=100, failure_threshold=2, cooldown_seconds=10.0,
-            clock=lambda: float(clock()),
-        )
+    def test_discard_drops_entry_and_counts(self):
+        cache = ServiceCache(max_bytes=100)
         key = ("pool", "k")
-        cache.put(key, "v", 1)
+        assert cache.put(key, "v", 30)
         cache.discard(key)
-        assert cache.breaker_state(key) == "closed"
-        cache.put(key, "v", 1)
-        cache.discard(key)
-        assert cache.breaker_state(key) == "open"
         assert cache.get(key) is None
-        assert not cache.put(key, "v", 1)
-        assert cache.stats.breaker_opened == 1
-        assert cache.stats.breaker_rejected == 2
-        assert cache.stats.invalidations == 2
-
-    def test_breaker_half_open_then_close(self):
-        now = [0.0]
-        cache = ServiceCache(
-            max_bytes=100, failure_threshold=1, cooldown_seconds=5.0,
-            clock=lambda: now[0],
-        )
-        key = ("pool", "k")
-        cache.discard(key)
-        assert cache.breaker_state(key) == "open"
-        now[0] = 5.0
-        assert cache.breaker_state(key) == "half-open"
-        assert cache.put(key, "v", 1)       # half-open admits one store
-        cache.succeed(key)
-        assert cache.breaker_state(key) == "closed"
-
-    def test_failure_during_half_open_restarts_cooldown(self):
-        now = [0.0]
-        cache = ServiceCache(
-            max_bytes=100, failure_threshold=1, cooldown_seconds=5.0,
-            clock=lambda: now[0],
-        )
-        key = ("pool", "k")
-        cache.discard(key)
-        now[0] = 5.0
-        assert cache.breaker_state(key) == "half-open"
-        cache.discard(key)                   # strike during half-open
-        assert cache.breaker_state(key) == "open"
-        now[0] = 9.0
-        assert cache.breaker_state(key) == "open"
-        now[0] = 10.0
-        assert cache.breaker_state(key) == "half-open"
+        assert cache.total_bytes == 0
+        assert cache.stats.invalidations == 1
+        # No quarantine: the key takes a fresh entry straight away.
+        assert cache.put(key, "w", 30)
+        assert cache.get(key) == "w"
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ServiceCache(max_bytes=-1)
-        with pytest.raises(ConfigurationError):
-            ServiceCache(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            ServiceCache(cooldown_seconds=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -388,6 +344,53 @@ class TestServiceEndToEnd:
                 health = client.request({"op": "health", "id": "h"})
                 assert health["result"]["cache"]["invalidations"] == 1
                 assert health["result"]["counters"]["carry_discarded"] == 1
+
+    def test_discarded_key_is_adopted_again(self, offline_estimate):
+        # Three corrupt hits in a row on one key, then a clean one: each
+        # rejected entry is replaced by the rebuilt pool in the same
+        # settle step, so nothing quarantines the key and it adopts again.
+        config = ServiceConfig(
+            jobs=1,
+            service_injections=tuple(
+                ServiceFaultInjection(kind="cache_corrupt", nth=nth)
+                for nth in (1, 2, 3)
+            ),
+        )
+        with ServiceThread(config) as harness:
+            with harness.connect() as client:
+                replies = [
+                    client.request(estimate_request(f"r{i}")) for i in range(5)
+                ]
+                health = client.request({"op": "health", "id": "h"})
+        assert [reply["meta"]["carry"] for reply in replies] == [
+            "none", "discarded", "discarded", "discarded", "adopted",
+        ]
+        assert all(
+            reply["result"]["estimate"] == offline_estimate for reply in replies
+        )
+        assert health["result"]["cache"]["invalidations"] == 3
+
+    def test_unexpected_exception_is_an_internal_reply(
+        self, monkeypatch, offline_estimate
+    ):
+        from repro.service import handlers
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        with ServiceThread(ServiceConfig(jobs=1)) as harness:
+            with harness.connect() as client:
+                monkeypatch.setattr(handlers, "run_estimate", broken)
+                reply = client.request(estimate_request("x1"))
+                assert not reply["ok"]
+                assert reply["error"]["code"] == "internal"
+                assert reply["error"]["message"] == "RuntimeError: boom"
+                monkeypatch.undo()
+                # The connection survived: the next request is served.
+                again = client.request(estimate_request("x2"))
+                assert again["result"]["estimate"] == offline_estimate
+                health = client.request({"op": "health", "id": "h"})
+                assert health["result"]["counters"]["internal_errors"] == 1
 
     def test_pool_exhaustion_degrades_to_in_process(self, offline_estimate):
         # Every attempt of chunk 0 crashes and the policy allows no
