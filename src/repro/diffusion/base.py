@@ -286,6 +286,20 @@ def tile_starts(
     return starts, starts_indptr
 
 
+def pack_start_sets(
+    start_sets: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR start sets for samples with one start array each."""
+    starts = (
+        np.concatenate(start_sets)
+        if len(start_sets)
+        else np.empty(0, dtype=np.int64)
+    )
+    starts_indptr = np.zeros(len(start_sets) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in start_sets], out=starts_indptr[1:])
+    return starts, starts_indptr
+
+
 def pack_by_sample(
     sample_ids: np.ndarray, nodes: np.ndarray, batch: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -21,15 +21,24 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.diffusion.base import DiffusionModel
+from repro.diffusion.base import DiffusionModel, normalize_seeds, tile_starts
 from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold
-from repro.diffusion.realization import ICRealization, LTRealization, Realization
+from repro.diffusion.realization import (
+    ICRealization,
+    LTRealization,
+    Realization,
+    replay_worlds,
+    stack_worlds,
+)
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
 
 _MAX_IC_EDGES = 20
 _MAX_LT_WORLDS = 4_000_000
+
+#: Enumerated worlds replayed per labeled BFS by the exact expectations.
+_REPLAY_CHUNK = 4096
 
 
 def enumerate_ic_realizations(
@@ -96,13 +105,38 @@ def enumerate_realizations(
     raise ConfigurationError(f"cannot enumerate realizations for {model!r}")
 
 
+def _world_spreads(
+    graph: DiGraph, model: DiffusionModel, seeds: Sequence[int]
+) -> Iterator[tuple[int, float]]:
+    """``(I_phi(S), Pr[phi])`` for every enumerated world, in order.
+
+    Worlds are replayed :data:`_REPLAY_CHUNK` at a time, one batched
+    :func:`~repro.diffusion.realization.replay_worlds` call per chunk, so
+    callers summing the pairs left to right get exactly the value of one
+    ``phi.spread`` per world.
+    """
+    worlds = enumerate_realizations(graph, model)
+    starts = normalize_seeds(graph, seeds)
+    while True:
+        chunk = list(itertools.islice(worlds, _REPLAY_CHUNK))
+        if not chunk:
+            return
+        kind, flat = stack_worlds([phi for phi, _ in chunk])
+        _, indptr = replay_worlds(
+            graph,
+            kind,
+            flat,
+            np.arange(len(chunk), dtype=np.int64),
+            *tile_starts(starts, len(chunk)),
+        )
+        yield from zip(np.diff(indptr).tolist(), (p for _, p in chunk))
+
+
 def exact_expected_spread(
     graph: DiGraph, model: DiffusionModel, seeds: Sequence[int]
 ) -> float:
     """``E[I(S)]`` by full enumeration (Equation 1 of the paper)."""
-    return sum(
-        phi.spread(seeds) * p for phi, p in enumerate_realizations(graph, model)
-    )
+    return sum(size * p for size, p in _world_spreads(graph, model, seeds))
 
 
 def exact_expected_truncated_spread(
@@ -112,6 +146,5 @@ def exact_expected_truncated_spread(
     if eta < 1:
         raise ConfigurationError(f"eta must be >= 1, got {eta}")
     return sum(
-        phi.truncated_spread(seeds, eta) * p
-        for phi, p in enumerate_realizations(graph, model)
+        min(size, eta) * p for size, p in _world_spreads(graph, model, seeds)
     )

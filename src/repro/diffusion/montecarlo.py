@@ -35,11 +35,10 @@ import numpy as np
 
 from repro.diffusion.base import (
     DiffusionModel,
-    expand_labeled_frontier,
     normalize_seeds,
-    run_labeled_bfs,
+    pack_start_sets,
 )
-from repro.diffusion.realization import ICRealization, LTRealization
+from repro.diffusion.realization import replay_worlds, stack_worlds
 from repro.graph.digraph import DiGraph
 from repro.runtime.context import ExecutionContext
 from repro.utils.rng import RandomSource, as_generator
@@ -235,47 +234,6 @@ def estimate_activation_probabilities(
     return totals / samples
 
 
-def _crn_propose(graph: DiGraph, kind: str, worlds: np.ndarray, world: np.ndarray):
-    """The labeled-BFS expansion closure for a job -> world mapping.
-
-    ``worlds`` is the flat stacked realization noise (``n_sims * m`` live
-    flags under IC, ``n_sims * n`` chosen in-edges under LT) and ``world``
-    maps each job (labeled sample) of the sweep to its world index.
-    Module-level so the parallel runtime's workers can run the exact same
-    closure over shared-memory views.
-    """
-    indptr, targets, _ = graph.out_csr
-    n, m = graph.n, graph.m
-    if kind == "ic":
-        live = worlds
-
-        def propose_ic(frontier_sids, frontier_nodes):
-            positions, owners, _ = expand_labeled_frontier(
-                indptr, frontier_sids, frontier_nodes
-            )
-            if len(positions) == 0:
-                return positions
-            kept = live[world[owners] * m + positions]
-            return owners[kept] * n + targets[positions[kept]]
-
-        return propose_ic
-    chosen = worlds
-
-    def propose_lt(frontier_sids, frontier_nodes):
-        positions, owners, degrees = expand_labeled_frontier(
-            indptr, frontier_sids, frontier_nodes
-        )
-        if len(positions) == 0:
-            return positions
-        sources = np.repeat(frontier_nodes, degrees)
-        heads = targets[positions]
-        # Edge u -> v is live in world w exactly when v chose u in w.
-        kept = chosen[world[owners] * n + heads] == sources
-        return owners[kept] * n + heads[kept]
-
-    return propose_lt
-
-
 def crn_chunk(
     graph: DiGraph,
     kind: str,
@@ -288,48 +246,22 @@ def crn_chunk(
     """One CRN sweep: realized spreads of a block of (candidate, world) jobs.
 
     Job ``j`` starts from seed set ``sets_block[j]`` and expands over the
-    live edges of world ``world_ids[j]``.  Pure function of its inputs
-    (the worlds are pre-sampled), so the evaluator can run sweeps in-process
-    or shard them across worker processes — and replay is deterministic, so
-    results are bit-identical for every worker count and every ``kernel``
-    backend (see :mod:`repro.kernels`).
+    live edges of world ``world_ids[j]`` through
+    :func:`~repro.diffusion.realization.replay_worlds`.  Pure function of
+    its inputs (the worlds are pre-sampled), so the evaluator can run
+    sweeps in-process or shard them across worker processes — and replay
+    is deterministic, so results are bit-identical for every worker count
+    and every ``kernel`` backend (see :mod:`repro.kernels`).
     """
-    from repro.kernels import resolve_backend
-    from repro.kernels.dispatch import replay_expander
-
-    worlds = worlds.reshape(-1)
-    starts = (
-        np.concatenate(sets_block)
-        if len(sets_block)
-        else np.empty(0, dtype=np.int64)
+    _, indptr = replay_worlds(
+        graph,
+        kind,
+        worlds,
+        world_ids,
+        *pack_start_sets(sets_block),
+        scratch=scratch,
+        kernel=kernel,
     )
-    lengths = np.fromiter(
-        (len(s) for s in sets_block), dtype=np.int64, count=len(sets_block)
-    )
-    starts_indptr = np.zeros(len(sets_block) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=starts_indptr[1:])
-    world_ids = np.asarray(world_ids, dtype=np.int64)
-    backend = resolve_backend(kernel, graph)
-    if backend.kernels is not None:
-        out_indptr, targets, _ = graph.out_csr
-        _, indptr = run_labeled_bfs(
-            graph.n,
-            starts,
-            starts_indptr,
-            scratch=scratch,
-            expand=replay_expander(
-                backend, kind, out_indptr, targets, worlds, world_ids,
-                graph.m, graph.n,
-            ),
-        )
-    else:
-        _, indptr = run_labeled_bfs(
-            graph.n,
-            starts,
-            starts_indptr,
-            _crn_propose(graph, kind, worlds, world_ids),
-            scratch,
-        )
     return np.diff(indptr).astype(np.float64)
 
 
@@ -353,8 +285,9 @@ class CRNSpreadEvaluator:
     For IC-family models (including the topic-aware collapse) the
     realizations stack into one flat live-edge matrix; for LT into one flat
     chosen-in-edge matrix (the per-realization objects are released once
-    stacked).  Any other model falls back to per-realization
-    ``reachable_from`` replay, which is the distributional reference.
+    stacked).  A model whose realizations are neither raises
+    :class:`~repro.errors.DiffusionError` (see
+    :func:`~repro.diffusion.realization.stack_worlds`).
 
     Construction is deterministic: the worlds are drawn from ``seed`` in
     order, so two evaluators built with the same ``(graph, model, n_sims,
@@ -401,7 +334,6 @@ class CRNSpreadEvaluator:
         # evaluators skip the store — nothing could ever hit their keys.
         store = context.pool_store if seed is not None else None
         store_key = None
-        realizations = None
         if store is not None:
             from repro.store import (
                 artifact_key,
@@ -430,15 +362,19 @@ class CRNSpreadEvaluator:
                 ):
                     self._kind = kind
                     self._worlds = arrays["worlds"]
-                    self._vectorized = True
                     context.tally("pool_store_crn_hits")
                 else:
                     store_key = None  # unusable artifact: resample, no save
         if not hasattr(self, "_kind"):
-            realizations = [
-                model.sample_realization(graph, rng)
-                for _ in range(self.n_sims)
-            ]
+            self._kind, self._worlds = stack_worlds(
+                [model.sample_realization(graph, rng) for _ in range(self.n_sims)]
+            )
+            if store_key is not None:
+                store.save(
+                    store_key,
+                    {"worlds": self._worlds},
+                    {"world_kind": self._kind, "rng_state": generator_state(rng)},
+                )
         self._bitset_budget = max(int(bitset_budget), graph.n)
         self._mc_batch_size = context.mc_batch_size
         self._runtime = context.runtime
@@ -449,31 +385,6 @@ class CRNSpreadEvaluator:
         # exception window can strand the segment until runtime close.
         self._worlds_stack = contextlib.ExitStack()
         self._scratch: np.ndarray = None
-        if realizations is None:
-            return  # worlds restored from the store above
-        first = realizations[0]
-        if isinstance(first, ICRealization):
-            self._kind = "ic"
-            self._worlds = np.concatenate([r.live_edges for r in realizations])
-            self._vectorized = True
-        elif isinstance(first, LTRealization):
-            self._kind = "lt"
-            self._worlds = np.concatenate(
-                [r.chosen_source for r in realizations]
-            )
-            self._vectorized = True
-        else:
-            self._kind = None
-            self._realizations = realizations  # fallback replay needs them
-            self._vectorized = False
-        if store is not None and store_key is not None and self._vectorized:
-            from repro.store import generator_state
-
-            store.save(
-                store_key,
-                {"worlds": self._worlds},
-                {"world_kind": self._kind, "rng_state": generator_state(rng)},
-            )
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -486,11 +397,6 @@ class CRNSpreadEvaluator:
         float matrix of realized spreads on the shared worlds.
         """
         sets = [normalize_seeds(self.graph, s) for s in seed_sets]
-        if not self._vectorized:
-            return np.array(
-                [[float(phi.spread(s)) for phi in self._realizations] for s in sets],
-                dtype=np.float64,
-            ).reshape(len(sets), self.n_sims)
         n, r = self.graph.n, self.n_sims
         # Jobs are candidate-major: job j = (candidate j // r, world j % r),
         # and sweeps slice the job list directly, so a single candidate's

@@ -10,6 +10,10 @@ The adaptive machinery leans on this: the experiment harness samples a
 handful of ground-truth realizations per dataset (the paper uses 20) and the
 :class:`~repro.core.session.AdaptiveSession` reveals each one incrementally
 as the policy commits seeds.
+
+Every consumer of such pre-sampled worlds — observation, CRN sweeps,
+non-adaptive scoring, the exact oracle, and :meth:`Realization.spread` —
+replays them through one labeled BFS, :func:`replay_worlds`.
 """
 
 from __future__ import annotations
@@ -20,9 +24,15 @@ from typing import Optional
 
 import numpy as np
 
+from repro.diffusion.base import (
+    expand_labeled_frontier,
+    pack_start_sets,
+    run_labeled_bfs,
+)
 from repro.errors import DiffusionError, NodeNotFoundError
-from repro.graph.digraph import DiGraph, gather_csr_rows
-from repro.utils.arrays import sorted_unique
+from repro.graph.digraph import DiGraph
+from repro.kernels import resolve_backend
+from repro.kernels.dispatch import replay_expander
 
 
 class Realization(abc.ABC):
@@ -35,7 +45,6 @@ class Realization(abc.ABC):
     def is_edge_live(self, u: int, v: int) -> bool:
         """Whether the directed edge ``u -> v`` is live in this world."""
 
-    @abc.abstractmethod
     def reachable_from(
         self,
         seeds: Sequence[int],
@@ -46,8 +55,12 @@ class Realization(abc.ABC):
         ``allowed`` (optional boolean mask) restricts traversal to a node
         subset: nodes outside it are neither activated nor traversed.  This
         implements observation inside a residual graph without re-indexing
-        the realization.
+        the realization.  A batch of one through
+        :func:`batch_reachable_from`.
         """
+        if allowed is not None:
+            allowed = np.asarray(allowed, dtype=bool)[None, :]
+        return batch_reachable_from([self], [seeds], allowed)[0]
 
     def spread(self, seeds: Sequence[int], allowed: Optional[np.ndarray] = None) -> int:
         """``I_phi(S)``: the number of nodes activated by ``seeds``."""
@@ -61,17 +74,6 @@ class Realization(abc.ABC):
     ) -> int:
         """``Gamma_phi(S) = min{I_phi(S), eta}`` (paper Definition 2.2)."""
         return min(self.spread(seeds, allowed), eta)
-
-    def _start_mask(self, seeds: Sequence[int], allowed: Optional[np.ndarray]) -> np.ndarray:
-        """Shared seed validation: returns the initial visited mask."""
-        visited = np.zeros(self.graph.n, dtype=bool)
-        for s in seeds:
-            s = int(s)
-            if not 0 <= s < self.graph.n:
-                raise NodeNotFoundError(s, self.graph.n)
-            if allowed is None or allowed[s]:
-                visited[s] = True
-        return visited
 
 
 class ICRealization(Realization):
@@ -94,25 +96,6 @@ class ICRealization(Realization):
                 if self.live_edges[pos]:
                     return True
         return False
-
-    def reachable_from(
-        self,
-        seeds: Sequence[int],
-        allowed: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        visited = self._start_mask(seeds, allowed)
-        indptr, targets, _ = self.graph.out_csr
-        frontier = np.flatnonzero(visited)
-        while len(frontier):
-            positions = gather_csr_rows(indptr, frontier)
-            positions = positions[self.live_edges[positions]]
-            candidates = targets[positions]
-            if allowed is not None:
-                candidates = candidates[allowed[candidates]]
-            fresh = sorted_unique(candidates[~visited[candidates]])
-            visited[fresh] = True
-            frontier = fresh
-        return visited
 
     def live_edge_count(self) -> int:
         """Number of live edges (testing/diagnostics)."""
@@ -139,33 +122,111 @@ class LTRealization(Realization):
     def is_edge_live(self, u: int, v: int) -> bool:
         return bool(self.chosen_source[v] == u)
 
-    def reachable_from(
-        self,
-        seeds: Sequence[int],
-        allowed: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        visited = self._start_mask(seeds, allowed)
-        indptr, targets, _ = self.graph.out_csr
-        frontier = np.flatnonzero(visited)
-        while len(frontier):
-            positions = gather_csr_rows(indptr, frontier)
-            sources = np.repeat(
-                frontier, indptr[frontier + 1] - indptr[frontier]
-            )
-            candidates = targets[positions]
-            # Edge u -> v is live exactly when v chose u.
-            live = self.chosen_source[candidates] == sources
-            candidates = candidates[live]
-            if allowed is not None:
-                candidates = candidates[allowed[candidates]]
-            fresh = sorted_unique(candidates[~visited[candidates]])
-            visited[fresh] = True
-            frontier = fresh
-        return visited
-
     def live_edge_count(self) -> int:
         """Number of live edges, i.e. nodes that selected an in-edge."""
         return int((self.chosen_source >= 0).sum())
+
+
+def _start_nodes(
+    n: int, seeds: Sequence[int], allowed: Optional[np.ndarray]
+) -> np.ndarray:
+    """One session's validated start nodes, deduplicated and sorted.
+
+    A plain loop: observation commits a handful of seeds per session, where
+    it is cheaper than the vectorized ``normalize_seeds``.
+    """
+    visited = np.zeros(n, dtype=bool)
+    for s in seeds:
+        s = int(s)
+        if not 0 <= s < n:
+            raise NodeNotFoundError(s, n)
+        if allowed is None or allowed[s]:
+            visited[s] = True
+    return np.flatnonzero(visited)
+
+
+def stack_worlds(realizations: Sequence[Realization]) -> tuple[str, np.ndarray]:
+    """The world kind and flat stacked noise of a one-type batch.
+
+    ``"ic"`` stacks the live-edge flags (``len * m``), ``"lt"`` the chosen
+    in-edges (``len * n``).  A batch that mixes realization types, or holds
+    a type other than :class:`ICRealization` / :class:`LTRealization`,
+    raises :class:`~repro.errors.DiffusionError`.
+    """
+    first = type(realizations[0])
+    if first not in (ICRealization, LTRealization) or any(
+        type(phi) is not first for phi in realizations
+    ):
+        raise DiffusionError(
+            "replay needs a batch of only ICRealization or only LTRealization "
+            f"worlds, got {sorted({type(phi).__name__ for phi in realizations})}"
+        )
+    if first is ICRealization:
+        return "ic", np.concatenate([phi.live_edges for phi in realizations])
+    return "lt", np.concatenate([phi.chosen_source for phi in realizations])
+
+
+def replay_worlds(
+    graph: DiGraph,
+    kind: str,
+    worlds: np.ndarray,
+    world_of: np.ndarray,
+    starts: np.ndarray,
+    starts_indptr: np.ndarray,
+    allowed: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+    kernel: str = "auto",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay many start sets over pre-sampled worlds in one labeled BFS.
+
+    The one deterministic replay behind observation, CRN sweeps,
+    non-adaptive scoring and the exact oracle.  Job ``j`` starts from
+    ``starts[starts_indptr[j]:starts_indptr[j + 1]]`` and expands over the
+    live edges of world ``world_of[j]`` of the flat stacked noise
+    ``worlds`` (``kind`` ``"ic"``: live flags keyed ``world * m + edge``;
+    ``"lt"``: chosen in-edges keyed ``world * n + node``, see
+    :func:`stack_worlds`).  ``allowed``, when given, is the flat
+    ``j * n + node`` mask of nodes job ``j`` may activate and traverse.
+
+    ``kernel`` selects the per-level backend (see :mod:`repro.kernels`);
+    replay is deterministic, so every backend returns the same packed
+    ``(members, indptr)`` pair, grouped by job.
+    """
+    indptr, targets, _ = graph.out_csr
+    n, m = graph.n, graph.m
+    worlds = worlds.reshape(-1)
+    world_of = np.asarray(world_of, dtype=np.int64)
+    backend = resolve_backend(kernel, graph)
+    if backend.kernels is not None:
+        expand = replay_expander(
+            backend, kind, indptr, targets, worlds, world_of, m, n, allowed
+        )
+        return run_labeled_bfs(
+            n, starts, starts_indptr, scratch=scratch, expand=expand
+        )
+
+    def propose_ic(frontier_sids, frontier_nodes):
+        positions, owners, _ = expand_labeled_frontier(
+            indptr, frontier_sids, frontier_nodes
+        )
+        kept = worlds[world_of[owners] * m + positions]
+        keys = owners[kept] * n + targets[positions[kept]]
+        return keys if allowed is None else keys[allowed[keys]]
+
+    def propose_lt(frontier_sids, frontier_nodes):
+        positions, owners, degrees = expand_labeled_frontier(
+            indptr, frontier_sids, frontier_nodes
+        )
+        heads = targets[positions]
+        # Edge u -> v is live in world w exactly when v chose u in w.
+        kept = worlds[world_of[owners] * n + heads] == np.repeat(
+            frontier_nodes, degrees
+        )
+        keys = owners[kept] * n + heads[kept]
+        return keys if allowed is None else keys[allowed[keys]]
+
+    propose = propose_ic if kind == "ic" else propose_lt
+    return run_labeled_bfs(n, starts, starts_indptr, propose, scratch)
 
 
 def batch_reachable_from(
@@ -181,25 +242,15 @@ def batch_reachable_from(
     of ``realizations[s]``, restricted to ``allowed[s]`` (a ``(batch, n)``
     boolean mask; ``None`` allows every node).  All realizations must be
     worlds of the *same* graph object — the harness scores every policy
-    against one dataset graph with many sampled worlds.
+    against one dataset graph with many sampled worlds — and of one type
+    (see :func:`stack_worlds`).
 
-    Homogeneous IC or LT batches run as one multi-session labeled forward
-    BFS on the shared :func:`~repro.diffusion.base.run_labeled_bfs` driver,
-    with per-session live-edge flags (IC) or chosen in-edges (LT) stacked
-    flat and keyed ``session_id * m + edge`` / ``session_id * n + node``.
-    Mixed or unknown realization types fall back to one
-    :meth:`Realization.reachable_from` call per session, which the batch
-    path must match bit for bit (observation is deterministic given the
-    realization).  ``kernel`` selects the per-level backend for the
-    homogeneous sweeps (see :mod:`repro.kernels`); replay is deterministic
-    given the realizations, so every backend returns the same matrix.
+    The worlds stack flat and session ``s`` replays world ``s`` through
+    :func:`replay_worlds`; ``kernel`` selects its per-level backend, and
+    every backend returns the same matrix.
 
     Returns a ``(batch, n)`` boolean activation matrix.
     """
-    from repro.diffusion.base import expand_labeled_frontier, run_labeled_bfs
-    from repro.kernels import resolve_backend
-    from repro.kernels.dispatch import replay_expander
-
     if len(realizations) == 0:
         raise DiffusionError("batch_reachable_from needs at least one realization")
     if len(realizations) != len(seeds_per):
@@ -219,101 +270,20 @@ def batch_reachable_from(
             raise DiffusionError(
                 f"allowed must have shape ({batch}, {n}), got {allowed.shape}"
             )
-
-    same_type = all(type(phi) is type(realizations[0]) for phi in realizations)
-    homogeneous_ic = same_type and isinstance(realizations[0], ICRealization)
-    homogeneous_lt = same_type and isinstance(realizations[0], LTRealization)
-    if not (homogeneous_ic or homogeneous_lt):
-        rows = [
-            phi.reachable_from(
-                seeds, None if allowed is None else allowed[sid]
-            )
-            for sid, (phi, seeds) in enumerate(zip(realizations, seeds_per))
-        ]
-        return np.stack(rows)
-
-    # Start sets: per-session seed validation identical to _start_mask.
-    start_lists: list[np.ndarray] = []
-    for sid, seeds in enumerate(seeds_per):
-        mask = realizations[sid]._start_mask(
-            seeds, None if allowed is None else allowed[sid]
-        )
-        start_lists.append(np.flatnonzero(mask))
-    starts = (
-        np.concatenate(start_lists) if start_lists else np.empty(0, dtype=np.int64)
+    kind, worlds = stack_worlds(realizations)
+    start_sets = [
+        _start_nodes(n, seeds, None if allowed is None else allowed[sid])
+        for sid, seeds in enumerate(seeds_per)
+    ]
+    members, indptr = replay_worlds(
+        graph,
+        kind,
+        worlds,
+        np.arange(batch, dtype=np.int64),  # session s replays world s
+        *pack_start_sets(start_sets),
+        allowed=None if allowed is None else allowed.reshape(-1),
+        kernel=kernel,
     )
-    starts_indptr = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum([len(s) for s in start_lists], out=starts_indptr[1:])
-
-    out_indptr, targets, _ = graph.out_csr
-    allowed_flat = None if allowed is None else allowed.reshape(-1)
-
-    backend = resolve_backend(kernel, graph)
-    if backend.kernels is not None:
-        kind = "ic" if homogeneous_ic else "lt"
-        worlds_flat = np.concatenate(
-            [
-                phi.live_edges if homogeneous_ic else phi.chosen_source
-                for phi in realizations
-            ]
-        )
-        expand = replay_expander(
-            backend,
-            kind,
-            out_indptr,
-            targets,
-            worlds_flat,
-            np.arange(batch, dtype=np.int64),  # session s replays world s
-            graph.m,
-            n,
-            allowed_flat,
-        )
-        members, indptr = run_labeled_bfs(
-            n, starts, starts_indptr, expand=expand
-        )
-        visited = np.zeros(batch * n, dtype=bool)
-        session_of = np.repeat(
-            np.arange(batch, dtype=np.int64), np.diff(indptr)
-        )
-        visited[session_of * n + members] = True
-        return visited.reshape(batch, n)
-
-    if homogeneous_ic:
-        m = graph.m
-        live_flat = np.concatenate([phi.live_edges for phi in realizations])
-
-        def propose(frontier_sids, frontier_nodes):
-            positions, owners, _ = expand_labeled_frontier(
-                out_indptr, frontier_sids, frontier_nodes
-            )
-            keep = live_flat[owners * m + positions]
-            candidates = targets[positions[keep]]
-            owners = owners[keep]
-            if allowed_flat is not None:
-                ok = allowed_flat[owners * n + candidates]
-                candidates, owners = candidates[ok], owners[ok]
-            return owners * n + candidates
-
-    else:
-        chosen_flat = np.concatenate(
-            [phi.chosen_source for phi in realizations]
-        )
-
-        def propose(frontier_sids, frontier_nodes):
-            positions, owners, degrees = expand_labeled_frontier(
-                out_indptr, frontier_sids, frontier_nodes
-            )
-            sources = np.repeat(frontier_nodes, degrees)
-            candidates = targets[positions]
-            # Edge u -> v is live in session s exactly when v chose u there.
-            keep = chosen_flat[owners * n + candidates] == sources
-            candidates, owners = candidates[keep], owners[keep]
-            if allowed_flat is not None:
-                ok = allowed_flat[owners * n + candidates]
-                candidates, owners = candidates[ok], owners[ok]
-            return owners * n + candidates
-
-    members, indptr = run_labeled_bfs(n, starts, starts_indptr, propose)
     visited = np.zeros(batch * n, dtype=bool)
     session_of = np.repeat(np.arange(batch, dtype=np.int64), np.diff(indptr))
     visited[session_of * n + members] = True

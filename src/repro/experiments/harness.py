@@ -13,11 +13,12 @@ With ``jobs > 1`` (``ExperimentConfig.jobs`` / the runtime of
 ``run_eta_point``'s context) the independent realizations shard across
 the parallel runtime's worker processes over the shared-memory graph and
 stacked live-edge worlds: adaptive sessions run in contiguous blocks
-through the same ``run_batch`` engine, non-adaptive evaluation replays the
-selected set per world in parallel, and CELF's CRN sweeps fan out inside the
-selection itself.  Every session keeps the per-realization stream spawned
-from the harness seed, so seed counts, spreads, and marginal series are
-bit-identical for any worker count (including the in-process ``jobs=1``).
+through the same ``run_batch`` engine, and CELF's CRN sweeps fan out inside
+the selection itself.  Non-adaptive scoring stays in-process: one batched
+replay of the selected set over every world.  Every session keeps the
+per-realization stream spawned from the harness seed, so seed counts,
+spreads, and marginal series are bit-identical for any worker count
+(including the in-process ``jobs=1``).
 """
 
 from __future__ import annotations
@@ -33,10 +34,17 @@ from repro.baselines.ateuc import ATEUC
 from repro.baselines.celf import CELFMinimizer
 from repro.core.asti import ASTI
 from repro.diffusion.base import DiffusionModel
-from repro.diffusion.realization import Realization
+from repro.diffusion.realization import (
+    ICRealization,
+    LTRealization,
+    Realization,
+    batch_reachable_from,
+    stack_worlds,
+)
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.graph.digraph import DiGraph
+from repro.kernels import snapshot_stats
 from repro.parallel.shm import realizations_shareable
 from repro.runtime.context import ExecutionContext
 from repro.utils.rng import spawn_generators, spawn_seed_sequences
@@ -166,7 +174,6 @@ def sample_shared_realizations(
     store = context.pool_store if context is not None else None
     store_key = None
     if store is not None:
-        from repro.diffusion.realization import ICRealization, LTRealization
         from repro.store import artifact_key, graph_fingerprint, model_key
 
         store_key = artifact_key(
@@ -181,33 +188,22 @@ def sample_shared_realizations(
         cached = store.load(store_key)
         if cached is not None:
             arrays, meta = cached
-            kind = meta.get("world_kind")
+            world_type = {"ic": ICRealization, "lt": LTRealization}.get(
+                meta.get("world_kind")
+            )
             worlds = arrays.get("worlds")
-            if worlds is not None and len(worlds) == count:
-                if kind == "ic":
-                    context.tally("pool_store_world_hits")
-                    return [ICRealization(graph, row) for row in worlds]
-                if kind == "lt":
-                    context.tally("pool_store_world_hits")
-                    return [LTRealization(graph, row) for row in worlds]
+            if world_type is not None and worlds is not None and len(worlds) == count:
+                context.tally("pool_store_world_hits")
+                return [world_type(graph, row) for row in worlds]
     streams = spawn_generators(seed, count)
     realizations = [model.sample_realization(graph, rng) for rng in streams]
     if store_key is not None and realizations:
-        from repro.diffusion.realization import ICRealization, LTRealization
-
-        first = realizations[0]
-        if isinstance(first, ICRealization):
-            store.save(
-                store_key,
-                {"worlds": np.stack([r.live_edges for r in realizations])},
-                {"world_kind": "ic"},
-            )
-        elif isinstance(first, LTRealization):
-            store.save(
-                store_key,
-                {"worlds": np.stack([r.chosen_source for r in realizations])},
-                {"world_kind": "lt"},
-            )
+        kind, worlds = stack_worlds(realizations)
+        store.save(
+            store_key,
+            {"worlds": worlds.reshape(len(realizations), -1)},
+            {"world_kind": kind},
+        )
     return realizations
 
 
@@ -226,8 +222,9 @@ def run_eta_point(
 
     The engine policy comes from ``context`` (``None`` means
     ``ExecutionContext()``).  With a multi-worker runtime on the context,
-    each algorithm's independent realizations run as contiguous shards on
-    the worker pool; results are bit-identical to running without one.
+    each adaptive algorithm's independent realizations run as contiguous
+    shards on the worker pool; results are bit-identical to running
+    without one.
     """
     if context is None:
         context = ExecutionContext()
@@ -244,7 +241,7 @@ def run_eta_point(
             algorithm = build_algorithm(**spec, context=context)
             _run_non_adaptive(
                 algorithm, graph, eta, realizations, seed, outcome,
-                context.runtime,
+                context.kernel_backend,
             )
         else:
             # Worker shards rebuild the algorithm from the spec, so the
@@ -319,27 +316,14 @@ def _run_adaptive(
 
 
 def _run_non_adaptive(
-    algorithm, graph, eta, realizations, seed, outcome, runtime=None
+    algorithm, graph, eta, realizations, seed, outcome, kernel="auto"
 ) -> None:
-    # One selection, evaluated on every world (evaluation shards across the
-    # runtime's workers; each world's replay is deterministic either way).
+    # One selection, scored on every world by one in-process replay.
     result = algorithm.run(graph, eta, seed=seed + 2)
-    if _use_workers(runtime, realizations):
-        from repro.parallel.tasks import worker_spread_shard
-
-        graph_handle = runtime.publish_graph(graph)
-        worlds_handle = runtime.publish_realizations(realizations)
-        shard_spreads = runtime.map_ordered(
-            worker_spread_shard,
-            [
-                (graph_handle, worlds_handle, shard.tolist(), result.seeds)
-                for shard in _shards(len(realizations), runtime.jobs)
-            ],
-        )
-        spreads = [s for shard in shard_spreads for s in shard]
-    else:
-        spreads = [phi.spread(result.seeds) for phi in realizations]
-    for index, spread in enumerate(spreads):
+    spreads = batch_reachable_from(
+        realizations, [result.seeds] * len(realizations), kernel=kernel
+    ).sum(axis=1)
+    for index, spread in enumerate(spreads.tolist()):
         outcome.runs.append(
             RunObservation(
                 realization_index=index,
@@ -392,6 +376,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     the sweep finishes.  The sweep's numbers are bit-identical for any
     ``jobs`` value.
     """
+    kernel_baseline = snapshot_stats()
     model = config.make_model()
     outcomes: dict[int, dict[str, AlgorithmOutcome]] = {}
     # The graph is built before the context so ``plan="auto"`` configs can
@@ -417,9 +402,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 context=context,
             )
         # Snapshot the kernel decisions (backend resolutions, per-driver
-        # call counts, JIT time) after the last eta point so the sweep's
-        # diagnostics describe the whole run, next to note_graph above.
-        context.note_kernels()
+        # call counts, JIT time) after the last eta point, counted from the
+        # sweep's entry, so the diagnostics describe this whole run and no
+        # earlier one in the process, next to note_graph above.
+        context.note_kernels(since=kernel_baseline)
         # And the supervisor's recovery activity: a sweep that survived
         # worker crashes reports the same results as a clean one, so the
         # fault_* counters are the only place the recovery shows.

@@ -170,12 +170,27 @@ def note_call(driver: str, seconds: float, compiled_fresh: bool) -> None:
         KERNEL_STATS["jit_seconds"] += seconds
 
 
-def snapshot_stats() -> dict[str, Any]:
-    """A deep-enough copy of :data:`KERNEL_STATS` for diagnostics sinks."""
+def snapshot_stats(since: Optional[dict[str, Any]] = None) -> dict[str, Any]:
+    """A deep-enough copy of :data:`KERNEL_STATS` for diagnostics sinks.
+
+    With ``since`` (an earlier snapshot), only the activity after it: a
+    run that snapshots on entry reports its own dispatches, not those of
+    earlier runs in the same process.
+    """
+    base = since if since is not None else _fresh_stats()
+
+    def delta(key: str) -> dict[str, int]:
+        earlier = base[key]
+        return {
+            name: count - earlier.get(name, 0)
+            for name, count in KERNEL_STATS[key].items()
+            if count != earlier.get(name, 0)
+        }
+
     return {
-        "calls": dict(KERNEL_STATS["calls"]),
-        "jit_seconds": float(KERNEL_STATS["jit_seconds"]),
-        "resolved": dict(KERNEL_STATS["resolved"]),
+        "calls": delta("calls"),
+        "jit_seconds": float(KERNEL_STATS["jit_seconds"] - base["jit_seconds"]),
+        "resolved": delta("resolved"),
     }
 
 

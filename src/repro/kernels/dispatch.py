@@ -138,9 +138,10 @@ def replay_expander(
 ) -> Expander:
     """Deterministic replay expander over pre-sampled worlds (IC or LT).
 
-    Shared by ``batch_reachable_from`` (``world`` is the identity mapping,
-    ``allowed_flat`` the flat residual mask) and the CRN sweeps (``world``
-    maps jobs to world indices, no mask).
+    The compiled route of
+    :func:`~repro.diffusion.realization.replay_worlds`: ``world`` maps
+    each job to its world index in ``worlds_flat`` and ``allowed_flat`` is
+    the flat ``job * n + node`` mask, or ``None`` for no restriction.
     """
     allowed = _EMPTY_ALLOWED if allowed_flat is None else allowed_flat
     if kind == "ic":

@@ -224,10 +224,11 @@ def replay_ic_level(
     """One deterministic IC replay level over pre-sampled live-edge worlds.
 
     ``world`` maps each sample id to its world index in the flat stacked
-    live-edge matrix (identity for ``batch_reachable_from``, the job-to-
-    world mapping for CRN sweeps); edge ``pos`` is traversed in sample
-    ``sid`` when ``live_flat[world[sid] * m + pos]``.  ``allowed_flat`` is
-    the flat ``sid * n + node`` residual mask, or empty for no restriction.
+    live-edge matrix (the ``world_of`` argument of
+    :func:`~repro.diffusion.realization.replay_worlds`); edge ``pos`` is
+    traversed in sample ``sid`` when ``live_flat[world[sid] * m + pos]``.
+    ``allowed_flat`` is the flat ``sid * n + node`` mask, or empty for no
+    restriction.
     """
     total = 0
     for i in range(fnodes.shape[0]):

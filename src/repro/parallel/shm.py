@@ -51,6 +51,7 @@ from repro.diffusion.realization import (
     ICRealization,
     LTRealization,
     Realization,
+    stack_worlds,
 )
 from repro.errors import ConfigurationError, ResourceError
 from repro.graph.digraph import DiGraph
@@ -442,13 +443,10 @@ def share_realizations(
         raise ConfigurationError(
             "only homogeneous IC or LT realization batches can be shared"
         )
-    if isinstance(realizations[0], ICRealization):
-        kind = "ic"
-        worlds = np.stack([phi.live_edges for phi in realizations])
-    else:
-        kind = "lt"
-        worlds = np.stack([phi.chosen_source for phi in realizations])
-    bundle = pack_arrays({"worlds": worlds}, max_bytes=max_bytes)
+    kind, worlds = stack_worlds(realizations)
+    bundle = pack_arrays(
+        {"worlds": worlds.reshape(len(realizations), -1)}, max_bytes=max_bytes
+    )
     return bundle, RealizationsHandle(kind, len(realizations), bundle.handle)
 
 

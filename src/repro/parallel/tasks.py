@@ -8,9 +8,7 @@ functions of ``(shared arrays, small pickled payload, chunk seed)``:
 * :func:`crn_chunk` — one labeled forward sweep over a slice of the CRN
   evaluator's flattened candidate x world jobs;
 * :func:`adaptive_shard` — a contiguous block of the harness's adaptive
-  sessions, run through the round-synchronous batch engine;
-* :func:`spread_shard` — non-adaptive evaluation of one fixed seed set on
-  a block of ground-truth realizations.
+  sessions, run through the round-synchronous batch engine.
 
 Each kernel has a ``worker_*`` twin that first rebuilds its zero-copy
 graph/realization views from the shared-memory handles
@@ -161,13 +159,7 @@ def adaptive_shard(
 
     algorithm = build_algorithm(**algorithm_spec)
     streams = [np.random.default_rng(seq) for seq in seed_seqs]
-    if hasattr(algorithm, "run_batch"):
-        results = algorithm.run_batch(graph, eta, list(realizations), seeds=streams)
-    else:  # pragma: no cover - every adaptive roster entry has run_batch
-        results = [
-            algorithm.run(graph, eta, realization=phi, seed=rng)
-            for phi, rng in zip(realizations, streams)
-        ]
+    results = algorithm.run_batch(graph, eta, list(realizations), seeds=streams)
     return [
         (
             result.seed_count,
@@ -190,21 +182,3 @@ def worker_adaptive_shard(
     graph = graph_from_handle(graph_handle)
     realizations = realizations_from_handle(graph, worlds_handle, indices)
     return adaptive_shard(graph, realizations, algorithm_spec, eta, seed_seqs)
-
-
-def spread_shard(
-    realizations: Sequence[Any], seeds: Sequence[int]
-) -> list[int]:
-    """Realized spread of one fixed seed set on each realization."""
-    return [int(phi.spread(seeds)) for phi in realizations]
-
-
-def worker_spread_shard(
-    graph_handle: GraphHandle,
-    worlds_handle: RealizationsHandle,
-    indices: Sequence[int],
-    seeds: Sequence[int],
-) -> list[int]:
-    graph = graph_from_handle(graph_handle)
-    realizations = realizations_from_handle(graph, worlds_handle, indices)
-    return spread_shard(realizations, seeds)

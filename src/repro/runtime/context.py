@@ -330,17 +330,19 @@ class ExecutionContext:
             f"{label}_csr_nbytes": graph.csr_nbytes,
         })
 
-    def note_kernels(self) -> None:
+    def note_kernels(self, since: Optional[dict[str, Any]] = None) -> None:
         """Record the kernel-backend decision and dispatch activity.
 
         The companion of :meth:`note_graph` for the compiled-kernel layer:
         stores this context's ``kernel_backend`` knob, whether numba is
         importable here, and a snapshot of the process-wide
         :data:`repro.kernels.KERNEL_STATS` (per-driver kernel call counts,
-        JIT compile seconds, backend resolutions).  Sweeps call it once at
-        the end of a run so the diagnostics show what actually executed.
+        JIT compile seconds, backend resolutions), counted from ``since``
+        (a :func:`~repro.kernels.snapshot_stats` taken earlier) when given.
+        Sweeps snapshot on entry and call it once at the end of a run, so
+        the diagnostics show what that run executed in this process.
         """
-        stats = snapshot_stats()
+        stats = snapshot_stats(since)
         self.record(
             kernel_backend=self.kernel_backend,
             kernel_numba_available=numba_available(),

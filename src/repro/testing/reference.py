@@ -2,11 +2,12 @@
 
 The library has one production implementation per engine operation.  This
 module keeps the straightforward loops they replaced, with the same code
-and random draw order: one reverse BFS or cascade per call, one (m)RR set
-per draw, greedy max-cover with a full argmax per pick, and CELF with
-fresh Monte-Carlo noise per evaluation.  Tests check the engines against
-them and the throughput benchmarks time them as baselines; lint rule
-REP009 keeps production modules from importing this one.
+and random draw order: one reverse BFS or cascade per call, one world
+replay per call, one (m)RR set per draw, greedy max-cover with a full
+argmax per pick, and CELF with fresh Monte-Carlo noise per evaluation.
+Tests check the engines against them and the throughput benchmarks time
+them as baselines; lint rule REP009 keeps production modules from
+importing this one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from repro.diffusion.base import DiffusionModel, normalize_seeds
 from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold, check_lt_validity
 from repro.diffusion.montecarlo import estimate_spread
-from repro.errors import ConfigurationError, SamplingError
+from repro.diffusion.realization import ICRealization, LTRealization, Realization
+from repro.errors import ConfigurationError, NodeNotFoundError, SamplingError
 from repro.graph.digraph import DiGraph, gather_csr_rows
 from repro.runtime.context import ExecutionContext
 from repro.sampling.coverage import CoverageIndex, GreedyCoverResult
@@ -168,6 +170,66 @@ def simulate_batch(
     np.cumsum([len(p) for p in pieces], out=indptr[1:])
     members = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
     return members, indptr
+
+
+def _start_mask(
+    phi: Realization, seeds: Sequence[int], allowed: Optional[np.ndarray]
+) -> np.ndarray:
+    """Seed validation of :func:`reachable_from`: the initial visited mask."""
+    visited = np.zeros(phi.graph.n, dtype=bool)
+    for s in seeds:
+        s = int(s)
+        if not 0 <= s < phi.graph.n:
+            raise NodeNotFoundError(s, phi.graph.n)
+        if allowed is None or allowed[s]:
+            visited[s] = True
+    return visited
+
+
+def reachable_from(
+    phi: Realization,
+    seeds: Sequence[int],
+    allowed: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Nodes reachable from ``seeds`` over ``phi``'s live edges, one world
+    at a time; the oracle of
+    :func:`~repro.diffusion.realization.replay_worlds`.
+
+    ``allowed`` (optional boolean mask) restricts traversal to a node
+    subset.  IC follows the world's live-edge flags; LT follows edge
+    ``u -> v`` exactly when ``v`` chose ``u``.
+    """
+    visited = _start_mask(phi, seeds, allowed)
+    indptr, targets, _ = phi.graph.out_csr
+    frontier = np.flatnonzero(visited)
+    if isinstance(phi, ICRealization):
+        while len(frontier):
+            positions = gather_csr_rows(indptr, frontier)
+            positions = positions[phi.live_edges[positions]]
+            candidates = targets[positions]
+            if allowed is not None:
+                candidates = candidates[allowed[candidates]]
+            fresh = sorted_unique(candidates[~visited[candidates]])
+            visited[fresh] = True
+            frontier = fresh
+        return visited
+    if not isinstance(phi, LTRealization):
+        raise TypeError(f"no reference replay for {type(phi).__name__}")
+    while len(frontier):
+        positions = gather_csr_rows(indptr, frontier)
+        sources = np.repeat(
+            frontier, indptr[frontier + 1] - indptr[frontier]
+        )
+        candidates = targets[positions]
+        # Edge u -> v is live exactly when v chose u.
+        live = phi.chosen_source[candidates] == sources
+        candidates = candidates[live]
+        if allowed is not None:
+            candidates = candidates[allowed[candidates]]
+        fresh = sorted_unique(candidates[~visited[candidates]])
+        visited[fresh] = True
+        frontier = fresh
+    return visited
 
 
 class RRSampler:

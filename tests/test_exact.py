@@ -5,11 +5,13 @@ import pytest
 from repro.diffusion.exact import (
     enumerate_ic_realizations,
     enumerate_lt_realizations,
+    enumerate_realizations,
     exact_expected_spread,
     exact_expected_truncated_spread,
 )
 from repro.errors import ConfigurationError
 from repro.graph import generators
+from repro.testing import reference
 
 
 class TestEnumerationIC:
@@ -99,3 +101,34 @@ class TestExactValues:
 
         with pytest.raises(ConfigurationError):
             exact_expected_spread(paper_example, FakeModel(), [0])
+
+
+class TestBatchedReplay:
+    """The chunked replay sums exactly like one BFS per world."""
+
+    @pytest.mark.parametrize("graph_fixture", ["paper_example", "path5_half"])
+    @pytest.mark.parametrize("model_fixture", ["ic_model", "lt_model"])
+    def test_equals_per_world_reference_sum(
+        self, graph_fixture, model_fixture, request
+    ):
+        graph = request.getfixturevalue(graph_fixture)
+        model = request.getfixturevalue(model_fixture)
+        for seeds in ([0], [1, 3], []):
+            sizes = [
+                (int(reference.reachable_from(phi, seeds).sum()), p)
+                for phi, p in enumerate_realizations(graph, model)
+            ]
+            assert exact_expected_spread(graph, model, seeds) == sum(
+                size * p for size, p in sizes
+            )
+            assert exact_expected_truncated_spread(
+                graph, model, seeds, eta=2
+            ) == sum(min(size, 2) * p for size, p in sizes)
+
+    def test_spans_several_chunks(self, monkeypatch, ic_model):
+        from repro.diffusion import exact
+
+        graph = generators.path_graph(6, probability=0.5)
+        whole = exact_expected_spread(graph, ic_model, [0])
+        monkeypatch.setattr(exact, "_REPLAY_CHUNK", 3)  # 32 worlds, 11 chunks
+        assert exact_expected_spread(graph, ic_model, [0]) == whole

@@ -200,6 +200,36 @@ class TestDiagnostics:
         run_sweep(config)  # note_kernels must not raise mid-sweep
         assert snapshot_stats()["resolved"]  # engines resolved backends
 
+    def test_sweep_counts_only_its_own_dispatches(self, monkeypatch):
+        # KERNEL_STATS is process-wide; each sweep must report the
+        # difference from its own entry, so a repeat sweep records the
+        # same diagnostics instead of the running process total.
+        from repro.experiments.config import ExperimentConfig, quick_config
+        from repro.experiments.harness import run_sweep
+
+        contexts = []
+        to_context = ExperimentConfig.to_context
+
+        def capture(self, graph=None):
+            contexts.append(to_context(self, graph))
+            return contexts[-1]
+
+        monkeypatch.setattr(ExperimentConfig, "to_context", capture)
+        config = quick_config(
+            graph_n=80, realizations=2, algorithms=("ASTI", "ATEUC"),
+            eta_fractions=(0.1,), max_samples=2000,
+        )
+        run_sweep(config)
+        run_sweep(config)
+        first, second = (
+            {k: v for k, v in c.diagnostics.items() if k.startswith("kernel_")}
+            for c in contexts
+        )
+        assert first["kernel_backends_resolved"]
+        for diagnostics in (first, second):
+            del diagnostics["kernel_jit_seconds"]  # JIT falls on the first only
+        assert first == second
+
 
 # ----------------------------------------------------------------------
 # Bit-identity: the kernel path against the numpy closures

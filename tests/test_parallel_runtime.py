@@ -23,7 +23,11 @@ from repro.diffusion.lt import LinearThreshold
 from repro.diffusion.montecarlo import CRNSpreadEvaluator, estimate_spreads_many
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig, quick_config
-from repro.experiments.harness import run_eta_point, sample_shared_realizations
+from repro.experiments.harness import (
+    build_algorithm,
+    run_eta_point,
+    sample_shared_realizations,
+)
 from repro.graph import generators, weighting
 from repro.parallel import ParallelRuntime
 from repro.runtime.context import ExecutionContext
@@ -37,6 +41,7 @@ from repro.parallel.shm import (
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler, rr_batch_sampler
 from repro.sampling.mrr import RootCountRule, estimate_truncated_spread_mrr
+from repro.testing.reference import reachable_from
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +295,14 @@ class TestHarnessInvariance:
                 for r in sharded[label].runs
             ]
             assert reference == parallel, label
+        # Both runtimes score non-adaptive sets by the same in-process
+        # replay, so pin that replay to one BFS per world.
+        for label in ("ATEUC", "CELF"):
+            seeds = build_algorithm(label, model, 0.5, 4000).run(
+                bench_graph, 15, seed=4
+            ).seeds
+            for run, phi in zip(base[label].runs, realizations):
+                assert run.spread == reachable_from(phi, seeds).sum()
 
     def test_config_jobs_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,11 +1,24 @@
 """Unit tests for live-edge realizations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.diffusion.realization import ICRealization, LTRealization
-from repro.errors import NodeNotFoundError
+from repro.diffusion.base import normalize_seeds, pack_start_sets
+from repro.diffusion.ic import IndependentCascade
+from repro.diffusion.montecarlo import CRNSpreadEvaluator
+from repro.diffusion.realization import (
+    ICRealization,
+    LTRealization,
+    Realization,
+    batch_reachable_from,
+    replay_worlds,
+    stack_worlds,
+)
+from repro.errors import DiffusionError, NodeNotFoundError
 from repro.graph import generators
+from repro.testing import reference
 
 
 class TestICRealization:
@@ -100,40 +113,89 @@ class TestBatchReachableFrom:
             generators.preferential_attachment(150, 2, seed=9, directed=False), 0.6
         )
 
+    @staticmethod
+    def _replay(phis, world_of, seeds_per, allowed, kernel):
+        """Activation rows of ``world_of`` jobs, through replay_worlds."""
+        graph = phis[0].graph
+        kind, worlds = stack_worlds(phis)
+        starts = [normalize_seeds(graph, s) for s in seeds_per]
+        if allowed is not None:
+            starts = [s[allowed[j, s]] for j, s in enumerate(starts)]
+        members, indptr = replay_worlds(
+            graph,
+            kind,
+            worlds,
+            world_of,
+            *pack_start_sets(starts),
+            allowed=None if allowed is None else allowed.reshape(-1),
+            kernel=kernel,
+        )
+        rows = np.zeros((len(world_of), graph.n), dtype=bool)
+        for j in range(len(world_of)):
+            rows[j, members[indptr[j]:indptr[j + 1]]] = True
+        return rows
+
     @pytest.mark.parametrize("model_fixture", ["ic_model", "lt_model"])
     def test_matches_per_session_loop(self, model_fixture, request):
-        from repro.diffusion.realization import batch_reachable_from
-
+        # The grid: no mask and a partial mask; the identity world map
+        # (observation's shape, through batch_reachable_from) and a map with
+        # repeats (the CRN shape, through replay_worlds); two backends.
         model = request.getfixturevalue(model_fixture)
         graph = self._graph()
         phis = [model.sample_realization(graph, seed=i) for i in range(5)]
-        seeds_per = [[i, (7 * i + 3) % graph.n] for i in range(5)]
-        allowed = np.ones((5, graph.n), dtype=bool)
-        allowed[:, ::3] = False
-        allowed[0] = True  # one unrestricted session in the batch
-        batched = batch_reachable_from(phis, seeds_per, allowed)
-        for row, (phi, seeds) in enumerate(zip(phis, seeds_per)):
-            assert np.array_equal(
-                batched[row], phi.reachable_from(seeds, allowed[row])
-            )
+        grid = itertools.product(
+            (False, True), ("identity", "repeats"), ("numpy", "python")
+        )
+        for masked, world_map, kernel in grid:
+            if world_map == "identity":
+                world_of = np.arange(5)
+            else:
+                world_of = np.array([0, 3, 3, 1, 0, 4, 4])
+            jobs = len(world_of)
+            seeds_per = [[j, (7 * j + 3) % graph.n] for j in range(jobs)]
+            allowed = None
+            if masked:
+                allowed = np.ones((jobs, graph.n), dtype=bool)
+                allowed[:, ::3] = False
+                allowed[0] = True  # one unrestricted job in the batch
+            if world_map == "identity":
+                got = batch_reachable_from(phis, seeds_per, allowed, kernel=kernel)
+            else:
+                got = self._replay(phis, world_of, seeds_per, allowed, kernel)
+            for j, w in enumerate(world_of):
+                expected = reference.reachable_from(
+                    phis[w], seeds_per[j], None if allowed is None else allowed[j]
+                )
+                assert np.array_equal(got[j], expected), (
+                    masked, world_map, kernel, j,
+                )
 
-    def test_mixed_models_fall_back(self, ic_model, lt_model):
-        from repro.diffusion.realization import batch_reachable_from
-
+    def test_mixed_models_rejected(self, ic_model, lt_model):
         graph = self._graph()
         phis = [
             ic_model.sample_realization(graph, seed=0),
             lt_model.sample_realization(graph, seed=1),
         ]
-        batched = batch_reachable_from(phis, [[0], [1]])
-        for row, phi in enumerate(phis):
-            assert np.array_equal(batched[row], phi.reachable_from([row]))
+        with pytest.raises(DiffusionError):
+            batch_reachable_from(phis, [[0], [1]])
+
+    def test_foreign_realization_type_rejected(self):
+        class OtherRealization(Realization):
+            def is_edge_live(self, u, v):
+                return False
+
+        class ForeignModel(IndependentCascade):
+            def sample_realization(self, graph, seed=None):
+                return OtherRealization(graph)
+
+        graph = self._graph()
+        with pytest.raises(DiffusionError):
+            batch_reachable_from([OtherRealization(graph)], [[0]])
+
+        with pytest.raises(DiffusionError):
+            CRNSpreadEvaluator(graph, ForeignModel(), n_sims=2, seed=0)
 
     def test_validation_errors(self, ic_model):
-        from repro.diffusion.realization import batch_reachable_from
-        from repro.errors import DiffusionError
-        from repro.graph import generators
-
         graph = self._graph()
         other = generators.path_graph(3)
         phi = ic_model.sample_realization(graph, seed=0)
@@ -149,9 +211,6 @@ class TestBatchReachableFrom:
             batch_reachable_from([phi], [[0]], allowed=np.ones((2, 2), dtype=bool))
 
     def test_out_of_range_seed_raises(self, ic_model):
-        from repro.diffusion.realization import batch_reachable_from
-        from repro.errors import NodeNotFoundError
-
         graph = self._graph()
         phi = ic_model.sample_realization(graph, seed=0)
         with pytest.raises(NodeNotFoundError):
