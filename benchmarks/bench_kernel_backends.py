@@ -37,7 +37,7 @@ from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold
 from repro.diffusion.realization import batch_reachable_from
 from repro.graph import generators, weighting
-from repro.kernels import numba_available, reset_stats, snapshot_stats
+from repro.kernels import KERNEL_TELEMETRY, numba_available
 
 FULL = {"graph_n": 10_000, "skew_attachment": 8, "forward_sims": 600,
         "stress_sims": 400, "reverse_batch": 3_000, "replay_worlds": 24,
@@ -110,7 +110,7 @@ def measure(profile: dict, seed: int = 0) -> dict:
     replay_seeds = [[int(v)] for v in
                     rng.integers(0, base.n, profile["replay_worlds"])]
 
-    reset_stats()
+    before = KERNEL_TELEMETRY.snapshot()
     cases = {
         "ic_forward/singleton": _time_per_backend(
             lambda k: ic.simulate_batch(
@@ -144,15 +144,19 @@ def measure(profile: dict, seed: int = 0) -> dict:
             )
         ),
     }
-    stats = snapshot_stats()
+    stats = KERNEL_TELEMETRY.since(before)
     return {
         "equivalent": equivalent,
         "graph_n": base.n,
         "graph_m": base.m,
         "skew_graph_m": skewed.m,
         "numba_available": numba_available(),
-        "jit_seconds": round(stats["jit_seconds"], 3),
-        "kernel_calls": stats["calls"],
+        "jit_seconds": round(stats.get("jit_seconds", 0.0), 3),
+        "kernel_calls": {
+            key[len("calls."):]: count
+            for key, count in stats.items()
+            if key.startswith("calls.")
+        },
         "cases": cases,
     }
 

@@ -124,7 +124,7 @@ def measure_pool(graph, profile, store_dir, seed=0):
         "cold_seconds": round(cold_seconds, 4),
         "warm_seconds": round(warm_seconds, 4),
         "speedup": round(cold_seconds / warm_seconds, 2),
-        "bit_identical": bool(identical and warm_store.stats.hits >= 1),
+        "bit_identical": bool(identical and warm_store.telemetry.snapshot()["hits"] >= 1),
     }
 
 
@@ -157,7 +157,7 @@ def measure_crn(graph, profile, store_dir, seed=0):
         "speedup": round(cold_seconds / warm_seconds, 2),
         "bit_identical": bool(
             np.array_equal(cold_values, warm_values)
-            and warm_store.stats.hits >= 1
+            and warm_store.telemetry.snapshot()["hits"] >= 1
         ),
     }
 

@@ -16,7 +16,6 @@ Example 2.3 numerically.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ from repro.diffusion.realization import (
     LTRealization,
     Realization,
     replay_worlds,
-    stack_worlds,
 )
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
@@ -37,99 +35,120 @@ from repro.graph.digraph import DiGraph
 _MAX_IC_EDGES = 20
 _MAX_LT_WORLDS = 4_000_000
 
-#: Enumerated worlds replayed per labeled BFS by the exact expectations.
+#: Worlds enumerated into one stacked block, and replayed per labeled BFS
+#: by the exact expectations.
 _REPLAY_CHUNK = 4096
 
 
-def enumerate_ic_realizations(
-    graph: DiGraph,
-) -> Iterator[tuple[ICRealization, float]]:
-    """Yield every IC realization with its probability.
+def _mixed_radix_blocks(
+    values: Sequence[Sequence[object]], weights: Sequence[Sequence[float]], dtype: type
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(worlds, probabilities)`` blocks of :data:`_REPLAY_CHUNK` worlds in
+    ``itertools.product`` order, zero-probability worlds dropped: digit ``d``
+    of a world's index picks one of ``values[d]``, and its probability is
+    the ``np.prod`` of the picked ``weights``."""
+    radices = np.array([len(options) for options in values], dtype=np.int64)
+    value_table = np.zeros((len(radices), max(radices, default=1)), dtype=dtype)
+    weight_table = np.zeros(value_table.shape, dtype=np.float64)
+    for d, (options, chances) in enumerate(zip(values, weights)):
+        value_table[d, : len(options)] = options
+        weight_table[d, : len(options)] = chances
+    # The last digit varies fastest.
+    strides = np.array([np.prod(radices[d + 1:]) for d in range(len(radices))], np.int64)
+    digits = np.arange(len(radices))
+    total = int(np.prod(radices))
+    for begin in range(0, total, _REPLAY_CHUNK):
+        index = np.arange(begin, min(begin + _REPLAY_CHUNK, total), dtype=np.int64)
+        choice = index[:, None] // strides % radices
+        probabilities = np.prod(weight_table[digits, choice], axis=1)
+        keep = probabilities > 0.0
+        yield value_table[digits, choice][keep], probabilities[keep]
 
-    Guarded to ``m <= 20`` (about a million worlds); larger graphs should use
-    Monte Carlo instead.
-    """
-    if graph.m > _MAX_IC_EDGES:
-        raise ConfigurationError(
-            f"exact IC enumeration is limited to {_MAX_IC_EDGES} edges, "
-            f"graph has {graph.m}"
-        )
-    # Upcast once: world probabilities must multiply in float64 regardless
-    # of the graph's (possibly compact float32) storage policy.
-    _, _, probs = graph.out_csr
-    probs = np.asarray(probs, dtype=np.float64)
-    for pattern in itertools.product((False, True), repeat=graph.m):
-        live = np.asarray(pattern, dtype=bool)
-        probability = float(np.prod(np.where(live, probs, 1.0 - probs)))
-        if probability > 0.0:
-            yield ICRealization(graph, live), probability
 
-
-def enumerate_lt_realizations(
-    graph: DiGraph,
-) -> Iterator[tuple[LTRealization, float]]:
-    """Yield every LT live-edge world with its probability."""
-    indptr, sources, probs = graph.in_csr
-    per_node_options = []
-    world_count = 1
-    for v in range(graph.n):
-        start, end = int(indptr[v]), int(indptr[v + 1])
-        options: list = []
-        none_probability = 1.0
-        for pos in range(start, end):
-            options.append((int(sources[pos]), float(probs[pos])))
-            none_probability -= float(probs[pos])
-        if none_probability > 1e-12:
-            options.append((-1, none_probability))
-        per_node_options.append(options)
-        world_count *= len(options)
-        if world_count > _MAX_LT_WORLDS:
+def _world_blocks(
+    graph: DiGraph, model: DiffusionModel
+) -> tuple[str, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The world kind and its blocks: IC worlds pick live or blocked per
+    edge (``m <= 20``), LT worlds one in-edge or none per node."""
+    if isinstance(model, IndependentCascade):
+        if graph.m > _MAX_IC_EDGES:
             raise ConfigurationError(
-                f"exact LT enumeration exceeds {_MAX_LT_WORLDS} worlds"
+                f"exact IC enumeration is limited to {_MAX_IC_EDGES} edges, "
+                f"graph has {graph.m}"
             )
-    for combo in itertools.product(*per_node_options):
-        chosen = np.fromiter((c[0] for c in combo), dtype=np.int64, count=graph.n)
-        probability = float(np.prod([c[1] for c in combo]))
-        if probability > 0.0:
-            yield LTRealization(graph, chosen), probability
+        # Upcast once: world probabilities must multiply in float64
+        # regardless of the graph's (possibly compact float32) storage.
+        probs = np.asarray(graph.out_csr[2], dtype=np.float64)
+        return "ic", _mixed_radix_blocks(
+            [(False, True)] * graph.m, [(1.0 - p, p) for p in probs], bool
+        )
+    if not isinstance(model, LinearThreshold):
+        raise ConfigurationError(f"cannot enumerate realizations for {model!r}")
+    indptr, sources, in_probs = graph.in_csr
+    values, weights, world_count = [], [], 1
+    for v in range(graph.n):
+        span = range(int(indptr[v]), int(indptr[v + 1]))
+        chosen = [int(sources[pos]) for pos in span]
+        chances = [float(in_probs[pos]) for pos in span]
+        none_probability = 1.0
+        for chance in chances:
+            none_probability -= chance
+        if none_probability > 1e-12:
+            chosen.append(-1)
+            chances.append(none_probability)
+        values.append(chosen)
+        weights.append(chances)
+        world_count *= len(chosen)
+        if world_count > _MAX_LT_WORLDS:
+            raise ConfigurationError(f"exact LT enumeration exceeds {_MAX_LT_WORLDS} worlds")
+    return "lt", _mixed_radix_blocks(values, weights, np.int64)
 
 
 def enumerate_realizations(
     graph: DiGraph, model: DiffusionModel
 ) -> Iterator[tuple[Realization, float]]:
-    """Dispatch enumeration on the model type."""
-    if isinstance(model, IndependentCascade):
-        return enumerate_ic_realizations(graph)
-    if isinstance(model, LinearThreshold):
-        return enumerate_lt_realizations(graph)
-    raise ConfigurationError(f"cannot enumerate realizations for {model!r}")
+    """Every realization of ``model`` on ``graph`` with its probability."""
+    kind, blocks = _world_blocks(graph, model)
+    world = ICRealization if kind == "ic" else LTRealization
+    return (
+        (world(graph, row), probability)
+        for rows, probabilities in blocks
+        for row, probability in zip(rows, probabilities.tolist())
+    )
+
+
+def enumerate_ic_realizations(graph: DiGraph) -> Iterator[tuple[ICRealization, float]]:
+    """Yield every IC realization with its probability.
+
+    Guarded to ``m <= 20`` (about a million worlds); larger graphs should use
+    Monte Carlo instead.
+    """
+    return enumerate_realizations(graph, IndependentCascade())
+
+
+def enumerate_lt_realizations(graph: DiGraph) -> Iterator[tuple[LTRealization, float]]:
+    """Yield every LT live-edge world with its probability."""
+    return enumerate_realizations(graph, LinearThreshold())
 
 
 def _world_spreads(
     graph: DiGraph, model: DiffusionModel, seeds: Sequence[int]
 ) -> Iterator[tuple[int, float]]:
-    """``(I_phi(S), Pr[phi])`` for every enumerated world, in order.
-
-    Worlds are replayed :data:`_REPLAY_CHUNK` at a time, one batched
-    :func:`~repro.diffusion.realization.replay_worlds` call per chunk, so
-    callers summing the pairs left to right get exactly the value of one
-    ``phi.spread`` per world.
-    """
-    worlds = enumerate_realizations(graph, model)
+    """``(I_phi(S), Pr[phi])`` for every enumerated world, in order; each
+    block is one :func:`~repro.diffusion.realization.replay_worlds` call, so
+    a left-to-right sum equals one ``phi.spread`` per world."""
+    kind, blocks = _world_blocks(graph, model)
     starts = normalize_seeds(graph, seeds)
-    while True:
-        chunk = list(itertools.islice(worlds, _REPLAY_CHUNK))
-        if not chunk:
-            return
-        kind, flat = stack_worlds([phi for phi, _ in chunk])
+    for worlds, probabilities in blocks:
+        count = len(probabilities)
         _, indptr = replay_worlds(
             graph,
             kind,
-            flat,
-            np.arange(len(chunk), dtype=np.int64),
-            *tile_starts(starts, len(chunk)),
+            worlds.reshape(-1),
+            np.arange(count, dtype=np.int64),
+            *tile_starts(starts, count),
         )
-        yield from zip(np.diff(indptr).tolist(), (p for _, p in chunk))
+        yield from zip(np.diff(indptr).tolist(), probabilities.tolist())
 
 
 def exact_expected_spread(

@@ -362,7 +362,7 @@ class CRNSpreadEvaluator:
                 ):
                     self._kind = kind
                     self._worlds = arrays["worlds"]
-                    context.tally("pool_store_crn_hits")
+                    context.telemetry.add("pool_store_crn_hits")
                 else:
                     store_key = None  # unusable artifact: resample, no save
         if not hasattr(self, "_kind"):
@@ -428,9 +428,9 @@ class CRNSpreadEvaluator:
                 self._worlds_handle = self._worlds_stack.enter_context(
                     self._runtime.published({"worlds": self._worlds})
                 )
-            from repro.parallel.tasks import worker_crn_chunk
+            from repro.parallel.tasks import collect_chunks, worker_crn_chunk
 
-            pieces = self._runtime.map_ordered(
+            pieces = collect_chunks(self._runtime.map_ordered(
                 worker_crn_chunk,
                 [
                     (graph_handle, self._kind, self._worlds_handle)
@@ -438,7 +438,7 @@ class CRNSpreadEvaluator:
                     + (self._kernel,)
                     for begin, end in spans
                 ],
-            )
+            ))
             return np.concatenate(pieces).reshape(len(sets), r)
         if self._scratch is None or len(self._scratch) < sweep * n:
             self._scratch = np.zeros(sweep * n, dtype=bool)

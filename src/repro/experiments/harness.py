@@ -44,8 +44,6 @@ from repro.diffusion.realization import (
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.graph.digraph import DiGraph
-from repro.kernels import snapshot_stats
-from repro.parallel.shm import realizations_shareable
 from repro.runtime.context import ExecutionContext
 from repro.utils.rng import spawn_generators, spawn_seed_sequences
 from repro.utils.stats import summarize
@@ -193,7 +191,7 @@ def sample_shared_realizations(
             )
             worlds = arrays.get("worlds")
             if world_type is not None and worlds is not None and len(worlds) == count:
-                context.tally("pool_store_world_hits")
+                context.telemetry.add("pool_store_world_hits")
                 return [world_type(graph, row) for row in worlds]
     streams = spawn_generators(seed, count)
     realizations = [model.sample_realization(graph, rng) for rng in streams]
@@ -247,6 +245,8 @@ def run_eta_point(
             # Worker shards rebuild the algorithm from the spec, so the
             # pickled context must already be the runtime-free sequential
             # one (a context never ships its runtime across processes).
+            # It shares this context's telemetry (and store), where the
+            # shards' deltas land.
             spec["context"] = context.sequential()
             _run_adaptive(
                 spec, graph, eta, realizations, seed, outcome, context.runtime
@@ -261,12 +261,7 @@ def _shards(count: int, shard_count: int) -> list[np.ndarray]:
 
 
 def _use_workers(runtime, realizations) -> bool:
-    return (
-        runtime is not None
-        and runtime.parallel
-        and len(realizations) > 1
-        and realizations_shareable(realizations)
-    )
+    return runtime is not None and runtime.parallel and len(realizations) > 1
 
 
 def _run_adaptive(
@@ -279,7 +274,7 @@ def _run_adaptive(
     # across worker counts (shard boundaries never move a session's stream).
     seqs = spawn_seed_sequences(seed + 1, len(realizations))
     if _use_workers(runtime, realizations):
-        from repro.parallel.tasks import worker_adaptive_shard
+        from repro.parallel.tasks import collect_chunks, worker_adaptive_shard
 
         graph_handle = runtime.publish_graph(graph)
         worlds_handle = runtime.publish_realizations(realizations)
@@ -297,7 +292,8 @@ def _run_adaptive(
                 for shard in _shards(len(realizations), runtime.jobs)
             ],
         )
-        rows = [row for shard in shard_results for row in shard]
+        shards = collect_chunks(shard_results, spec["context"])
+        rows = [row for shard in shards for row in shard]
     else:
         from repro.parallel.tasks import adaptive_shard
 
@@ -342,6 +338,9 @@ class SweepResult:
     config: ExperimentConfig
     eta_values: tuple[int, ...]
     outcomes: dict[int, dict[str, AlgorithmOutcome]]
+    #: The sweep context's :attr:`~repro.runtime.context.ExecutionContext
+    #: .diagnostics`, read before it closed (exports leave it out).
+    diagnostics: dict[str, object] = field(default_factory=dict)
 
     def series(self, algorithm: str, metric: str) -> list[float]:
         """Extract a per-threshold series for one algorithm.
@@ -372,18 +371,23 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     policy: one :class:`~repro.runtime.context.ExecutionContext` is built
     here, owns the sweep's parallel runtime (worker processes spawn once
     for every eta point, the graph maps into shared memory once), records
-    the graph's storage decision in its diagnostics, and is closed when
-    the sweep finishes.  The sweep's numbers are bit-identical for any
-    ``jobs`` value.
+    the graph's storage decision in its telemetry, and is closed when
+    the sweep finishes; its diagnostics come back in
+    :attr:`SweepResult.diagnostics`.  The sweep's numbers are
+    bit-identical for any ``jobs`` value.
     """
-    kernel_baseline = snapshot_stats()
     model = config.make_model()
     outcomes: dict[int, dict[str, AlgorithmOutcome]] = {}
     # The graph is built before the context so ``plan="auto"`` configs can
     # hand its statistics to the execution planner.
     graph = config.build_graph()
     with config.to_context(graph=graph) as context:
-        context.note_graph(graph)
+        context.telemetry.set(
+            graph_storage=graph.storage,
+            graph_index_dtype=str(graph.index_dtype),
+            graph_prob_dtype=str(graph.prob_dtype),
+            graph_csr_nbytes=graph.csr_nbytes,
+        )
         realizations = sample_shared_realizations(
             graph, model, config.realizations, seed=config.seed + 10,
             context=context,
@@ -401,17 +405,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 seed=config.seed,
                 context=context,
             )
-        # Snapshot the kernel decisions (backend resolutions, per-driver
-        # call counts, JIT time) after the last eta point, counted from the
-        # sweep's entry, so the diagnostics describe this whole run and no
-        # earlier one in the process, next to note_graph above.
-        context.note_kernels(since=kernel_baseline)
-        # And the supervisor's recovery activity: a sweep that survived
-        # worker crashes reports the same results as a clean one, so the
-        # fault_* counters are the only place the recovery shows.
-        context.note_faults()
-        # And the persistent store's hit/miss/eviction activity: a warm
-        # run is bit-identical to a cold one, so these counters are the
-        # only place the reuse shows.
-        context.note_store()
-    return SweepResult(config=config, eta_values=eta_values, outcomes=outcomes)
+        # Read while the runtime is still open, so fault_* is included.
+        diagnostics = context.diagnostics
+    return SweepResult(
+        config=config, eta_values=eta_values, outcomes=outcomes, diagnostics=diagnostics
+    )

@@ -28,10 +28,10 @@ randomness is drawn by the caller from the ordinary numpy ``Generator``
 passed into the kernels, so a pool, CRN estimate, or adaptive run is the
 same bit for bit under every backend — the equivalence tests pin this.
 
-The module-level :data:`KERNEL_STATS` sink records what the dispatch layer
+The module-level :data:`KERNEL_TELEMETRY` records what the dispatch layer
 actually did (per-driver kernel call counts, JIT compile seconds, the
-backends resolved); ``ExecutionContext.note_kernels`` snapshots it into the
-context diagnostics next to ``note_graph``'s dtype records.
+backends resolved); ``ExecutionContext.diagnostics`` shows the activity
+since the context was built as its ``kernel_*`` entries.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ConfigurationError
+from repro.runtime.telemetry import Telemetry
 
 if TYPE_CHECKING:
     from repro.graph.digraph import DiGraph
@@ -120,7 +121,7 @@ def resolve_backend(name: str, graph: Optional[DiGraph] = None) -> KernelBackend
     otherwise the numpy reference backend, silently.  Explicit names pin
     the choice; ``"numba"`` raises :class:`ConfigurationError` naming the
     ``[numba]`` extra when the import fails.  Every resolution is tallied
-    in :data:`KERNEL_STATS`.
+    in :data:`KERNEL_TELEMETRY`.
     """
     if name not in KERNEL_BACKENDS:
         raise ConfigurationError(
@@ -138,76 +139,31 @@ def resolve_backend(name: str, graph: Optional[DiGraph] = None) -> KernelBackend
         backend = _NUMPY
     else:
         backend = _numba_backend()
-    resolved = KERNEL_STATS["resolved"]
-    resolved[backend.name] = resolved.get(backend.name, 0) + 1
+    KERNEL_TELEMETRY.add(f"resolved.{backend.name}")
     return backend
 
 
-# ----------------------------------------------------------------------
-# Kernel decision stats (feeds ExecutionContext.note_kernels)
-# ----------------------------------------------------------------------
-
-def _fresh_stats() -> dict[str, Any]:
-    return {"calls": {}, "jit_seconds": 0.0, "resolved": {}}
-
-
-#: Process-wide dispatch bookkeeping: ``calls`` counts kernel invocations
-#: per driver (``ic_forward``, ``ic_reverse``, ``lt_forward``,
-#: ``lt_reverse``, ``replay_ic``, ``replay_lt``), ``jit_seconds``
-#: accumulates time spent inside calls that triggered a fresh numba
-#: compilation (attributed via dispatcher signature growth), ``resolved``
-#: counts backend resolutions by resolved name.  Deliberately global — the
-#: hot loops must not thread a stats object — and snapshotted into a
-#: context's diagnostics by ``note_kernels``.
-KERNEL_STATS: dict[str, Any] = _fresh_stats()
+#: Process-wide dispatch counters: ``calls.<driver>`` per kernel driver
+#: (``ic_forward`` ... ``replay_lt``), ``jit_seconds`` spent in calls that
+#: compiled afresh (dispatcher signature growth), ``resolved.<backend>``
+#: per resolution.  Global because the hot loops must not thread a stats
+#: object.
+KERNEL_TELEMETRY = Telemetry(jit_seconds=0.0)
 
 
 def note_call(driver: str, seconds: float, compiled_fresh: bool) -> None:
     """Tally one kernel invocation (and its JIT time, if it compiled)."""
-    calls = KERNEL_STATS["calls"]
-    calls[driver] = calls.get(driver, 0) + 1
+    KERNEL_TELEMETRY.add(f"calls.{driver}")
     if compiled_fresh:
-        KERNEL_STATS["jit_seconds"] += seconds
-
-
-def snapshot_stats(since: Optional[dict[str, Any]] = None) -> dict[str, Any]:
-    """A deep-enough copy of :data:`KERNEL_STATS` for diagnostics sinks.
-
-    With ``since`` (an earlier snapshot), only the activity after it: a
-    run that snapshots on entry reports its own dispatches, not those of
-    earlier runs in the same process.
-    """
-    base = since if since is not None else _fresh_stats()
-
-    def delta(key: str) -> dict[str, int]:
-        earlier = base[key]
-        return {
-            name: count - earlier.get(name, 0)
-            for name, count in KERNEL_STATS[key].items()
-            if count != earlier.get(name, 0)
-        }
-
-    return {
-        "calls": delta("calls"),
-        "jit_seconds": float(KERNEL_STATS["jit_seconds"] - base["jit_seconds"]),
-        "resolved": delta("resolved"),
-    }
-
-
-def reset_stats() -> None:
-    """Zero the process-wide kernel stats (tests and benchmarks)."""
-    global KERNEL_STATS
-    KERNEL_STATS = _fresh_stats()
+        KERNEL_TELEMETRY.add("jit_seconds", seconds)
 
 
 __all__ = [
     "AUTO_MIN_EDGES",
     "KERNEL_BACKENDS",
-    "KERNEL_STATS",
+    "KERNEL_TELEMETRY",
     "KernelBackend",
     "note_call",
     "numba_available",
-    "reset_stats",
     "resolve_backend",
-    "snapshot_stats",
 ]

@@ -14,7 +14,7 @@ them in the same element order the vectorized comparison would, which is
 what makes backends interchangeable bit for bit.
 
 Every kernel invocation is timed and tallied into
-:data:`repro.kernels.KERNEL_STATS`; for numba dispatchers, a call that grew
+:data:`repro.kernels.KERNEL_TELEMETRY`; for numba dispatchers, a call that grew
 the dispatcher's compiled-signature set is attributed as JIT compile time
 (the per-dtype lazy compilation of the adaptive CSR storage shows up here).
 """

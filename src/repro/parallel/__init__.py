@@ -17,6 +17,6 @@ scheme whose results are bit-identical for every worker count (``jobs=1``
 runs the chunks in-process with no pool).
 """
 
-from repro.parallel.runtime import FaultPolicy, ParallelRuntime, maybe_runtime
+from repro.parallel.runtime import FaultPolicy, ParallelRuntime
 
-__all__ = ["FaultPolicy", "ParallelRuntime", "maybe_runtime"]
+__all__ = ["FaultPolicy", "ParallelRuntime"]

@@ -45,7 +45,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, cast
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -69,6 +69,7 @@ from repro.parallel.shm import (
     share_realizations,
     sweep_orphans,
 )
+from repro.runtime.telemetry import Telemetry
 from repro.utils.timing import Deadline, backoff_sleep
 from repro.utils.validation import (
     check_optional_positive_int,
@@ -233,19 +234,15 @@ class ParallelRuntime:
         )
         self._closed = False
         self._chunks_dispatched = 0
-        self._faults: dict[str, float] = {
-            "retries": 0,
-            "timeouts": 0,
-            "rebuilds": 0,
-            "republished_segments": 0,
-            "degraded_chunks": 0,
-            "recovered_seconds": 0.0,
-            "swept_orphans": 0,
-        }
+        #: The supervisor's recovery counters; read them via :attr:`fault_stats`.
+        self.telemetry = Telemetry(
+            retries=0, timeouts=0, rebuilds=0, republished_segments=0,
+            degraded_chunks=0, recovered_seconds=0.0, swept_orphans=0,
+        )
         if self.jobs > 1:
             # Leak guard: reclaim segments orphaned by dead runs before
             # this run starts publishing its own (kill -9 mid-sweep, OOM).
-            self._faults["swept_orphans"] = len(sweep_orphans())
+            self.telemetry.add("swept_orphans", len(sweep_orphans()))
         self._finalizer = weakref.finalize(self, _release, self._state)
 
     # ------------------------------------------------------------------
@@ -269,7 +266,9 @@ class ParallelRuntime:
         (wall-clock spent inside recovery), ``swept_orphans`` (leaked
         segments of dead runs unlinked at runtime start).
         """
-        return dict(self._faults)
+        stats = cast("dict[str, float]", self.telemetry.snapshot())
+        stats["recovered_seconds"] = round(stats["recovered_seconds"], 6)
+        return stats
 
     def close(self) -> None:
         """Shut down the pool and unlink all shared segments (idempotent)."""
@@ -466,12 +465,12 @@ class ParallelRuntime:
         is byte-for-byte what the clean run produces.  Never injected:
         degraded execution is the reference, not the chaos.
         """
-        self._faults["degraded_chunks"] += 1
+        self.telemetry.add("degraded_chunks")
         return fn(*payload)
 
     def _rebuild_pool(self) -> ProcessPoolExecutor:
         """Replace a broken/hung pool; republish any missing segments."""
-        self._faults["rebuilds"] += 1
+        self.telemetry.add("rebuilds")
         executor = self._state["executor"]
         self._state["executor"] = None
         if executor is not None:
@@ -481,7 +480,7 @@ class ParallelRuntime:
             if not bundle.segment_exists():
                 bundle.restore()
                 restored += 1
-        self._faults["republished_segments"] += restored
+        self.telemetry.add("republished_segments", restored)
         return self._executor()
 
     def _terminal_failure(
@@ -495,7 +494,7 @@ class ParallelRuntime:
         if self.fault_policy.on_pool_failure == "raise":
             raise WorkerPoolError(
                 f"chunk {chunk_id} failed ({failure}) after {attempts} "
-                f"attempt(s) and {self._faults['rebuilds']} pool rebuild(s); "
+                f"attempt(s) and {self.fault_stats['rebuilds']} pool rebuild(s); "
                 f"fault policy on_pool_failure='raise' forbids degradation"
             ) from error
         # Degrade: the pool (possibly broken or hosting a hung worker) is
@@ -572,7 +571,7 @@ class ParallelRuntime:
                         )
                         degraded = True
                         continue
-                    self._faults["retries"] += 1
+                    self.telemetry.add("retries")
                     backoff_sleep(policy.backoff_base, attempts[head])
                     futures[head] = self._submit(
                         executor, fn, chunk_ids[head], attempts[head],
@@ -581,7 +580,7 @@ class ParallelRuntime:
                     continue
                 # Timeout or broken pool: the pool itself is suspect.
                 if failure == "timeout":
-                    self._faults["timeouts"] += 1
+                    self.telemetry.add("timeouts")
                 # Chunks that finished before the pool died keep their
                 # results; everything else reruns on the rebuilt pool.
                 for j in range(head, count):
@@ -611,16 +610,8 @@ class ParallelRuntime:
                         executor, fn, chunk_ids[j], attempts[j], payloads[j]
                     )
             finally:
-                self._faults["recovered_seconds"] = round(
-                    float(self._faults["recovered_seconds"])
-                    + (time.perf_counter() - recovery_started),
-                    6,
+                self.telemetry.add(
+                    "recovered_seconds", time.perf_counter() - recovery_started
                 )
         return results
 
-
-def maybe_runtime(jobs: Optional[int]) -> Optional[ParallelRuntime]:
-    """``None`` for the legacy in-process path, else a fresh runtime."""
-    if jobs is None:
-        return None
-    return ParallelRuntime(jobs)

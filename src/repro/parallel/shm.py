@@ -425,24 +425,14 @@ class RealizationsHandle:
     arrays: ArrayHandle
 
 
-def realizations_shareable(realizations: Sequence[Realization]) -> bool:
-    """Whether the batch is homogeneous IC or LT (stackable into one array)."""
-    if not realizations:
-        return False
-    first = type(realizations[0])
-    if first not in (ICRealization, LTRealization):
-        return False
-    return all(type(phi) is first for phi in realizations)
-
-
 def share_realizations(
     realizations: Sequence[Realization], max_bytes: Optional[int] = None
 ) -> tuple[SharedArrayBundle, RealizationsHandle]:
-    """Stack a homogeneous IC/LT realization batch into shared memory."""
-    if not realizations_shareable(realizations):
-        raise ConfigurationError(
-            "only homogeneous IC or LT realization batches can be shared"
-        )
+    """Stack a homogeneous IC/LT realization batch into shared memory.
+
+    A mixed or foreign batch raises :class:`~repro.errors.DiffusionError`
+    (from :func:`~repro.diffusion.realization.stack_worlds`).
+    """
     kind, worlds = stack_worlds(realizations)
     bundle = pack_arrays(
         {"worlds": worlds.reshape(len(realizations), -1)}, max_bytes=max_bytes

@@ -16,6 +16,10 @@ graph/realization views from the shared-memory handles
 ``jobs=1`` route calls the kernels directly with live objects, so both
 routes execute identical code on identical inputs.
 
+A ``worker_*`` twin returns ``(result, deltas)``: in a pool worker, the
+counter deltas the parent folds in with :func:`collect_chunks`; run in the
+parent (a degraded chunk), none, since it counted into the parent's sinks.
+
 Determinism: kernels that draw randomness receive an explicit
 :class:`numpy.random.SeedSequence` for the chunk; nothing here touches
 global RNG state, so a chunk's output depends only on its payload, never
@@ -24,11 +28,12 @@ on which worker (or how many workers) ran it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
+from repro.kernels import KERNEL_TELEMETRY
 from repro.parallel.shm import (
     ArrayHandle,
     GraphHandle,
@@ -41,11 +46,55 @@ from repro.parallel.shm import (
 if TYPE_CHECKING:
     from repro.diffusion.base import DiffusionModel
     from repro.graph.digraph import DiGraph
+    from repro.runtime.context import ExecutionContext
+    from repro.runtime.telemetry import Number, Telemetry
+
+    Deltas = dict[str, dict[str, Number]]
+
+# Set in pool workers, whose counts the parent never sees unless shipped.
+_in_worker = False
 
 
 def worker_initializer() -> None:  # pragma: no cover - runs in workers
     """Per-worker setup: attachments must not fight the resource tracker."""
+    global _in_worker
+    _in_worker = True
     disable_shm_tracking()
+
+
+def _sinks(context: Optional[ExecutionContext]) -> dict[str, Telemetry]:
+    """What a chunk counts into: the kernel layer, plus the context it runs
+    with and that context's store.  Parent and worker name them alike."""
+    sinks = {"kernels": KERNEL_TELEMETRY}
+    if context is not None:
+        sinks["context"] = context.telemetry
+        if context.pool_store is not None:
+            sinks["store"] = context.pool_store.telemetry
+    return sinks
+
+
+def _counted(
+    run: Callable[[], Any], context: Optional[ExecutionContext] = None
+) -> tuple[Any, Deltas]:
+    """Run a chunk; in a worker, also return each sink's counter delta."""
+    if not _in_worker:
+        return run(), {}
+    sinks = _sinks(context)
+    before = {name: sink.snapshot() for name, sink in sinks.items()}
+    result = run()
+    return result, {name: sink.since(before[name]) for name, sink in sinks.items()}
+
+
+def collect_chunks(
+    outcomes: Sequence[tuple[Any, Deltas]], context: Optional[ExecutionContext] = None
+) -> list[Any]:
+    """The chunk results, after merging each chunk's deltas (in chunk order)
+    into the parent's sinks; ``context`` is the one the chunks ran with."""
+    sinks = _sinks(context)
+    for _, deltas in outcomes:
+        for name, delta in deltas.items():
+            sinks[name].merge(delta)
+    return [result for result, _ in outcomes]
 
 
 # One pooled visitation bitset per worker process, grown on demand and
@@ -99,11 +148,13 @@ def worker_sample_chunk(
     count: int,
     seed_seq: np.random.SeedSequence,
     kernel: str = "auto",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], Deltas]:
     graph = graph_from_handle(graph_handle)
-    return sample_chunk(
-        graph, model, roots, count, seed_seq, _scratch_for(count * graph.n),
-        kernel=kernel,
+    return _counted(
+        lambda: sample_chunk(
+            graph, model, roots, count, seed_seq, _scratch_for(count * graph.n),
+            kernel=kernel,
+        )
     )
 
 
@@ -118,20 +169,17 @@ def worker_crn_chunk(
     sets_block: list[np.ndarray],
     world_ids: np.ndarray,
     kernel: str = "auto",
-) -> np.ndarray:
+) -> tuple[np.ndarray, Deltas]:
     from repro.diffusion.montecarlo import crn_chunk
     from repro.parallel.shm import attach_arrays
 
     graph = graph_from_handle(graph_handle)
     worlds = attach_arrays(worlds_handle)["worlds"]
-    return crn_chunk(
-        graph,
-        kind,
-        worlds,
-        sets_block,
-        world_ids,
-        _scratch_for(len(world_ids) * graph.n),
-        kernel=kernel,
+    return _counted(
+        lambda: crn_chunk(
+            graph, kind, worlds, sets_block, world_ids,
+            _scratch_for(len(world_ids) * graph.n), kernel=kernel,
+        )
     )
 
 
@@ -178,7 +226,10 @@ def worker_adaptive_shard(
     algorithm_spec: dict[str, Any],
     eta: int,
     seed_seqs: Sequence[np.random.SeedSequence],
-) -> list[tuple[int, int, float, tuple[int, ...]]]:
+) -> tuple[list[tuple[int, int, float, tuple[int, ...]]], Deltas]:
     graph = graph_from_handle(graph_handle)
     realizations = realizations_from_handle(graph, worlds_handle, indices)
-    return adaptive_shard(graph, realizations, algorithm_spec, eta, seed_seqs)
+    return _counted(
+        lambda: adaptive_shard(graph, realizations, algorithm_spec, eta, seed_seqs),
+        algorithm_spec["context"],
+    )

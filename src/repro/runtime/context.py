@@ -12,9 +12,10 @@ that duplicates a context field.  The context carries:
 * **pool policy** — ``reuse_pool`` for the adaptive cross-round carry-over;
 * **parallelism** — ``jobs`` plus the lazily created
   :class:`~repro.parallel.runtime.ParallelRuntime`;
-* **storage** — the optional persistent ``pool_store``, and
-  :meth:`note_graph`, which records each graph's dtype decision in the
-  aggregated :attr:`diagnostics` sink.
+* **storage** — the optional persistent ``pool_store``;
+* **telemetry** — the run's counters and decisions, read through the
+  :attr:`diagnostics` view together with the runtime's, the store's and
+  the kernel layer's.
 
 Ownership follows one rule: whoever builds a context closes it (``with
 ExecutionContext(jobs=2) as context: ...``).  Facades and engines never
@@ -31,18 +32,21 @@ budget cap — are arguments of the algorithms, not context fields.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, Optional, Union, cast
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
     from repro.graph.digraph import DiGraph
     from repro.parallel.runtime import FaultPolicy, ParallelRuntime
-    from repro.runtime.planner import PlanDecision
     from repro.store import PoolStore
     from repro.testing.faults import FaultInjection
 
 from repro.errors import ConfigurationError
-from repro.kernels import KERNEL_BACKENDS, numba_available, snapshot_stats
+# Module import, not names: repro.kernels imports repro.runtime.telemetry,
+# so this package can be mid-import when the kernels package starts.
+from repro import kernels
+from repro.runtime.telemetry import Telemetry
 from repro.utils.validation import (
     check_jobs,
     check_optional_positive_int,
@@ -117,22 +121,22 @@ class ExecutionContext:
     #: bit-identical by construction (content-addressed on the exact
     #: generation recipe, RNG state included).  ``None`` disables caching.
     pool_store: Optional[PoolStore] = None
-    #: Aggregated diagnostics sink: engines tally counters here (mRR pool
-    #: builds and carry-over totals via ``build_round_pool``) and sweeps
-    #: record decisions (the graph's storage/dtype choice via
-    #: :meth:`note_graph`).  Parent-side only: contexts pickled into
-    #: worker processes carry a *copy* of the dict, so worker-side tallies
-    #: stay in the worker.
-    diagnostics: dict[str, object] = field(default_factory=dict, repr=False)
+    #: The run's counters and decisions, read through :attr:`diagnostics`.
+    #: Contexts derived by :meth:`replace` / :meth:`sequential` share it; a
+    #: pickled context starts an empty one, whose delta a worker chunk
+    #: ships back.
+    telemetry: Telemetry = field(
+        default_factory=Telemetry, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_positive_int(self.sample_batch_size, "sample_batch_size")
         check_optional_positive_int(self.mc_batch_size, "mc_batch_size")
         check_positive_float(self.mc_tolerance, "mc_tolerance")
         check_jobs(self.jobs)
-        if self.kernel_backend not in KERNEL_BACKENDS:
+        if self.kernel_backend not in kernels.KERNEL_BACKENDS:
             raise ConfigurationError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
+                f"kernel_backend must be one of {kernels.KERNEL_BACKENDS}, "
                 f"got {self.kernel_backend!r}"
             )
         if self.fault_policy is not None:
@@ -162,6 +166,7 @@ class ExecutionContext:
         self._runtime: Optional[ParallelRuntime] = None
         self._owns_runtime: bool = False
         self._closed: bool = False
+        self._kernel_base = kernels.KERNEL_TELEMETRY.snapshot()
 
     # ------------------------------------------------------------------
     # Parallel runtime lifecycle
@@ -228,8 +233,13 @@ class ExecutionContext:
     # ------------------------------------------------------------------
 
     def replace(self, **changes: Any) -> ExecutionContext:
-        """A fresh context with fields replaced (no runtime is inherited)."""
-        return replace(self, **changes)
+        """A fresh context with fields replaced (no runtime is inherited).
+
+        It keeps writing into this context's :attr:`telemetry`.
+        """
+        derived = replace(self, **changes)
+        derived.telemetry = self.telemetry
+        return derived
 
     def sequential(self) -> ExecutionContext:
         """A copy with no parallel runtime (``jobs=None``).
@@ -266,7 +276,7 @@ class ExecutionContext:
         :class:`~repro.runtime.planner.CalibrationTable`) is usable and a
         conservative static heuristic otherwise.  Explicit ``overrides``
         always win over planned values; the decision lands in
-        :attr:`diagnostics` via :meth:`note_plan`.
+        :attr:`diagnostics` as ``plan_*`` entries.
         """
         from repro.runtime.planner import plan
 
@@ -274,115 +284,61 @@ class ExecutionContext:
         knobs: dict[str, Any] = decision.knobs()
         knobs.update(overrides)
         context = cls(**knobs)
-        context.note_plan(decision)
+        context.telemetry.set(
+            **{f"plan_{f.name}": getattr(decision, f.name) for f in fields(decision)}
+        )
         return context
 
-    def note_plan(self, decision: PlanDecision) -> None:
-        """Record what the planner chose and why (``plan_*`` diagnostics)."""
-        self.record(
-            plan_source=decision.source,
-            plan_reason=decision.reason,
-            plan_sample_batch_size=decision.sample_batch_size,
-            plan_mc_batch_size=decision.mc_batch_size,
-            plan_jobs=decision.jobs,
-            plan_kernel_backend=decision.kernel_backend,
-            plan_fixture=decision.fixture,
-            plan_distance=decision.distance,
-        )
-
-    def note_store(self) -> None:
-        """Record the pool store's activity (``pool_store_*`` diagnostics).
-
-        The persistence companion of :meth:`note_kernels` /
-        :meth:`note_faults`: copies the store's counters (hits, misses,
-        stores, evictions, corrupt discards, bytes moved) into the
-        diagnostics sink.  No-op without a store.
-        """
-        if self.pool_store is None:
-            return
-        self.record(pool_store_root=str(self.pool_store.root))
-        self.record(
-            **{
-                f"pool_store_{key}": value
-                for key, value in self.pool_store.stats.as_dict().items()
-            }
-        )
-
     # ------------------------------------------------------------------
-    # Diagnostics sink
+    # Diagnostics
     # ------------------------------------------------------------------
 
-    def record(self, **entries: object) -> None:
-        """Merge diagnostic entries into the aggregated sink."""
-        self.diagnostics.update(entries)
+    @property
+    def diagnostics(self) -> dict[str, object]:
+        """Everything this run counted and decided, as a dict built on each read.
 
-    def tally(self, name: str, amount: Union[int, float] = 1) -> None:
-        """Accumulate a numeric counter in the diagnostics sink."""
-        current = cast("Union[int, float]", self.diagnostics.get(name, 0))
-        self.diagnostics[name] = current + amount
-
-    def note_graph(self, graph: DiGraph, label: str = "graph") -> None:
-        """Record a graph's storage decision (dtype choices, byte size)."""
-        self.record(**{
-            f"{label}_storage": graph.storage,
-            f"{label}_index_dtype": str(graph.index_dtype),
-            f"{label}_prob_dtype": str(graph.prob_dtype),
-            f"{label}_csr_nbytes": graph.csr_nbytes,
-        })
-
-    def note_kernels(self, since: Optional[dict[str, Any]] = None) -> None:
-        """Record the kernel-backend decision and dispatch activity.
-
-        The companion of :meth:`note_graph` for the compiled-kernel layer:
-        stores this context's ``kernel_backend`` knob, whether numba is
-        importable here, and a snapshot of the process-wide
-        :data:`repro.kernels.KERNEL_STATS` (per-driver kernel call counts,
-        JIT compile seconds, backend resolutions), counted from ``since``
-        (a :func:`~repro.kernels.snapshot_stats` taken earlier) when given.
-        Sweeps snapshot on entry and call it once at the end of a run, so
-        the diagnostics show what that run executed in this process.
+        It merges :attr:`telemetry`; ``fault_*`` from a runtime the context
+        already holds (it never creates one); ``pool_store_*`` from its
+        store; and ``kernel_*``: the backend knob, numba availability and
+        the dispatches since this context was built, worker chunks included.
         """
-        stats = snapshot_stats(since)
-        self.record(
+        view = self.telemetry.snapshot()
+        if self._runtime is not None:
+            view.update(_renamed(self._runtime.fault_stats, "", "fault_"))
+        if self.pool_store is not None:
+            view["pool_store_root"] = str(self.pool_store.root)
+            view.update(_renamed(self.pool_store.telemetry.snapshot(), "", "pool_store_"))
+        dispatched = kernels.KERNEL_TELEMETRY.since(self._kernel_base)
+        view.update(
             kernel_backend=self.kernel_backend,
-            kernel_numba_available=numba_available(),
-            kernel_calls=stats["calls"],
-            kernel_jit_seconds=stats["jit_seconds"],
-            kernel_backends_resolved=stats["resolved"],
+            kernel_numba_available=kernels.numba_available(),
+            kernel_calls=_renamed(dispatched, "calls.", ""),
+            kernel_jit_seconds=float(dispatched.get("jit_seconds", 0.0)),
+            kernel_backends_resolved=_renamed(dispatched, "resolved.", ""),
         )
-
-    def note_faults(self) -> None:
-        """Record the parallel runtime's recovery activity.
-
-        The supervision companion of :meth:`note_graph` /
-        :meth:`note_kernels`: copies the runtime's fault counters
-        (retries, timeouts, pool rebuilds, republished segments, degraded
-        chunks, recovery wall-time, swept orphans — see
-        :attr:`~repro.parallel.runtime.ParallelRuntime.fault_stats`) into
-        the diagnostics sink as ``fault_*`` entries.  Sweeps call it at
-        the end of a run, so a recovered run is distinguishable from a
-        clean one even though their results are bit-identical.  No-op on
-        the in-process route (no runtime ever existed, nothing to report);
-        reads an already-created runtime but never creates one.
-        """
-        runtime = self._runtime
-        if runtime is None:
-            return
-        self.record(
-            **{f"fault_{key}": value for key, value in runtime.fault_stats.items()}
-        )
+        return view
 
     # ------------------------------------------------------------------
     # Pickling (work units ship contexts to worker processes)
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict[str, object]:
-        state = {f.name: getattr(self, f.name) for f in fields(self)}
-        return state
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     def __setstate__(self, state: dict[str, object]) -> None:
         for name, value in state.items():
             object.__setattr__(self, name, value)
+        self.telemetry = Telemetry()
         self._runtime = None
         self._owns_runtime = False
         self._closed = False
+        self._kernel_base = kernels.KERNEL_TELEMETRY.snapshot()
+
+
+def _renamed(entries: Mapping[str, object], old: str, new: str) -> dict[str, object]:
+    """The entries named ``old...``, renamed to ``new...``."""
+    return {
+        new + name[len(old):]: value
+        for name, value in entries.items()
+        if name.startswith(old)
+    }

@@ -17,7 +17,7 @@ Entry points::
     repro solve ... --plan auto --calibration calibration.json
 
 The decision (source, reason, chosen knobs, matched fixture and distance)
-is recorded in the context's diagnostics via ``note_plan()``, so a planned
+is recorded in the context's diagnostics as ``plan_*`` entries, so a planned
 run is always auditable.
 
 Invalidation: calibration files carry :data:`CALIBRATION_VERSION`; a

@@ -311,7 +311,7 @@ class BatchSampler:
                 arrays, meta = cached
                 if restore_generator_state(self._rng, meta.get("rng_state")):
                     index.add_batch(arrays["members"], arrays["indptr"])
-                    self._tally("pool_store_pool_hits")
+                    self._context.telemetry.add("pool_store_pool_hits")
                     return arrays["root_counts"]
         remaining = count
         batches = []
@@ -349,7 +349,7 @@ class BatchSampler:
         ``jobs=1`` runtime, on the worker pool otherwise — and the
         CSR-packed results merge into ``index`` in chunk order.
         """
-        from repro.parallel.tasks import sample_chunk, worker_sample_chunk
+        from repro.parallel.tasks import collect_chunks, sample_chunk, worker_sample_chunk
 
         chunks: list[int] = []
         remaining = count
@@ -382,7 +382,7 @@ class BatchSampler:
                 arrays, _ = cached
                 self._chunk_root.spawn(len(chunks))
                 index.add_batch(arrays["members"], arrays["indptr"])
-                self._tally("pool_store_pool_hits")
+                self._context.telemetry.add("pool_store_pool_hits")
                 return arrays["root_counts"]
         seqs = self._chunk_root.spawn(len(chunks))
         if not self._runtime.parallel:
@@ -400,14 +400,14 @@ class BatchSampler:
             ]
         else:
             graph_handle = self._runtime.publish_graph(self.graph)
-            results = self._runtime.map_ordered(
+            results = collect_chunks(self._runtime.map_ordered(
                 worker_sample_chunk,
                 [
                     (graph_handle, self.model, self.roots, step, seq,
                      self._kernel)
                     for step, seq in zip(chunks, seqs)
                 ],
-            )
+            ))
         collected = []
         for members, indptr, root_counts in results:
             index.add_batch(members, indptr)
@@ -437,9 +437,6 @@ class BatchSampler:
             "roots": _roots_token(self.roots),
             "batch_size": self.batch_size,
         }
-
-    def _tally(self, name: str) -> None:
-        self._context.tally(name)
 
 
 def _roots_token(roots: RootDrawer) -> str:

@@ -431,14 +431,14 @@ def build_round_pool(
     pool = MRRCollection(
         residual.graph, model, residual.shortfall, seed=rng, context=context
     )
-    context.tally("mrr_pools_built")
+    context.telemetry.add("mrr_pools_built")
     if carry is None:
         return pool, CarryDiagnostics(0, 0, 0, 0)
     kept, diagnostics = carry.revalidate(residual)
     if kept is not None:
         pool.adopt(*kept)
-    context.tally("mrr_sets_carried", diagnostics.sets_carried)
-    context.tally("mrr_sets_dropped", diagnostics.sets_offered - diagnostics.sets_carried)
+    context.telemetry.add("mrr_sets_carried", diagnostics.sets_carried)
+    context.telemetry.add("mrr_sets_dropped", diagnostics.sets_offered - diagnostics.sets_carried)
     return pool, diagnostics
 
 

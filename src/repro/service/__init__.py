@@ -10,7 +10,7 @@ is bit-identical to a cold offline ``jobs=1`` run of the same request
 seed — see :mod:`repro.service.server` for the full contract.
 """
 
-from repro.service.cache import CacheStats, ServiceCache
+from repro.service.cache import ServiceCache
 from repro.service.client import ServiceClient, ServiceThread
 from repro.service.protocol import (
     ERROR_CODES,
@@ -29,7 +29,6 @@ __all__ = [
     "ERROR_CODES",
     "MAX_LINE_BYTES",
     "OPERATIONS",
-    "CacheStats",
     "ProtocolError",
     "Request",
     "SeedService",

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
+from repro.runtime.telemetry import Telemetry
 
 #: Default LRU byte budget (graph CSR bytes + pool array bytes).
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
@@ -43,20 +44,6 @@ class _Entry:
 
 
 @dataclass
-class CacheStats:
-    """Counters the health endpoint reports."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))
-
-
-@dataclass
 class ServiceCache:
     """One LRU byte budget over graph and pool entries.
 
@@ -66,7 +53,13 @@ class ServiceCache:
     """
 
     max_bytes: int = DEFAULT_CACHE_BYTES
-    stats: CacheStats = field(default_factory=CacheStats)
+    #: Counters the health endpoint reports.
+    telemetry: Telemetry = field(
+        default_factory=lambda: Telemetry(
+            hits=0, misses=0, stores=0, evictions=0, invalidations=0
+        ),
+        init=False, repr=False, compare=False,
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_bytes, int) or self.max_bytes < 0:
@@ -87,10 +80,10 @@ class ServiceCache:
         """The cached value (now most recent), or ``None`` on a miss."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
+            self.telemetry.add("misses")
             return None
         self._entries.move_to_end(key)
-        self.stats.hits += 1
+        self.telemetry.add("hits")
         return entry.value
 
     def put(self, key: CacheKey, value: Any, nbytes: int) -> bool:
@@ -107,11 +100,11 @@ class ServiceCache:
             self._bytes -= old.nbytes
         self._entries[key] = _Entry(value=value, nbytes=nbytes)
         self._bytes += nbytes
-        self.stats.stores += 1
+        self.telemetry.add("stores")
         while self._bytes > self.max_bytes and len(self._entries) > 1:
             _, evicted = self._entries.popitem(last=False)
             self._bytes -= evicted.nbytes
-            self.stats.evictions += 1
+            self.telemetry.add("evictions")
         return True
 
     def discard(self, key: CacheKey) -> None:
@@ -119,4 +112,4 @@ class ServiceCache:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._bytes -= entry.nbytes
-        self.stats.invalidations += 1
+        self.telemetry.add("invalidations")

@@ -65,6 +65,7 @@ from repro.errors import (
 from repro.graph.digraph import DiGraph
 from repro.parallel.runtime import FaultPolicy, ParallelRuntime
 from repro.runtime.context import ExecutionContext
+from repro.runtime.telemetry import Telemetry
 from repro.sampling.mrr import CarriedMRRPool
 from repro.service import handlers
 from repro.service.cache import DEFAULT_CACHE_BYTES, ServiceCache
@@ -128,6 +129,14 @@ class ServiceConfig:
             )
 
 
+_REQUEST_COUNTERS = (
+    "requests_total", "requests_ok", "requests_failed", "shed_overloaded",
+    "deadline_queued", "deadline_running", "degraded_requests",
+    "carry_adopted", "carry_discarded", "shutting_down_replies",
+    "internal_errors",
+)
+
+
 class SeedService:
     """One server instance; :meth:`run` is the whole lifecycle."""
 
@@ -138,19 +147,8 @@ class SeedService:
         #: to read from other threads (tests start :meth:`run` in one).
         self.ready = threading.Event()
         self.cache = ServiceCache(max_bytes=config.cache_bytes)
-        self.counters: dict[str, int] = {
-            "requests_total": 0,
-            "requests_ok": 0,
-            "requests_failed": 0,
-            "shed_overloaded": 0,
-            "deadline_queued": 0,
-            "deadline_running": 0,
-            "degraded_requests": 0,
-            "carry_adopted": 0,
-            "carry_discarded": 0,
-            "shutting_down_replies": 0,
-            "internal_errors": 0,
-        }
+        #: Request counters, reported under ``health.counters``.
+        self.telemetry = Telemetry(**dict.fromkeys(_REQUEST_COUNTERS, 0))
         self.store: Optional[PoolStore] = (
             PoolStore(config.pool_store) if config.pool_store else None
         )
@@ -329,25 +327,25 @@ class SeedService:
         try:
             request = parse_request(line)
         except ProtocolError as exc:
-            self.counters["requests_failed"] += 1
+            self.telemetry.add("requests_failed")
             return error_reply(exc.request_id, exc.code, str(exc))
         return await self._serve_request(request)
 
     async def _serve_request(self, request: Request) -> dict[str, Any]:
-        self.counters["requests_total"] += 1
+        self.telemetry.add("requests_total")
         if request.op == "health":
             return ok_reply(request.id, "health", self._health(), 0.0)
         if self._draining:
-            self.counters["shutting_down_replies"] += 1
-            self.counters["requests_failed"] += 1
+            self.telemetry.add("shutting_down_replies")
+            self.telemetry.add("requests_failed")
             return error_reply(
                 request.id, "shutting_down",
                 "server is draining; no new work is admitted",
             )
         # Admission: bounded queue, load shedding, never a dropped line.
         if self._pending >= self.config.max_in_flight + self.config.max_queue:
-            self.counters["shed_overloaded"] += 1
-            self.counters["requests_failed"] += 1
+            self.telemetry.add("shed_overloaded")
+            self.telemetry.add("requests_failed")
             return error_reply(
                 request.id, "overloaded",
                 f"admission queue is full ({self._pending} pending); retry",
@@ -364,9 +362,9 @@ class SeedService:
         finally:
             self._pending -= 1
         if reply.get("ok"):
-            self.counters["requests_ok"] += 1
+            self.telemetry.add("requests_ok")
         else:
-            self.counters["requests_failed"] += 1
+            self.telemetry.add("requests_failed")
         return reply
 
     async def _execute(
@@ -380,7 +378,7 @@ class SeedService:
             return error_reply(request.id, exc.code, str(exc))
         async with self._semaphore:
             if deadline.expired:
-                self.counters["deadline_queued"] += 1
+                self.telemetry.add("deadline_queued")
                 return error_reply(
                     request.id, "deadline_exceeded",
                     f"deadline of {request.deadline_ms:.0f}ms expired in the "
@@ -399,7 +397,7 @@ class SeedService:
                         future, timeout=deadline.remaining()
                     )
             except asyncio.TimeoutError:
-                self.counters["deadline_running"] += 1
+                self.telemetry.add("deadline_running")
                 return error_reply(
                     request.id, "deadline_exceeded",
                     f"deadline of {request.deadline_ms:.0f}ms expired while "
@@ -417,7 +415,7 @@ class SeedService:
             except Exception as exc:
                 # A bug, not a bad request: answer it on the open
                 # connection instead of killing the connection task.
-                self.counters["internal_errors"] += 1
+                self.telemetry.add("internal_errors")
                 return error_reply(
                     request.id, "internal", f"{type(exc).__name__}: {exc}"
                 )
@@ -429,17 +427,17 @@ class SeedService:
             )
         if isinstance(plan, handlers.EstimatePlan):
             if carry_status == handlers.CARRY_DISCARDED:
-                self.counters["carry_discarded"] += 1
+                self.telemetry.add("carry_discarded")
                 self.cache.discard(plan.pool_key)
             elif carry_status == handlers.CARRY_ADOPTED:
-                self.counters["carry_adopted"] += 1
+                self.telemetry.add("carry_adopted")
             if carry_out is not None:
                 self.cache.put(
                     plan.pool_key, carry_out,
                     handlers.carried_pool_nbytes(carry_out),
                 )
         if degraded:
-            self.counters["degraded_requests"] += 1
+            self.telemetry.add("degraded_requests")
         reply = ok_reply(request.id, request.op, result, watch.elapsed * 1000.0)
         reply["meta"] = {"carry": carry_status, "degraded": degraded}
         return reply
@@ -584,9 +582,10 @@ class SeedService:
             quarantined = (
                 self._quarantine is not None and not self._quarantine.expired
             )
+        counters = self.telemetry.snapshot()
         if self._draining:
             status = "draining"
-        elif quarantined or self.counters["degraded_requests"]:
+        elif quarantined or counters["degraded_requests"]:
             status = "degraded"
         else:
             status = "ok"
@@ -594,18 +593,18 @@ class SeedService:
             "status": status,
             "jobs": self.config.jobs,
             "pending": self._pending,
-            "counters": dict(self.counters),
+            "counters": counters,
             "cache": {
                 "entries": len(self.cache),
                 "bytes": self.cache.total_bytes,
-                **self.cache.stats.as_dict(),
+                **self.cache.telemetry.snapshot(),
             },
             "store": (
                 None
                 if self.store is None
                 else {
                     "root": str(self.store.root),
-                    **self.store.stats.as_dict(),
+                    **self.store.telemetry.snapshot(),
                 }
             ),
             "runtime": {

@@ -8,7 +8,7 @@ bit-identical by construction to regenerating.  See DESIGN.md "Pool store
 & planner" for the key schema and invalidation rules.
 """
 
-from repro.store.disk import DEFAULT_STORE_BYTES, PoolStore, StoreStats
+from repro.store.disk import DEFAULT_STORE_BYTES, PoolStore
 from repro.store.keys import (
     ARTIFACT_FORMAT_VERSION,
     artifact_key,
@@ -24,7 +24,6 @@ __all__ = [
     "ARTIFACT_FORMAT_VERSION",
     "DEFAULT_STORE_BYTES",
     "PoolStore",
-    "StoreStats",
     "artifact_key",
     "canonical_json",
     "generator_state",

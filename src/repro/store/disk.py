@@ -16,15 +16,16 @@ Guarantees:
   against the manifest digest; any mismatch (truncation, torn concurrent
   rewrite, bit rot) or any other failure discards the artifact and returns
   ``None`` — callers silently regenerate, the store **never crashes a
-  run**.  Discards are counted in :attr:`PoolStore.stats`.
+  run**.  Discards are counted in :attr:`PoolStore.telemetry`.
 * **Bounded size** — after every save the store evicts
   least-recently-used artifacts (manifest mtime, refreshed on every hit)
   until total payload+manifest bytes fit ``max_bytes``.
 
-The store is picklable (configuration only, counters reset), so an
-:class:`~repro.runtime.context.ExecutionContext` carrying one can cross a
-process boundary; worker-side stores operate on the same directory and
-remain safe thanks to the atomic publish protocol.
+The store is picklable (configuration only; a copy counts from zero), so
+an :class:`~repro.runtime.context.ExecutionContext` carrying one can cross
+a process boundary; worker-side stores operate on the same directory and
+remain safe thanks to the atomic publish protocol, and a worker chunk
+ships its copy's counts back to the parent as a delta.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
+from repro.runtime.telemetry import Telemetry
 from repro.store.keys import ARTIFACT_FORMAT_VERSION
 
 #: Default byte budget: generous for pools/worlds at benchmark scale while
@@ -51,30 +53,15 @@ _MANIFEST_SUFFIX = ".json"
 _PAYLOAD_SUFFIX = ".npz"
 
 
-@dataclass
-class StoreStats:
-    """Counters for diagnostics (surfaced via ``context.note_store()``)."""
+#: Store counters, in the order ``health`` and diagnostics list them.
+_COUNTERS = (
+    "hits", "misses", "stores", "store_failures", "evictions",
+    "corrupt_discarded", "bytes_read", "bytes_written",
+)
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    store_failures: int = 0
-    evictions: int = 0
-    corrupt_discarded: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "store_failures": self.store_failures,
-            "evictions": self.evictions,
-            "corrupt_discarded": self.corrupt_discarded,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
+def _store_telemetry() -> Telemetry:
+    return Telemetry(**dict.fromkeys(_COUNTERS, 0))
 
 
 @dataclass
@@ -96,7 +83,11 @@ class PoolStore:
     root: Union[str, Path]
     max_bytes: int = DEFAULT_STORE_BYTES
     clock: Callable[[], float] = time.time
-    stats: StoreStats = field(default_factory=StoreStats, repr=False)
+    #: Hit/miss/eviction counters (``ExecutionContext.diagnostics`` shows
+    #: them as ``pool_store_*``); a pickled copy starts at zero.
+    telemetry: Telemetry = field(
+        default_factory=_store_telemetry, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not str(self.root).strip():
@@ -116,7 +107,7 @@ class PoolStore:
         self.root = Path(state["root"])
         self.max_bytes = int(state["max_bytes"])
         self.clock = time.time
-        self.stats = StoreStats()
+        self.telemetry = _store_telemetry()
 
     # -- paths ---------------------------------------------------------
 
@@ -173,7 +164,7 @@ class PoolStore:
         except (OSError, ValueError):
             if manifest_path.exists() or payload_path.exists():
                 self._discard_corrupt(key)
-            self.stats.misses += 1
+            self.telemetry.add("misses")
             return None
         try:
             if manifest.get("version") != ARTIFACT_FORMAT_VERSION:
@@ -188,14 +179,13 @@ class PoolStore:
                 arrays = {name: bundle[name] for name in bundle.files}
         except (OSError, ValueError, KeyError, EOFError):
             self._discard_corrupt(key)
-            self.stats.misses += 1
+            self.telemetry.add("misses")
             return None
         meta = manifest.get("meta")
         if not isinstance(meta, dict):
             meta = {}
         self._touch(manifest_path, payload_path)
-        self.stats.hits += 1
-        self.stats.bytes_read += len(payload)
+        self.telemetry.merge({"hits": 1, "bytes_read": len(payload)})
         return arrays, meta
 
     def _touch(self, *paths: Path) -> None:
@@ -208,7 +198,7 @@ class PoolStore:
                 continue
 
     def _discard_corrupt(self, key: str) -> None:
-        self.stats.corrupt_discarded += 1
+        self.telemetry.add("corrupt_discarded")
         for path in (self._manifest_path(key), self._payload_path(key)):
             try:
                 path.unlink()
@@ -248,10 +238,9 @@ class PoolStore:
             self._publish(root, payload, self._payload_path(key))
             self._publish(root, manifest.encode("utf-8"), self._manifest_path(key))
         except (OSError, ValueError, TypeError):
-            self.stats.store_failures += 1
+            self.telemetry.add("store_failures")
             return False
-        self.stats.stores += 1
-        self.stats.bytes_written += len(payload)
+        self.telemetry.merge({"stores": 1, "bytes_written": len(payload)})
         self._touch(self._manifest_path(key), self._payload_path(key))
         self._evict_over_budget(keep=key)
         return True
@@ -302,7 +291,7 @@ class PoolStore:
             total -= sizes[key]
 
     def _evict(self, key: str) -> None:
-        self.stats.evictions += 1
+        self.telemetry.add("evictions")
         for path in (self._manifest_path(key), self._payload_path(key)):
             try:
                 path.unlink()

@@ -134,13 +134,10 @@ class TestExplicitOverride:
             eta_fractions=(0.1,),
             max_samples=4000,
         )
-        context = config.to_context()
-        graph = config.build_graph()
-        context.note_graph(graph)
-        assert context.diagnostics["graph_storage"] == "adaptive"
-        assert context.diagnostics["graph_index_dtype"] == "int32"
-        assert "graph_csr_nbytes" in context.diagnostics
-        context.close()
+        diagnostics = run_sweep(config).diagnostics
+        assert diagnostics["graph_storage"] == "adaptive"
+        assert diagnostics["graph_index_dtype"] == "int32"
+        assert "graph_csr_nbytes" in diagnostics
 
     def test_pool_tallies_land_in_diagnostics(self, small_social_damped, model):
         ctx = ExecutionContext()
@@ -273,9 +270,9 @@ class TestLifecycle:
 
     def test_diagnostics_tally(self):
         ctx = ExecutionContext()
-        ctx.tally("chunks", 3)
-        ctx.tally("chunks", 2)
-        ctx.record(stage="fill")
+        ctx.telemetry.add("chunks", 3)
+        ctx.telemetry.add("chunks", 2)
+        ctx.telemetry.set(stage="fill")
         assert ctx.diagnostics["chunks"] == 5
         assert ctx.diagnostics["stage"] == "fill"
 

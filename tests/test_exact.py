@@ -11,6 +11,7 @@ from repro.diffusion.exact import (
 )
 from repro.errors import ConfigurationError
 from repro.graph import generators
+from repro.graph.builder import GraphBuilder
 from repro.testing import reference
 
 
@@ -132,3 +133,11 @@ class TestBatchedReplay:
         whole = exact_expected_spread(graph, ic_model, [0])
         monkeypatch.setattr(exact, "_REPLAY_CHUNK", 3)  # 32 worlds, 11 chunks
         assert exact_expected_spread(graph, ic_model, [0]) == whole
+
+    @pytest.mark.parametrize("model_fixture", ["ic_model", "lt_model"])
+    def test_edgeless_graph_has_one_world(self, model_fixture, request):
+        model = request.getfixturevalue(model_fixture)
+        graph = GraphBuilder(2).build()
+        worlds = list(enumerate_realizations(graph, model))
+        assert [p for _, p in worlds] == [1.0]
+        assert exact_expected_spread(graph, model, [0]) == 1.0

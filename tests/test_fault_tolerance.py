@@ -4,7 +4,7 @@ Four concerns:
 
 * **policy plumbing**: :class:`FaultPolicy` / :class:`FaultInjection`
   validation, the ``ExperimentConfig`` / CLI knobs, and the context's
-  ``note_faults()`` diagnostics;
+  ``fault_*`` diagnostics;
 * **supervisor unit behavior** on echo chunks: transient retry with
   backoff, crash/kill/hang recovery through pool rebuilds, graceful
   degradation and the ``raise`` policy, ``KeyboardInterrupt`` propagation;
@@ -522,7 +522,7 @@ class TestRecoveryEquivalence:
                 seed=3,
                 context=context,
             )
-            context.note_faults()
+            diagnostics = context.diagnostics
         with ExecutionContext(sample_batch_size=64, jobs=1) as clean_context:
             clean = estimate_truncated_spread_mrr(
                 bench_graph,
@@ -534,15 +534,14 @@ class TestRecoveryEquivalence:
                 context=clean_context,
             )
         assert chaos == clean
-        assert context.diagnostics["fault_rebuilds"] == 1
-        assert context.diagnostics["fault_degraded_chunks"] == 0
+        assert diagnostics["fault_rebuilds"] == 1
+        assert diagnostics["fault_degraded_chunks"] == 0
 
     def test_note_faults_noop_without_runtime(self):
         context = ExecutionContext()
-        context.note_faults()
         assert not any(key.startswith("fault_") for key in context.diagnostics)
         # And it must not *create* a runtime as a side effect.
         parallel = ExecutionContext(jobs=2)
-        parallel.note_faults()
+        parallel.diagnostics
         assert parallel._runtime is None
         parallel.close()

@@ -10,8 +10,8 @@ Three contracts:
   byte-for-byte the same pools, cascades, replays, CRN matrices, and
   adaptive seed sets as the vectorized numpy closures, for any worker
   count;
-* **diagnostics** — ``ExecutionContext.note_kernels`` snapshots what the
-  dispatch layer actually did.
+* **diagnostics** — ``ExecutionContext.diagnostics`` shows what the
+  dispatch layer actually did since the context was built.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from repro.graph import generators, weighting
 from repro.kernels import (
     AUTO_MIN_EDGES,
     KERNEL_BACKENDS,
+    KERNEL_TELEMETRY,
     numba_available,
-    reset_stats,
     resolve_backend,
-    snapshot_stats,
 )
 from repro.kernels.reference import KERNEL_NAMES
 from repro.runtime.context import ExecutionContext
@@ -119,11 +118,13 @@ class TestResolution:
         assert resolve_backend("auto").name == "numba"  # no graph: trust the pin
 
     def test_resolutions_are_tallied(self):
-        reset_stats()
+        before = KERNEL_TELEMETRY.snapshot()
         resolve_backend("numpy")
         resolve_backend("python")
         resolve_backend("python")
-        assert snapshot_stats()["resolved"] == {"numpy": 1, "python": 2}
+        assert KERNEL_TELEMETRY.since(before) == {
+            "resolved.numpy": 1, "resolved.python": 2,
+        }
 
     def test_real_numba_probe_matches_import(self):
         try:
@@ -174,11 +175,9 @@ class TestKnobValidation:
 
 class TestDiagnostics:
     def test_note_kernels_snapshots_dispatch_activity(self, graph):
-        reset_stats()
         model = IndependentCascade()
-        model.simulate_batch(graph, [0], 8, seed=1, kernel="python")
         with ExecutionContext(kernel_backend="python") as context:
-            context.note_kernels()
+            model.simulate_batch(graph, [0], 8, seed=1, kernel="python")
             diag = context.diagnostics
         assert diag["kernel_backend"] == "python"
         assert diag["kernel_numba_available"] == numba_available()
@@ -187,43 +186,37 @@ class TestDiagnostics:
         assert diag["kernel_jit_seconds"] >= 0.0
 
     def test_sweep_records_kernel_diagnostics(self):
-        # The harness calls note_kernels at the end of every sweep; probe
-        # through the public run_sweep path at quick scale.
+        # Probe through the public run_sweep path at quick scale.
         from repro.experiments.config import quick_config
         from repro.experiments.harness import run_sweep
 
-        reset_stats()
+        before = KERNEL_TELEMETRY.snapshot()
         config = quick_config(
             graph_n=80, realizations=2, algorithms=("ASTI",),
             eta_fractions=(0.1,), max_samples=2000,
         )
-        run_sweep(config)  # note_kernels must not raise mid-sweep
-        assert snapshot_stats()["resolved"]  # engines resolved backends
+        run_sweep(config)
+        assert any(  # engines resolved backends
+            key.startswith("resolved.") for key in KERNEL_TELEMETRY.since(before)
+        )
 
-    def test_sweep_counts_only_its_own_dispatches(self, monkeypatch):
-        # KERNEL_STATS is process-wide; each sweep must report the
+    def test_sweep_counts_only_its_own_dispatches(self):
+        # KERNEL_TELEMETRY is process-wide; each sweep must report the
         # difference from its own entry, so a repeat sweep records the
         # same diagnostics instead of the running process total.
-        from repro.experiments.config import ExperimentConfig, quick_config
+        from repro.experiments.config import quick_config
         from repro.experiments.harness import run_sweep
 
-        contexts = []
-        to_context = ExperimentConfig.to_context
-
-        def capture(self, graph=None):
-            contexts.append(to_context(self, graph))
-            return contexts[-1]
-
-        monkeypatch.setattr(ExperimentConfig, "to_context", capture)
         config = quick_config(
             graph_n=80, realizations=2, algorithms=("ASTI", "ATEUC"),
             eta_fractions=(0.1,), max_samples=2000,
         )
-        run_sweep(config)
-        run_sweep(config)
         first, second = (
-            {k: v for k, v in c.diagnostics.items() if k.startswith("kernel_")}
-            for c in contexts
+            {
+                k: v for k, v in run_sweep(config).diagnostics.items()
+                if k.startswith("kernel_")
+            }
+            for _ in range(2)
         )
         assert first["kernel_backends_resolved"]
         for diagnostics in (first, second):
@@ -366,7 +359,7 @@ class TestCompiledBitIdentity:
         )
 
     def test_jit_time_is_attributed(self, graph):
-        reset_stats()
+        before = KERNEL_TELEMETRY.snapshot()
         IndependentCascade().simulate_batch(graph, [0], 8, seed=1, kernel="numba")
-        stats = snapshot_stats()
-        assert stats["calls"].get("ic_forward", 0) >= 1
+        stats = KERNEL_TELEMETRY.since(before)
+        assert stats.get("calls.ic_forward", 0) >= 1

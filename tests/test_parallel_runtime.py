@@ -21,7 +21,7 @@ from repro.core.asti import ASTI
 from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.lt import LinearThreshold
 from repro.diffusion.montecarlo import CRNSpreadEvaluator, estimate_spreads_many
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DiffusionError
 from repro.experiments.config import ExperimentConfig, quick_config
 from repro.experiments.harness import (
     build_algorithm,
@@ -34,7 +34,6 @@ from repro.runtime.context import ExecutionContext
 from repro.parallel.shm import (
     graph_from_handle,
     realizations_from_handle,
-    realizations_shareable,
     share_graph,
     share_realizations,
 )
@@ -143,7 +142,6 @@ class TestSharedMemoryRoundTrips:
     def test_realizations_round_trip(self, bench_graph, model_fixture, request):
         model = request.getfixturevalue(model_fixture)
         realizations = sample_shared_realizations(bench_graph, model, 4, seed=3)
-        assert realizations_shareable(realizations)
         bundle, handle = share_realizations(realizations)
         try:
             rebuilt = realizations_from_handle(bench_graph, handle, [0, 2])
@@ -155,8 +153,8 @@ class TestSharedMemoryRoundTrips:
     def test_mixed_realizations_not_shareable(self, bench_graph):
         ic = IndependentCascade().sample_realization(bench_graph, 0)
         lt = LinearThreshold().sample_realization(bench_graph, 0)
-        assert not realizations_shareable([ic, lt])
-        assert not realizations_shareable([])
+        with pytest.raises(DiffusionError):
+            share_realizations([ic, lt])
 
     def test_publish_graph_cached_per_object(self, bench_graph):
         with ParallelRuntime(1) as runtime:

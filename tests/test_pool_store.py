@@ -59,12 +59,12 @@ class TestDiskStore:
         arrays, meta = store.load(key)
         assert np.array_equal(arrays["members"], sample_arrays()["members"])
         assert meta == {"note": "x"}
-        assert store.stats.hits == 1 and store.stats.stores == 1
+        assert store.telemetry.snapshot()["hits"] == 1 and store.telemetry.snapshot()["stores"] == 1
 
     def test_miss_returns_none(self, tmp_path):
         store = make_store(tmp_path)
         assert store.load("pool-deadbeef") is None
-        assert store.stats.misses == 1
+        assert store.telemetry.snapshot()["misses"] == 1
 
     def test_truncated_payload_discarded_silently(self, tmp_path):
         store = make_store(tmp_path)
@@ -73,7 +73,7 @@ class TestDiskStore:
         payload = store.root / f"{key}.npz"
         payload.write_bytes(payload.read_bytes()[:20])
         assert store.load(key) is None
-        assert store.stats.corrupt_discarded == 1
+        assert store.telemetry.snapshot()["corrupt_discarded"] == 1
         # Both files were removed — the next save regenerates cleanly.
         assert not payload.exists()
         assert store.save(key, sample_arrays())
@@ -88,7 +88,7 @@ class TestDiskStore:
         manifest["digest"] = "0" * 64
         manifest_path.write_text(json.dumps(manifest))
         assert store.load(key) is None
-        assert store.stats.corrupt_discarded == 1
+        assert store.telemetry.snapshot()["corrupt_discarded"] == 1
 
     def test_garbage_manifest_discarded(self, tmp_path):
         store = make_store(tmp_path)
@@ -119,7 +119,7 @@ class TestDiskStore:
         store.save("pool-aa", sample_arrays())
         store.save("pool-bb", sample_arrays())
         assert store.keys() == ["pool-bb"]
-        assert store.stats.evictions == 1
+        assert store.telemetry.snapshot()["evictions"] == 1
 
     def test_oversized_entry_not_kept(self, tmp_path):
         store = make_store(tmp_path, max_bytes=1)
@@ -153,7 +153,7 @@ class TestDiskStore:
         finally:
             store.root.parent.chmod(0o755)
         if not ok:  # root (in CI containers) may bypass the chmod
-            assert store.stats.store_failures == 1
+            assert store.telemetry.snapshot()["store_failures"] == 1
 
     def test_concurrent_readers_and_writers(self, tmp_path):
         """Atomic publish: a reader never sees a half-written artifact."""
@@ -195,7 +195,7 @@ class TestDiskStore:
         store.save("pool-aa", sample_arrays())
         clone = pickle.loads(pickle.dumps(store))
         assert clone.root == store.root
-        assert clone.stats.stores == 0
+        assert clone.telemetry.snapshot()["stores"] == 0
         assert clone.load("pool-aa") is not None
 
     def test_empty_root_rejected(self):
@@ -265,7 +265,7 @@ class TestWarmConsumers:
         warm = self._fill(graph, warm_store)
         for c, w in zip(cold, warm):
             assert np.array_equal(c, w)
-        assert warm_store.stats.hits >= 1
+        assert warm_store.telemetry.snapshot()["hits"] >= 1
 
     def test_no_store_matches_store(self, graph, tmp_path):
         plain = self._fill(graph, None)
@@ -306,7 +306,7 @@ class TestWarmConsumers:
         warm = evaluate(warm_store)
         assert np.array_equal(plain, cold)
         assert np.array_equal(cold, warm)
-        assert warm_store.stats.hits >= 1
+        assert warm_store.telemetry.snapshot()["hits"] >= 1
 
     def test_warm_sweep_seed_counts_identical(self, tmp_path):
         config = quick_config(
@@ -339,7 +339,7 @@ class TestWarmConsumers:
         warm = self._fill(graph, warm_store)
         for c, w in zip(cold, warm):
             assert np.array_equal(c, w)
-        assert warm_store.stats.corrupt_discarded >= 1
+        assert warm_store.telemetry.snapshot()["corrupt_discarded"] >= 1
 
     def test_context_pickles_with_store(self, tmp_path):
         import pickle
@@ -352,7 +352,6 @@ class TestWarmConsumers:
         store = make_store(tmp_path)
         store.save("pool-aa", sample_arrays())
         context = ExecutionContext(pool_store=store)
-        context.note_store()
         assert context.diagnostics["pool_store_stores"] == 1
         assert str(store.root) in context.diagnostics["pool_store_root"]
 

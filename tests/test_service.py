@@ -170,7 +170,7 @@ class TestServiceCache:
         assert cache.get(("b",)) is None
         assert cache.get(("a",)) == "A"
         assert cache.get(("c",)) == "C"
-        assert cache.stats.evictions == 1
+        assert cache.telemetry.snapshot()["evictions"] == 1
         assert cache.total_bytes == 80
 
     def test_oversize_entry_refused(self):
@@ -185,7 +185,7 @@ class TestServiceCache:
         cache.discard(key)
         assert cache.get(key) is None
         assert cache.total_bytes == 0
-        assert cache.stats.invalidations == 1
+        assert cache.telemetry.snapshot()["invalidations"] == 1
         # No quarantine: the key takes a fresh entry straight away.
         assert cache.put(key, "w", 30)
         assert cache.get(key) == "w"
