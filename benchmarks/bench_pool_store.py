@@ -14,7 +14,8 @@ store directory:
   candidate x world spread matrix compared bit-for-bit;
 * **sweep** — an end-to-end ``run_sweep``: cold, warm, and store-less
   runs must select identical per-eta seed counts (the store may only
-  change *when* sampling is paid, never *what* is sampled).
+  change *when* sampling is paid, never *what* is sampled); the cold
+  run's cost over the store-less one is reported as ``cold_over_plain``.
 
 The bars: every bit-identity flag true on every run (``CHECKS``), and,
 with ``--gate``, the pool and CRN warm legs at least 5x over their cold
@@ -190,6 +191,9 @@ def measure_sweep(profile, store_dir, seed=0):
         "cold_seconds": round(cold_seconds, 4),
         "warm_seconds": round(warm_seconds, 4),
         "speedup": round(cold_seconds / warm_seconds, 2),
+        # The cold-store penalty: what populating the store costs a sweep
+        # over running without one (reported, not gated).
+        "cold_over_plain": round(cold_seconds / plain_seconds, 2),
         "bit_identical": bool(plain_counts == cold_counts == warm_counts),
         "seed_counts": plain_counts,
     }

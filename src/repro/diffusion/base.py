@@ -77,6 +77,20 @@ class DiffusionModel(abc.ABC):
         computed from it are pure functions of the seeds.
         """
 
+    def sample_worlds(
+        self, graph: DiGraph, rng: np.random.Generator, count: int
+    ) -> tuple[str, np.ndarray]:
+        """``count`` realizations as their world kind and flat stacked noise.
+
+        The layout :func:`~repro.diffusion.realization.stack_worlds` gives
+        ``count`` consecutive :meth:`sample_realization` draws from ``rng``
+        — which is what this default does; a model may override it with
+        one vectorized pass that consumes ``rng`` identically.
+        """
+        from repro.diffusion.realization import stack_worlds
+
+        return stack_worlds([self.sample_realization(graph, rng) for _ in range(count)])
+
     @abc.abstractmethod
     def reverse_sample_batch(
         self,

@@ -8,8 +8,8 @@ wherever ``indeg > 0``).
 
 The equivalent live-edge process — each node independently keeps at most one
 incoming edge, edge ``(u, v)`` with probability ``p(u, v)`` — drives both
-:meth:`LinearThreshold.sample_realization` and the reverse random walk used
-for (m)RR sets.
+:meth:`LinearThreshold.sample_worlds` and the reverse random walk used for
+(m)RR sets.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from repro.utils.arrays import sorted_unique
 from repro.utils.rng import RandomSource, as_generator
 
 _SUM_TOLERANCE = 1e-9
+
+#: ``(world, node)`` rows per :meth:`LinearThreshold.sample_worlds` chunk;
+#: bounds its per-row scan state to a few tens of MB.
+_WORLD_CHUNK_ELEMENTS = 1_000_000
 
 
 def check_lt_validity(graph: DiGraph) -> None:
@@ -87,25 +91,47 @@ class LinearThreshold(DiffusionModel):
         self, graph: DiGraph, seed: RandomSource = None
     ) -> LTRealization:
         """Each node keeps at most one incoming edge (live-edge sampling)."""
-        check_lt_validity(graph)
-        rng = as_generator(seed)
-        indptr, sources, probs = graph.in_csr
-        chosen = np.full(graph.n, -1, dtype=np.int64)
-        draws = rng.random(graph.n)
-        for v in range(graph.n):
-            start, end = int(indptr[v]), int(indptr[v + 1])
-            if start == end:
-                continue
-            acc = 0.0
-            x = draws[v]
-            for pos in range(start, end):
-                # float() keeps the accumulation in float64 under compact
-                # float32 storage (the upcast of each addend is exact).
-                acc += float(probs[pos])
-                if x < acc:
-                    chosen[v] = sources[pos]
-                    break
+        _, chosen = self.sample_worlds(graph, as_generator(seed), 1)
         return LTRealization(graph, chosen)
+
+    def sample_worlds(
+        self, graph: DiGraph, rng: np.random.Generator, count: int
+    ) -> tuple[str, np.ndarray]:
+        """``count`` live-edge worlds in one vectorized pass: ``("lt", chosen)``.
+
+        ``chosen[w * n + v]`` is the in-neighbor node ``v`` keeps in world
+        ``w`` (``-1`` for none).  One ``rng.random(count * n)`` draw
+        consumes the stream exactly as ``count`` per-world draws of ``n``
+        uniforms do, and node ``v`` keeps the first in-CSR edge whose
+        running probability sum exceeds its uniform.  The sums step
+        through in-edge positions for every still-open ``(world, node)``
+        row at once, adding in float64 in the scalar scan's order (each
+        compact float32 addend upcasts exactly), so the worlds are
+        bit-identical to one scan per node.
+        """
+        check_lt_validity(graph)
+        n = graph.n
+        indptr, sources, probs = graph.in_csr
+        draws = rng.random(count * n)
+        chosen = np.full(count * n, -1, dtype=np.int64)
+        nodes = np.flatnonzero(np.diff(indptr))  # nodes with in-edges
+        per_chunk = max(1, _WORLD_CHUNK_ELEMENTS // max(1, len(nodes)))
+        for first in range(0, count, per_chunk):
+            worlds = np.arange(first, min(first + per_chunk, count), dtype=np.int64)
+            rows = (worlds[:, None] * n + nodes).reshape(-1)
+            position = np.tile(indptr[nodes], len(worlds))
+            end = np.tile(indptr[nodes + 1], len(worlds))
+            threshold = draws[rows]
+            running = np.zeros(len(rows), dtype=np.float64)
+            while len(rows):
+                running += probs[position]
+                kept = threshold < running
+                chosen[rows[kept]] = sources[position[kept]]
+                position += 1
+                still_open = ~kept & (position < end)
+                rows, position, end = rows[still_open], position[still_open], end[still_open]
+                threshold, running = threshold[still_open], running[still_open]
+        return "lt", chosen
 
     def simulate_batch(
         self,

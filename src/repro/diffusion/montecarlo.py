@@ -38,7 +38,7 @@ from repro.diffusion.base import (
     normalize_seeds,
     pack_start_sets,
 )
-from repro.diffusion.realization import replay_worlds, stack_worlds
+from repro.diffusion.realization import replay_worlds
 from repro.graph.digraph import DiGraph
 from repro.runtime.context import ExecutionContext
 from repro.utils.rng import RandomSource, as_generator
@@ -282,10 +282,10 @@ class CRNSpreadEvaluator:
       initialization runs as a handful of vectorized sweeps instead of
       ``n * n_sims`` per-cascade Python loops.
 
-    For IC-family models (including the topic-aware collapse) the
-    realizations stack into one flat live-edge matrix; for LT into one flat
-    chosen-in-edge matrix (the per-realization objects are released once
-    stacked).  A model whose realizations are neither raises
+    The worlds come from one ``model.sample_worlds`` call: for IC-family
+    models (including the topic-aware collapse) one flat live-edge matrix,
+    for LT one flat chosen-in-edge matrix drawn in a single vectorized
+    pass.  A model whose realizations are neither raises
     :class:`~repro.errors.DiffusionError` (see
     :func:`~repro.diffusion.realization.stack_worlds`).
 
@@ -366,9 +366,7 @@ class CRNSpreadEvaluator:
                 else:
                     store_key = None  # unusable artifact: resample, no save
         if not hasattr(self, "_kind"):
-            self._kind, self._worlds = stack_worlds(
-                [model.sample_realization(graph, rng) for _ in range(self.n_sims)]
-            )
+            self._kind, self._worlds = model.sample_worlds(graph, rng, self.n_sims)
             if store_key is not None:
                 store.save(
                     store_key,

@@ -51,6 +51,7 @@ DEFAULT_STORE_BYTES = 2 * 1024 ** 3
 
 _MANIFEST_SUFFIX = ".json"
 _PAYLOAD_SUFFIX = ".npz"
+_STAGING_PREFIX = ".tmp-"  # a staged temporary awaiting its atomic publish
 
 
 #: Store counters, in the order ``health`` and diagnostics list them.
@@ -97,6 +98,7 @@ class PoolStore:
         self.root = Path(self.root)
         if self.max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {self.max_bytes}")
+        self._sizes: dict[str, int] = {}  # see _refresh_sizes; never pickled
 
     # -- pickling: configuration crosses processes, counters stay local --
 
@@ -108,6 +110,7 @@ class PoolStore:
         self.max_bytes = int(state["max_bytes"])
         self.clock = time.time
         self.telemetry = _store_telemetry()
+        self._sizes = {}
 
     # -- paths ---------------------------------------------------------
 
@@ -117,32 +120,40 @@ class PoolStore:
     def _payload_path(self, key: str) -> Path:
         return Path(self.root) / f"{key}{_PAYLOAD_SUFFIX}"
 
+    def _refresh_sizes(self) -> dict[str, int]:
+        """``{file name: bytes}`` from one listing, stat'ing only new names:
+        a published file never changes (content-addressed key, atomic
+        ``os.replace``), so a remembered size is exact.  Threads sharing the
+        store only replace the map or pop from it, never iterate it."""
+        try:
+            names = os.listdir(self.root)
+        except OSError:
+            names = []
+        known, fresh = self._sizes, {}
+        for name in names:
+            if name.endswith((_MANIFEST_SUFFIX, _PAYLOAD_SUFFIX)):
+                try:
+                    fresh[name] = known.get(name) or os.stat(self.root / name).st_size
+                except OSError:
+                    continue
+        self._sizes = fresh
+        return dict(fresh)  # other threads' pops must not race our reads
+
     def keys(self) -> list[str]:
-        """Keys with a published manifest, oldest recency stamp first."""
-        root = Path(self.root)
-        if not root.is_dir():
-            return []
+        """Keys with a published manifest (no staging file), oldest first."""
         stamped: list[tuple[float, str]] = []
-        for manifest in root.glob(f"*{_MANIFEST_SUFFIX}"):
-            try:
-                stamped.append((manifest.stat().st_mtime, manifest.stem))
-            except OSError:
-                continue
+        for name in self._refresh_sizes():
+            key = name[: -len(_MANIFEST_SUFFIX)]
+            if name.endswith(_MANIFEST_SUFFIX) and not name.startswith(_STAGING_PREFIX):
+                try:
+                    stamped.append((os.stat(self.root / name).st_mtime, key))
+                except OSError:
+                    continue
         return [key for _, key in sorted(stamped)]
 
     def total_bytes(self) -> int:
         """Bytes currently on disk across payloads and manifests."""
-        root = Path(self.root)
-        if not root.is_dir():
-            return 0
-        total = 0
-        for path in root.iterdir():
-            if path.suffix in (_MANIFEST_SUFFIX, _PAYLOAD_SUFFIX):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
-        return total
+        return sum(self._refresh_sizes().values())
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -163,7 +174,7 @@ class PoolStore:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             if manifest_path.exists() or payload_path.exists():
-                self._discard_corrupt(key)
+                self._unlink(key, "corrupt_discarded")
             self.telemetry.add("misses")
             return None
         try:
@@ -178,7 +189,7 @@ class PoolStore:
             with np.load(io.BytesIO(payload), allow_pickle=False) as bundle:
                 arrays = {name: bundle[name] for name in bundle.files}
         except (OSError, ValueError, KeyError, EOFError):
-            self._discard_corrupt(key)
+            self._unlink(key, "corrupt_discarded")
             self.telemetry.add("misses")
             return None
         meta = manifest.get("meta")
@@ -194,14 +205,6 @@ class PoolStore:
         for path in paths:
             try:
                 os.utime(path, (now, now))
-            except OSError:
-                continue
-
-    def _discard_corrupt(self, key: str) -> None:
-        self.telemetry.add("corrupt_discarded")
-        for path in (self._manifest_path(key), self._payload_path(key)):
-            try:
-                path.unlink()
             except OSError:
                 continue
 
@@ -248,12 +251,13 @@ class PoolStore:
     def _publish(self, root: Path, data: bytes, destination: Path) -> None:
         """Stage ``data`` as a sibling temporary, then atomically rename."""
         fd, tmp_name = tempfile.mkstemp(
-            dir=root, prefix=".tmp-", suffix=destination.suffix
+            dir=root, prefix=_STAGING_PREFIX, suffix=destination.suffix
         )
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
             os.replace(tmp_name, destination)
+            self._sizes.pop(destination.name, None)  # stat it afresh
         except OSError:
             try:
                 os.unlink(tmp_name)
@@ -263,36 +267,31 @@ class PoolStore:
 
     # -- eviction ------------------------------------------------------
 
-    def _artifact_nbytes(self, key: str) -> int:
-        total = 0
-        for path in (self._manifest_path(key), self._payload_path(key)):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def _evict_over_budget(self, keep: Optional[str] = None) -> None:
-        """Drop least-recently-used artifacts until the store fits.
-
-        The just-saved key is evicted last (only when it alone exceeds the
-        budget — mirroring the service cache's oversized-entry policy).
-        """
-        ordered = self.keys()
-        if keep is not None and keep in ordered:
-            ordered.remove(keep)
-            ordered.append(keep)
-        sizes = {key: self._artifact_nbytes(key) for key in ordered}
-        total = sum(sizes.values())
+    def _evict_over_budget(self, keep: str) -> None:
+        """Drop least-recently-used artifacts until the manifests (staging
+        ones too) and their payloads fit; the just-saved key goes last (only
+        when it alone exceeds the budget, as in the service cache)."""
+        sizes = self._refresh_sizes()
+        total = sum(
+            size
+            for name, size in sizes.items()
+            if name.endswith(_MANIFEST_SUFFIX)
+            or name[: -len(_PAYLOAD_SUFFIX)] + _MANIFEST_SUFFIX in sizes
+        )
+        # Recency stamps are read only when over budget.
+        ordered = self.keys() if total > self.max_bytes else []
+        ordered.sort(key=keep.__eq__)  # stable: the just-saved key goes last
         for key in ordered:
             if total <= self.max_bytes:
                 return
-            self._evict(key)
-            total -= sizes[key]
+            total -= sizes.get(key + _MANIFEST_SUFFIX, 0) + sizes.get(key + _PAYLOAD_SUFFIX, 0)
+            self._unlink(key, "evictions")
 
-    def _evict(self, key: str) -> None:
-        self.telemetry.add("evictions")
+    def _unlink(self, key: str, counter: str) -> None:
+        """Remove both files of ``key``, best-effort, counting why."""
+        self.telemetry.add(counter)
         for path in (self._manifest_path(key), self._payload_path(key)):
+            self._sizes.pop(path.name, None)
             try:
                 path.unlink()
             except OSError:

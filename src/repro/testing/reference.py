@@ -2,9 +2,10 @@
 
 The library has one production implementation per engine operation.  This
 module keeps the straightforward loops they replaced, with the same code
-and random draw order: one reverse BFS or cascade per call, one world
-replay per call, one (m)RR set per draw, greedy max-cover with a full
-argmax per pick, and CELF with fresh Monte-Carlo noise per evaluation.
+and random draw order: one reverse BFS or cascade per call, one LT
+in-edge scan per node, one world replay per call, one (m)RR set per
+draw, greedy max-cover with a full argmax per pick, and CELF with fresh
+Monte-Carlo noise per evaluation.
 Tests check the engines against them and the throughput benchmarks time
 them as baselines; lint rule REP009 keeps production modules from
 importing this one.
@@ -97,6 +98,28 @@ def reverse_sample(
         result = np.concatenate(pieces) if len(pieces) > 1 else roots.copy()
     visited[result] = False  # restore the pooled scratch buffer
     return result
+
+
+def sample_lt_realization(graph: DiGraph, seed: RandomSource = None) -> LTRealization:
+    """One LT live-edge world, one in-CSR scan per node; the oracle of
+    :meth:`~repro.diffusion.lt.LinearThreshold.sample_worlds`.
+
+    Node ``v`` keeps the first in-edge whose running probability sum
+    exceeds its uniform draw, or none when the draw is past the row total.
+    """
+    check_lt_validity(graph)
+    rng = as_generator(seed)
+    indptr, sources, probs = graph.in_csr
+    chosen = np.full(graph.n, -1, dtype=np.int64)
+    draws = rng.random(graph.n)
+    for v in range(graph.n):
+        acc = 0.0
+        for pos in range(int(indptr[v]), int(indptr[v + 1])):
+            acc += float(probs[pos])  # float64 under compact storage
+            if draws[v] < acc:
+                chosen[v] = sources[pos]
+                break
+    return LTRealization(graph, chosen)
 
 
 def simulate(

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.diffusion import lt
 from repro.diffusion.lt import LinearThreshold, check_lt_validity
+from repro.diffusion.montecarlo import CRNSpreadEvaluator
+from repro.diffusion.realization import stack_worlds
 from repro.errors import DiffusionError
 from repro.graph import generators, weighting
 from repro.graph.builder import GraphBuilder
@@ -110,6 +113,102 @@ class TestSampleRealization:
         picks = [model.sample_realization(g, rng).chosen_source[2] for _ in range(600)]
         fraction_zero = np.mean([p == 0 for p in picks])
         assert 0.4 < fraction_zero < 0.6
+
+
+def lt_mixed_graph(storage):
+    """Every in-row shape the vectorized world draw must reproduce.
+
+    Nodes 0-9 have no in-edges; node 10 is a 32-edge hub whose dyadic
+    weights sum to exactly 1 and node 11 a 40-edge hub summing below 1;
+    nodes 12-59 get 1-5 in-edges, alternately dyadic with sum exactly 1
+    and float32-exact random weights summing below 1.  Every weight is
+    float32-exact, so ``"adaptive"`` storage stores float32 probabilities
+    while the running sums must still accumulate in float64.
+    """
+    gen = np.random.default_rng(11)
+    src, dst, probs = [], [], []
+
+    def row(target, sources, weights):
+        src.extend(int(u) for u in sources)
+        dst.extend([target] * len(sources))
+        probs.extend(float(w) for w in weights)
+
+    row(10, range(12, 44), [1 / 32] * 32)
+    row(11, range(12, 52), (gen.random(40) / 41).astype(np.float32))
+    for v in range(12, 60):
+        d = int(gen.integers(1, 6))
+        sources = gen.choice(np.setdiff1d(np.arange(60), [v]), size=d, replace=False)
+        if v % 2:
+            weights = [0.5 ** (i + 1) for i in range(d - 1)] + [0.5 ** (d - 1)]
+        else:
+            weights = (gen.random(d) / (d + 1)).astype(np.float32)
+        row(v, sources, weights)
+    return DiGraph.from_edges(60, zip(src, dst, probs), storage=storage)
+
+
+def reference_worlds(graph, rng, count):
+    return stack_worlds(
+        [reference.sample_lt_realization(graph, rng) for _ in range(count)]
+    )
+
+
+class TestSampleWorlds:
+    """The vectorized world draw against the per-node scan it replaced."""
+
+    @pytest.mark.parametrize("storage", ["adaptive", "wide"])
+    @pytest.mark.parametrize("count", [1, 7, 48])
+    @pytest.mark.parametrize("chunk", [None, 16])
+    def test_bit_identical_to_reference_scan(
+        self, model, monkeypatch, storage, count, chunk
+    ):
+        graph = lt_mixed_graph(storage)
+        assert graph.prob_dtype == (np.float32 if storage == "adaptive" else np.float64)
+        if chunk is not None:  # the 40-edge hub is wider than one chunk
+            monkeypatch.setattr(lt, "_WORLD_CHUNK_ELEMENTS", chunk)
+        fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+        kind, worlds = model.sample_worlds(graph, fast, count)
+        expected_kind, expected = reference_worlds(graph, slow, count)
+        assert kind == expected_kind == "lt"
+        assert worlds.dtype == expected.dtype
+        assert np.array_equal(worlds, expected)
+        assert fast.random() == slow.random()  # the stream moved identically
+        chosen = worlds.reshape(count, graph.n)
+        assert (chosen[:, :10] == -1).all()  # isolated nodes keep nothing
+        assert (chosen[:, 10] >= 0).all()  # a full-weight row always keeps one
+
+    @pytest.mark.parametrize("storage", ["adaptive", "wide"])
+    def test_running_sum_accumulates_in_float64(self, model, storage):
+        # The threshold falls between the float32 and the float64 sum of the
+        # first two weights: only a float64 running sum moves on to edge 2.
+        weights = np.float32([0.1, 0.2, 0.3]).astype(np.float64)
+        graph = DiGraph.from_edges(
+            4, [(u, 3, w) for u, w in enumerate(weights)], storage=storage
+        )
+        wide_sum = weights[0] + weights[1]
+        narrow_sum = float(np.float32(weights[0]) + np.float32(weights[1]))
+        assert wide_sum != narrow_sum
+
+        class FixedUniforms:  # a generator stand-in: every draw is one value
+            def random(self, size):
+                return np.full(size, (wide_sum + narrow_sum) / 2)
+
+        _, chosen = model.sample_worlds(graph, FixedUniforms(), 2)
+        assert chosen.tolist() == [-1, -1, -1, 2] * 2
+
+    def test_sample_realization_matches_reference(self, model):
+        graph = lt_mixed_graph("adaptive")
+        phi = model.sample_realization(graph, 9)
+        expected = reference.sample_lt_realization(graph, 9)
+        assert np.array_equal(phi.chosen_source, expected.chosen_source)
+
+    def test_crn_worlds_match_stacked_reference(self, model):
+        graph = lt_mixed_graph("adaptive")
+        fast, slow = np.random.default_rng(8), np.random.default_rng(8)
+        evaluator = CRNSpreadEvaluator(graph, model, n_sims=12, seed=fast)
+        kind, expected = reference_worlds(graph, slow, 12)
+        assert evaluator._kind == kind
+        assert np.array_equal(evaluator._worlds, expected)
+        assert fast.random() == slow.random()
 
 
 class TestReverseSample:

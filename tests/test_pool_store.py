@@ -8,8 +8,11 @@ with the bar that matters: a warm run is byte-for-byte the cold run.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +199,7 @@ class TestDiskStore:
         clone = pickle.loads(pickle.dumps(store))
         assert clone.root == store.root
         assert clone.telemetry.snapshot()["stores"] == 0
+        assert store._sizes and clone._sizes == {}  # the size map stays local
         assert clone.load("pool-aa") is not None
 
     def test_empty_root_rejected(self):
@@ -206,6 +210,121 @@ class TestDiskStore:
             PoolStore("")
         with pytest.raises(ValueError, match="store root"):
             PoolStore("   ")
+
+
+class RescanStore(PoolStore):
+    """The budget check as a full directory rescan on every save.
+
+    The reference the incremental size map must agree with: every
+    ``*.json`` is a key (ordered by manifest mtime) and every key's two
+    files are stat'ed afresh.
+    """
+
+    def keys(self):
+        stamped = [
+            (manifest.stat().st_mtime, manifest.stem)
+            for manifest in Path(self.root).glob("*.json")
+        ]
+        return [key for _, key in sorted(stamped)]
+
+    def _evict_over_budget(self, keep):
+        ordered = self.keys()
+        if keep in ordered:
+            ordered.remove(keep)
+            ordered.append(keep)
+        sizes = {
+            key: sum(
+                path.stat().st_size
+                for path in (self._manifest_path(key), self._payload_path(key))
+                if path.exists()
+            )
+            for key in ordered
+        }
+        total = sum(sizes.values())
+        for key in ordered:
+            if total <= self.max_bytes:
+                return
+            self._unlink(key, "evictions")
+            total -= sizes[key]
+
+
+def disk_bytes(root):
+    return sum(entry.stat().st_size for entry in os.scandir(root))
+
+
+class TestBudgetBookkeeping:
+    def test_size_map_matches_full_rescan(self, tmp_path):
+        """Parent and worker stores on one root decide as a rescan does.
+
+        The same seeded sequence of saves, loads, corrupt-then-loads and
+        budget changes runs against two instances on one directory with
+        the size map, and two on another with :class:`RescanStore`; after
+        every save the key order, eviction counts and bytes agree.
+        """
+        gen = np.random.default_rng(2024)
+        keys = [f"pool-{i:02d}" for i in range(12)]
+
+        def arrays(key):  # content fixed by the key, as in a real store
+            tag = int(key[-2:])
+            return {"members": np.arange(64 * (1 + tag % 5), dtype=np.int64) + tag}
+
+        def pair(cls, name):
+            clock = itertools.count(1)
+            return [
+                cls(tmp_path / name, max_bytes=10**9, clock=lambda: float(next(clock)))
+                for _ in ("parent", "worker")
+            ]
+
+        sizer = make_store(tmp_path / "sizer")
+        sizer.save("pool-00", arrays("pool-00"))
+        entry = sizer.total_bytes()
+        fast, reference = pair(PoolStore, "map"), pair(RescanStore, "rescan")
+        saves = 0
+        for _ in range(400):
+            op, who, key = gen.random(), int(gen.integers(2)), str(gen.choice(keys))
+            if op < 0.5:
+                assert fast[who].save(key, arrays(key)) == reference[who].save(
+                    key, arrays(key)
+                )
+                saves += 1
+                assert fast[0].keys() == reference[0].keys()
+                for mine, theirs in zip(fast, reference):
+                    assert (
+                        mine.telemetry.snapshot()["evictions"]
+                        == theirs.telemetry.snapshot()["evictions"]
+                    )
+                assert disk_bytes(fast[0].root) == disk_bytes(reference[0].root)
+            elif op < 0.75:
+                hit = fast[who].load(key) is not None
+                assert hit == (reference[who].load(key) is not None)
+            elif op < 0.85:
+                present = reference[0].keys()
+                if present:
+                    victim = present[int(gen.integers(len(present)))]
+                    for store in (fast[0], reference[0]):
+                        payload = store._payload_path(victim)
+                        payload.write_bytes(payload.read_bytes()[:20])
+                    assert fast[who].load(victim) is None
+                    assert reference[who].load(victim) is None
+            else:
+                budget = int(gen.uniform(1, 6) * entry)
+                for store in fast + reference:
+                    store.max_bytes = budget
+        counts = [store.telemetry.snapshot() for store in fast]
+        assert saves > 150
+        assert sum(c["evictions"] for c in counts) > 20
+        assert sum(c["corrupt_discarded"] for c in counts) > 5
+
+    def test_eviction_spares_staging_files(self, tmp_path):
+        """An in-flight ``.tmp-*`` file is another writer's publish, not a key."""
+        store = make_store(tmp_path, max_bytes=1)
+        store.root.mkdir(parents=True)
+        staging = store.root / ".tmp-x.json"
+        staging.write_text("{}")
+        os.utime(staging, (0, 0))  # older than anything the save writes
+        store.save("pool-aa", sample_arrays())
+        assert staging.exists()
+        assert store.keys() == []
 
 
 class TestKeys:
