@@ -19,11 +19,7 @@ store directory:
 
 The bars: every bit-identity flag true on every run (``CHECKS``), and,
 with ``--gate``, the pool and CRN warm legs at least 5x over their cold
-legs and the warm sweep no slower than the cold one (``GATES``).  A fourth,
-ungated-by-speedup **planner** leg measures a small ``sample_batch_size``
-grid, feeds the timings to the execution planner as a calibration table,
-and requires the planned pick to be within 10% of the best measured grid
-point (on the recorded timings, so the bar is deterministic).
+legs and the warm sweep no slower than the cold one (``GATES``).
 
 Every run appends one record to ``BENCH_trajectory.json``.  Run::
 
@@ -45,12 +41,6 @@ from repro.experiments.config import quick_config
 from repro.experiments.harness import run_sweep
 from repro.graph import generators, weighting
 from repro.runtime.context import ExecutionContext
-from repro.runtime.planner import (
-    CalibrationEntry,
-    CalibrationTable,
-    graph_stats,
-    plan,
-)
 from repro.sampling.coverage import CoverageIndex
 from repro.sampling.engine import mrr_batch_sampler
 from repro.sampling.mrr import RootCountRule
@@ -65,8 +55,6 @@ FULL = {
     "crn_worlds": 600,
     "sweep_n": 600,
     "sweep_realizations": 4,
-    "planner_batches": (64, 256, 1024),
-    "planner_eta_fraction": 0.1,
 }
 QUICK = {
     "graph_n": 4_000,
@@ -77,13 +65,7 @@ QUICK = {
     "crn_worlds": 400,
     "sweep_n": 400,
     "sweep_realizations": 3,
-    "planner_batches": (64, 256, 1024),
-    "planner_eta_fraction": 0.1,
 }
-
-#: The planner leg's bar: the planned knob combination's *recorded*
-#: seconds must be within this factor of the best recorded grid point.
-PLANNER_MAX_RATIO = 1.10
 
 
 def build_graph(n: int, seed: int = 0):
@@ -199,57 +181,6 @@ def measure_sweep(profile, store_dir, seed=0):
     }
 
 
-def measure_planner(graph, profile, seed=0):
-    """Grid-measure batch sizes, then require the planner to pick well.
-
-    Each grid point is a full pool fill at that ``sample_batch_size``;
-    the timings become a calibration table for this exact graph, and the
-    planner's pick must be within :data:`PLANNER_MAX_RATIO` of the best
-    recorded point *on the recorded timings* — a deterministic bar (the
-    planner argmins over exactly these measurements), so the gate checks
-    the planning plumbing, not the host's timer stability.
-    """
-    model = IndependentCascade()
-    eta = max(1, int(profile["planner_eta_fraction"] * graph.n))
-    rule = RootCountRule.for_target(graph.n, eta)
-    stats = graph_stats(graph)
-
-    recorded = {}
-    for batch in profile["planner_batches"]:
-        engine = mrr_batch_sampler(
-            graph, model, rule, seed=seed,
-            context=ExecutionContext(sample_batch_size=batch),
-        )
-        index = CoverageIndex(graph.n)
-        recorded[batch] = _time(lambda: engine.fill(index, profile["pool_sets"]))
-
-    table = CalibrationTable(
-        entries=tuple(
-            CalibrationEntry(
-                n=stats.n, m=stats.m, degree_skew=stats.degree_skew,
-                model="IC", sample_batch_size=batch, mc_batch_size=None,
-                jobs=1, kernel_backend="auto", seconds=seconds,
-            )
-            for batch, seconds in recorded.items()
-        )
-    )
-    decision = plan(graph, "IC", calibration=table)
-    best_seconds = min(recorded.values())
-    picked_seconds = recorded.get(decision.sample_batch_size, float("inf"))
-    return {
-        "grid_seconds": {str(b): round(s, 4) for b, s in recorded.items()},
-        "picked_batch": decision.sample_batch_size,
-        "picked_seconds": round(picked_seconds, 4),
-        "best_seconds": round(best_seconds, 4),
-        "ratio": round(picked_seconds / best_seconds, 3),
-        "source": decision.source,
-        "within_bar": bool(
-            decision.source == "calibration"
-            and picked_seconds <= PLANNER_MAX_RATIO * best_seconds
-        ),
-    }
-
-
 def measure(profile: dict, seed: int = 0) -> dict:
     graph = build_graph(profile["graph_n"], seed=seed)
     with tempfile.TemporaryDirectory(prefix="repro-pool-store-") as tmp:
@@ -258,24 +189,18 @@ def measure(profile: dict, seed: int = 0) -> dict:
             "crn": measure_crn(graph, profile, os.path.join(tmp, "crn"), seed),
             "sweep": measure_sweep(profile, os.path.join(tmp, "sweep"), seed),
         }
-    planner = measure_planner(graph, profile, seed)
     return {
         "graph_n": graph.n,
         "graph_m": graph.m,
         "pool_sets": profile["pool_sets"],
         "crn_jobs": profile["crn_candidates"] * profile["crn_worlds"],
         "cases": cases,
-        "planner": planner,
     }
 
 
 #: Rows over the flattened ``measure()`` paths (see ``benchmarks/run.py``).
-#: Every leg replays bit-identically and the planner picks within
-#: ``PLANNER_MAX_RATIO`` of the best grid point, on every run.
-CHECKS = (
-    ("cases/*/bit_identical", "==", True),
-    ("planner/within_bar", "==", True),
-)
+#: Every leg replays bit-identically, on every run.
+CHECKS = (("cases/*/bit_identical", "==", True),)
 
 GATES = (
     # A warm run is a digest-verified disk read where the cold run is a

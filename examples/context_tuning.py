@@ -23,28 +23,17 @@ The kernel grid includes ``"numba"`` only where the optional extra is
 installed; the interpreted ``"python"`` backend is deliberately excluded
 (it exists for equivalence tests, not for 1500-node runs).
 
-The sweep doubles as the **calibration harness** for the execution
-planner (:mod:`repro.runtime.planner`): pass ``--out calibration.json``
-and every ``reuse_pool=True`` trial is recorded as a
-:class:`~repro.runtime.planner.CalibrationEntry` in the planner's
-versioned schema, ready for ``--plan auto --calibration`` runs.
-
 Run:
     PYTHONPATH=src python examples/context_tuning.py
-    PYTHONPATH=src python examples/context_tuning.py --out calibration.json
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from pathlib import Path
 
 from repro import ASTI, ExecutionContext, IndependentCascade
 from repro.graph import generators, weighting
 from repro.kernels import numba_available
-from repro.runtime.planner import CalibrationEntry, CalibrationTable, graph_stats
 
 GRAPH_N = 1500
 ETA_FRACTION = 0.1
@@ -74,19 +63,8 @@ def run_trial(graph, eta, context):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="CALIBRATION_JSON",
-        help="write the sweep's timings as a planner calibration table "
-        "(reuse_pool=True trials only — the planner always reuses pools)",
-    )
-    args = parser.parse_args()
     graph = build_graph()
     eta = max(1, int(ETA_FRACTION * graph.n))
-    stats = graph_stats(graph)
-    calibration_entries = []
     print(
         f"graph: n={graph.n} m={graph.m} "
         f"(storage {graph.index_dtype}/{graph.prob_dtype}, "
@@ -117,24 +95,6 @@ def main() -> int:
                         f"{result.seed_count:>6} {result.total_samples:>9} "
                         f"{seconds:>8.2f}"
                     )
-                    # Calibration rows: only reuse_pool=True trials (the
-                    # planner's contexts always reuse pools) and explicit
-                    # jobs values (None is the historical stream, which a
-                    # planned context never selects).
-                    if reuse_pool and jobs is not None:
-                        calibration_entries.append(
-                            CalibrationEntry(
-                                n=stats.n,
-                                m=stats.m,
-                                degree_skew=stats.degree_skew,
-                                model="IC",
-                                sample_batch_size=sample_batch_size,
-                                mc_batch_size=None,
-                                jobs=jobs,
-                                kernel_backend=kernel_backend,
-                                seconds=round(seconds, 4),
-                            )
-                        )
                     # Backend invariance: for a fixed (batch, jobs, reuse)
                     # cell, every kernel backend must select the exact
                     # same seeds — the backends are bit-identical.
@@ -157,15 +117,6 @@ def main() -> int:
         "\nall configurations selected identical seed sets across backends"
         " and explicit jobs values"
     )
-    if args.out is not None:
-        table = CalibrationTable(entries=tuple(calibration_entries))
-        Path(args.out).write_text(
-            json.dumps(table.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-        print(
-            f"wrote {len(calibration_entries)} calibration entries "
-            f"(version {table.version}) to {args.out}"
-        )
     return 0
 
 

@@ -254,23 +254,6 @@ def _add_store_arguments(sub: argparse.ArgumentParser) -> None:
         "generation recipe, so repeated runs skip regeneration with "
         "bit-identical results (omit to disable)",
     )
-    sub.add_argument(
-        "--plan",
-        choices=("manual", "auto"),
-        default="manual",
-        help="'auto' lets the execution planner pick sample-batch-size, "
-        "mc-batch-size, jobs, and kernel-backend from the graph's "
-        "statistics and --calibration data (explicit knob flags are "
-        "ignored); 'manual' (default) uses the flags as given",
-    )
-    sub.add_argument(
-        "--calibration",
-        default=None,
-        metavar="PATH",
-        help="calibration JSON for --plan auto (emit one with "
-        "examples/context_tuning.py --out); without it the planner "
-        "falls back to a conservative static heuristic",
-    )
 
 
 def _add_fault_arguments(sub: argparse.ArgumentParser) -> None:
@@ -334,17 +317,12 @@ def _store_from_args(args):
     return PoolStore(path)
 
 
-def _context_from_args(args, graph=None) -> ExecutionContext:
+def _context_from_args(args) -> ExecutionContext:
     """One :class:`ExecutionContext` per CLI invocation.
 
     All engine knobs funnel through the context's shared validators, so a
     bad ``--jobs`` or ``--sample-batch-size`` is rejected with exactly the
     same message the library raises (``repro.utils.validation``).
-
-    With ``--plan auto`` and a loaded ``graph``, the performance knobs come
-    from the execution planner instead of the flags (fed by
-    ``--calibration`` when given); recovery policy always comes from the
-    flags.
     """
     store = _store_from_args(args)
     fault_policy = FaultPolicy(
@@ -352,16 +330,6 @@ def _context_from_args(args, graph=None) -> ExecutionContext:
         max_retries=getattr(args, "max_retries", 2),
         on_pool_failure=getattr(args, "on_pool_failure", "degrade"),
     )
-    if getattr(args, "plan", "manual") == "auto" and graph is not None:
-        return ExecutionContext.from_plan(
-            graph,
-            getattr(args, "model", "IC"),
-            calibration=getattr(args, "calibration", None),
-            mc_tolerance=getattr(args, "mc_tolerance", None),
-            reuse_pool=getattr(args, "reuse_pool", True),
-            fault_policy=fault_policy,
-            pool_store=store,
-        )
     return ExecutionContext(
         sample_batch_size=getattr(args, "sample_batch_size", DEFAULT_BATCH_SIZE),
         mc_batch_size=getattr(args, "mc_batch_size", None),
@@ -416,7 +384,7 @@ def _cmd_datasets(args, out) -> int:
 def _cmd_solve(args, out) -> int:
     graph = _load_graph(args)
     model = _make_model(args.model)
-    with _context_from_args(args, graph=graph) as context:
+    with _context_from_args(args) as context:
         result = ASTI(
             model,
             epsilon=args.epsilon,
@@ -473,8 +441,6 @@ def _cmd_sweep(args, out) -> int:
         max_retries=args.max_retries,
         on_pool_failure=args.on_pool_failure,
         pool_store=args.pool_store,
-        plan=args.plan,
-        calibration=args.calibration,
         seed=args.seed,
     )
     sweep = run_sweep(config)
@@ -508,7 +474,7 @@ def _cmd_estimate(args, out) -> int:
     graph = _load_graph(args)
     model = _make_model(args.model)
     seeds = _parse_int_list(args.seeds)
-    with _context_from_args(args, graph=graph) as context:
+    with _context_from_args(args) as context:
         return _estimate_with_context(args, out, graph, model, seeds, context)
 
 

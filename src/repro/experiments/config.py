@@ -73,12 +73,6 @@ class ExperimentConfig:
                                                  # or "raise"
     pool_store: Optional[str] = None             # persistent artifact store
                                                  # directory (None = no store)
-    plan: str = "manual"                         # knob selection: "manual"
-                                                 # (this config's fields) or
-                                                 # "auto" (execution planner)
-    calibration: Optional[str] = None            # calibration JSON for
-                                                 # plan="auto" (None = static
-                                                 # heuristic fallback)
     seed: int = 0
     label: str = field(default="")
 
@@ -101,10 +95,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"kernel_backend must be one of {KERNEL_BACKENDS}, "
                 f"got {self.kernel_backend!r}"
-            )
-        if self.plan not in ("manual", "auto"):
-            raise ConfigurationError(
-                f"plan must be 'manual' or 'auto', got {self.plan!r}"
             )
         if self.pool_store is not None and not str(self.pool_store).strip():
             # Path("") means the current directory — an empty --pool-store
@@ -152,7 +142,7 @@ class ExperimentConfig:
 
         return PoolStore(self.pool_store)
 
-    def to_context(self, graph=None) -> ExecutionContext:
+    def to_context(self) -> ExecutionContext:
         """The execution context this config describes — the single source
         of truth for engine policy in a sweep.
 
@@ -160,25 +150,7 @@ class ExperimentConfig:
         context per sweep from this method and owns its lifecycle (the
         parallel runtime spawns once for all eta points); every engine
         below receives it as the one ``context=`` argument.
-
-        With ``plan="auto"`` and a ``graph`` to inspect, the performance
-        knobs (``sample_batch_size``, ``mc_batch_size``, ``jobs``,
-        ``kernel_backend``) come from the execution planner
-        (:mod:`repro.runtime.planner`, fed by ``calibration``) instead of
-        this config's fields; correctness policy (tolerances, pool reuse,
-        fault policy) always comes from the config.
         """
-        store = self.make_pool_store()
-        if self.plan == "auto" and graph is not None:
-            return ExecutionContext.from_plan(
-                graph,
-                self.model_name,
-                calibration=self.calibration,
-                mc_tolerance=self.mc_tolerance,
-                reuse_pool=self.reuse_pool,
-                fault_policy=self.fault_policy(),
-                pool_store=store,
-            )
         return ExecutionContext(
             sample_batch_size=self.sample_batch_size,
             mc_batch_size=self.mc_batch_size,
@@ -187,7 +159,7 @@ class ExperimentConfig:
             jobs=self.jobs,
             kernel_backend=self.kernel_backend,
             fault_policy=self.fault_policy(),
-            pool_store=store,
+            pool_store=self.make_pool_store(),
         )
 
     def build_graph(self):

@@ -378,10 +378,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """
     model = config.make_model()
     outcomes: dict[int, dict[str, AlgorithmOutcome]] = {}
-    # The graph is built before the context so ``plan="auto"`` configs can
-    # hand its statistics to the execution planner.
     graph = config.build_graph()
-    with config.to_context(graph=graph) as context:
+    with config.to_context() as context:
         context.telemetry.set(
             graph_storage=graph.storage,
             graph_index_dtype=str(graph.index_dtype),

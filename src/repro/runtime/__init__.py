@@ -11,19 +11,5 @@ accepts, and close it when the run ends.
 """
 
 from repro.runtime.context import ExecutionContext
-from repro.runtime.planner import (
-    CalibrationEntry,
-    CalibrationTable,
-    GraphStats,
-    PlanDecision,
-    plan,
-)
 
-__all__ = [
-    "ExecutionContext",
-    "CalibrationEntry",
-    "CalibrationTable",
-    "GraphStats",
-    "PlanDecision",
-    "plan",
-]
+__all__ = ["ExecutionContext"]

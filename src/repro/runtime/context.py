@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
-    from repro.graph.digraph import DiGraph
     from repro.parallel.runtime import FaultPolicy, ParallelRuntime
     from repro.store import PoolStore
     from repro.testing.faults import FaultInjection
@@ -252,42 +251,6 @@ class ExecutionContext:
         if self.jobs is None:
             return self
         return self.replace(jobs=None)
-
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_plan(
-        cls,
-        graph: DiGraph,
-        model: object,
-        *,
-        calibration: object = None,
-        **overrides: Any,
-    ) -> ExecutionContext:
-        """Build a context whose knobs are chosen by the execution planner.
-
-        The planner (:mod:`repro.runtime.planner`) picks
-        ``sample_batch_size``, ``mc_batch_size``, ``jobs``, and
-        ``kernel_backend`` from the graph's statistics (n, m, degree skew)
-        and the diffusion model, using measured calibration data when
-        ``calibration`` (a path or a loaded
-        :class:`~repro.runtime.planner.CalibrationTable`) is usable and a
-        conservative static heuristic otherwise.  Explicit ``overrides``
-        always win over planned values; the decision lands in
-        :attr:`diagnostics` as ``plan_*`` entries.
-        """
-        from repro.runtime.planner import plan
-
-        decision = plan(graph, model, calibration=calibration)
-        knobs: dict[str, Any] = decision.knobs()
-        knobs.update(overrides)
-        context = cls(**knobs)
-        context.telemetry.set(
-            **{f"plan_{f.name}": getattr(decision, f.name) for f in fields(decision)}
-        )
-        return context
 
     # ------------------------------------------------------------------
     # Diagnostics

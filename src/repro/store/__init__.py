@@ -4,8 +4,8 @@
 pools, CRN realization batches, shared harness worlds, service warm pools
 — on disk, keyed so precisely (graph fingerprint x model x generation
 params x exact randomness recipe x format version) that a hit is
-bit-identical by construction to regenerating.  See DESIGN.md "Pool store
-& planner" for the key schema and invalidation rules.
+bit-identical by construction to regenerating.  See DESIGN.md "Pool
+store" for the key schema and invalidation rules.
 """
 
 from repro.store.disk import DEFAULT_STORE_BYTES, PoolStore

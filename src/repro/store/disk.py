@@ -17,9 +17,11 @@ Guarantees:
   rewrite, bit rot) or any other failure discards the artifact and returns
   ``None`` — callers silently regenerate, the store **never crashes a
   run**.  Discards are counted in :attr:`PoolStore.telemetry`.
-* **Bounded size** — after every save the store evicts
+* **Bounded size** — after every save the store deletes a crashed
+  writer's leftovers (staging temporaries and payloads without a manifest
+  older than :data:`ORPHAN_GRACE_SECONDS`), then evicts
   least-recently-used artifacts (manifest mtime, refreshed on every hit)
-  until total payload+manifest bytes fit ``max_bytes``.
+  until the bytes of every file under the root fit ``max_bytes``.
 
 The store is picklable (configuration only; a copy counts from zero), so
 an :class:`~repro.runtime.context.ExecutionContext` carrying one can cross
@@ -53,6 +55,12 @@ _MANIFEST_SUFFIX = ".json"
 _PAYLOAD_SUFFIX = ".npz"
 _STAGING_PREFIX = ".tmp-"  # a staged temporary awaiting its atomic publish
 
+#: Age past which a staging temporary or a payload without a manifest is a
+#: crashed writer's leftover rather than an in-flight publish: a live
+#: writer's files are younger (writing stamps them, ``os.replace`` keeps
+#: the stamp).
+ORPHAN_GRACE_SECONDS = 600.0
+
 
 #: Store counters, in the order ``health`` and diagnostics list them.
 _COUNTERS = (
@@ -74,7 +82,7 @@ class PoolStore:
     root:
         Directory holding the artifacts; created on first save.
     max_bytes:
-        Byte budget over payload+manifest files; least-recently-used
+        Byte budget over every file under ``root``; least-recently-used
         artifacts are evicted after each save until the store fits.
     clock:
         Injectable time source for the LRU recency stamp (tests substitute
@@ -121,21 +129,23 @@ class PoolStore:
         return Path(self.root) / f"{key}{_PAYLOAD_SUFFIX}"
 
     def _refresh_sizes(self) -> dict[str, int]:
-        """``{file name: bytes}`` from one listing, stat'ing only new names:
-        a published file never changes (content-addressed key, atomic
-        ``os.replace``), so a remembered size is exact.  Threads sharing the
-        store only replace the map or pop from it, never iterate it."""
+        """``{file name: bytes}`` for every file under the root from one
+        listing, stat'ing only new names and staging files: a published
+        file never changes (content-addressed key, atomic ``os.replace``),
+        so a remembered size is exact, while a staging file may still be
+        growing.  Threads sharing the store only replace the map or pop
+        from it, never iterate it."""
         try:
             names = os.listdir(self.root)
         except OSError:
             names = []
         known, fresh = self._sizes, {}
         for name in names:
-            if name.endswith((_MANIFEST_SUFFIX, _PAYLOAD_SUFFIX)):
-                try:
-                    fresh[name] = known.get(name) or os.stat(self.root / name).st_size
-                except OSError:
-                    continue
+            size = None if name.startswith(_STAGING_PREFIX) else known.get(name)
+            try:
+                fresh[name] = size or os.stat(self.root / name).st_size
+            except OSError:
+                continue
         self._sizes = fresh
         return dict(fresh)  # other threads' pops must not race our reads
 
@@ -152,7 +162,7 @@ class PoolStore:
         return [key for _, key in sorted(stamped)]
 
     def total_bytes(self) -> int:
-        """Bytes currently on disk across payloads and manifests."""
+        """Bytes currently on disk across every file under the root."""
         return sum(self._refresh_sizes().values())
 
     def __len__(self) -> int:
@@ -268,16 +278,11 @@ class PoolStore:
     # -- eviction ------------------------------------------------------
 
     def _evict_over_budget(self, keep: str) -> None:
-        """Drop least-recently-used artifacts until the manifests (staging
-        ones too) and their payloads fit; the just-saved key goes last (only
-        when it alone exceeds the budget, as in the service cache)."""
+        """Reap orphans, then drop least-recently-used artifacts until every
+        file under the root fits; the just-saved key goes last (only when it
+        alone exceeds the budget, as in the service cache)."""
         sizes = self._refresh_sizes()
-        total = sum(
-            size
-            for name, size in sizes.items()
-            if name.endswith(_MANIFEST_SUFFIX)
-            or name[: -len(_PAYLOAD_SUFFIX)] + _MANIFEST_SUFFIX in sizes
-        )
+        total = sum(sizes.values()) - self._reap_orphans(sizes)
         # Recency stamps are read only when over budget.
         ordered = self.keys() if total > self.max_bytes else []
         ordered.sort(key=keep.__eq__)  # stable: the just-saved key goes last
@@ -286,6 +291,30 @@ class PoolStore:
                 return
             total -= sizes.get(key + _MANIFEST_SUFFIX, 0) + sizes.get(key + _PAYLOAD_SUFFIX, 0)
             self._unlink(key, "evictions")
+
+    def _reap_orphans(self, sizes: dict[str, int]) -> int:
+        """Delete staging files and payloads without a manifest that are
+        older than :data:`ORPHAN_GRACE_SECONDS`, counting each as
+        ``corrupt_discarded``; returns the bytes freed."""
+        cutoff = time.time() - ORPHAN_GRACE_SECONDS
+        freed = 0
+        for name, size in sizes.items():
+            if not name.startswith(_STAGING_PREFIX) and not (
+                name.endswith(_PAYLOAD_SUFFIX)
+                and name[: -len(_PAYLOAD_SUFFIX)] + _MANIFEST_SUFFIX not in sizes
+            ):
+                continue
+            path = self.root / name
+            try:
+                if os.stat(path).st_mtime >= cutoff:
+                    continue
+                path.unlink()
+            except OSError:
+                continue
+            self._sizes.pop(name, None)
+            self.telemetry.add("corrupt_discarded")
+            freed += size
+        return freed
 
     def _unlink(self, key: str, counter: str) -> None:
         """Remove both files of ``key``, best-effort, counting why."""

@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.store import (
     graph_fingerprint,
     restore_generator_state,
 )
+from repro.store.disk import ORPHAN_GRACE_SECONDS
 
 
 @pytest.fixture
@@ -321,10 +323,58 @@ class TestBudgetBookkeeping:
         store.root.mkdir(parents=True)
         staging = store.root / ".tmp-x.json"
         staging.write_text("{}")
-        os.utime(staging, (0, 0))  # older than anything the save writes
+        # Older than anything the save writes, yet inside the orphan grace.
+        stamp = time.time() - ORPHAN_GRACE_SECONDS / 2
+        os.utime(staging, (stamp, stamp))
         store.save("pool-aa", sample_arrays())
         assert staging.exists()
         assert store.keys() == []
+
+    def test_crash_mid_publish_orphans_are_reaped(self, tmp_path, monkeypatch):
+        """Writers that die mid-publish leave files no key owns; once past
+        the grace period they are deleted and the store fits its budget."""
+        gen = np.random.default_rng(11)
+        budget = 5000
+        store = make_store(tmp_path, max_bytes=budget)
+
+        class Crash(BaseException):
+            """Process death: no ``except`` below gets to clean up."""
+
+        real_replace, calls = os.replace, []
+
+        def dying_replace(src, dst):
+            calls.append(dst)
+            if len(calls) in (1, 3):  # 1: the payload; 3: the second manifest
+                raise Crash
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        for key in ("pool-crash-a", "pool-crash-b"):
+            with pytest.raises(Crash):
+                store.save(key, {"members": gen.random(12_500)})  # ~100 kB
+        monkeypatch.undo()
+        # Left behind: a staged payload, a payload without a manifest and
+        # a staged manifest.
+        orphans = sorted(entry.name for entry in os.scandir(store.root))
+        assert len(orphans) == 3 and "pool-crash-b.npz" in orphans
+        assert sum(name.startswith(".tmp-") for name in orphans) == 2
+        stale = time.time() - ORPHAN_GRACE_SECONDS - 1
+        for name in orphans:
+            os.utime(store.root / name, (stale, stale))
+        in_flight = store.root / ".tmp-in-flight.npz"
+        in_flight.write_bytes(b"x" * 64)
+
+        sizer = make_store(tmp_path / "sizer")
+        sizer.save("pool-probe", {"members": gen.random(64)})
+        artifact = sizer.total_bytes()
+        for i in range(5):
+            assert store.save(f"pool-{i}", {"members": gen.random(64)})
+            assert disk_bytes(store.root) <= budget + artifact
+            assert store.total_bytes() == disk_bytes(store.root)
+        assert not any((store.root / name).exists() for name in orphans)
+        assert in_flight.exists()
+        assert store.telemetry.snapshot()["corrupt_discarded"] == 3
+        assert store.load("pool-4") is not None
 
 
 class TestKeys:

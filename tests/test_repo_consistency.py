@@ -83,6 +83,34 @@ class TestExampleInventory:
             assert text.startswith('"""'), f"{path.name} missing docstring"
 
 
+class TestDocumentedPaths:
+    """Every backticked ``*.py`` path the prose documents names a real file."""
+
+    SEARCH_ROOTS = ("src", "benchmarks", "examples", "tests", "perfbench")
+
+    @pytest.mark.parametrize("name", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+    def test_backticked_python_paths_resolve(self, name):
+        text = (ROOT / name).read_text(encoding="utf-8")
+        bare = {
+            path.name
+            for top in self.SEARCH_ROOTS
+            for path in (ROOT / top).rglob("*.py")
+        }
+        missing = []
+        for match in re.finditer(r"`([\w./-]+\.py)`", text):
+            path = match.group(1)
+            if "/" in path:
+                found = any(
+                    (base / path).is_file()
+                    for base in (ROOT, ROOT / "src", ROOT / "src" / "repro")
+                )
+            else:
+                found = path in bare
+            if not found:
+                missing.append(path)
+        assert not missing, f"{name} cites missing files: {sorted(set(missing))}"
+
+
 class TestVersionConsistency:
     def test_pyproject_matches_package(self):
         import repro
