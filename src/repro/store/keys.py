@@ -33,10 +33,11 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.graph.digraph import DiGraph
 
-#: Bumped whenever the payload layout or key schema changes; part of every
-#: key, so old artifacts become unreachable (and eventually evicted) rather
-#: than misread.
-ARTIFACT_FORMAT_VERSION = 1
+#: Bumped whenever the artifact layout or key schema changes; part of every
+#: key, so old artifacts become unreachable (and eventually evicted, or
+#: reaped when their file layout is an older one) rather than misread.
+#: Version 2 is the single-file layout of :mod:`repro.store.disk`.
+ARTIFACT_FORMAT_VERSION = 2
 
 
 def _jsonable(value: Any) -> Any:
@@ -104,7 +105,7 @@ def rng_state_token(rng: np.random.Generator) -> str:
 
 
 def generator_state(rng: np.random.Generator) -> dict[str, Any]:
-    """The Generator's state as a JSON-able dict (for manifest metadata)."""
+    """The Generator's state as a JSON-able dict (for artifact metadata)."""
     state = _jsonable(rng.bit_generator.state)
     if not isinstance(state, dict):  # pragma: no cover - defensive
         raise TypeError(f"unexpected bit-generator state type: {type(state)}")
@@ -115,7 +116,7 @@ def restore_generator_state(rng: np.random.Generator, state: Any) -> bool:
     """Restore a previously captured state onto ``rng``; False on mismatch.
 
     A False return means the hit cannot guarantee downstream bit-identity
-    (e.g. the manifest was produced by a different bit-generator family),
+    (e.g. the artifact was produced by a different bit-generator family),
     so the caller must fall back to regeneration.
     """
     if not isinstance(state, dict):

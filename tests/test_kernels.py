@@ -254,6 +254,23 @@ class TestBitIdentity:
             ),
         )
 
+    def test_lt_reverse_walk_sorted_search(self, graph):
+        # 1,200 roots put every level's frontier past the size from which
+        # the numpy walk searches its targets sorted.
+        model = LinearThreshold()
+        roots = np.random.default_rng(3).integers(0, graph.n, 1200, dtype=np.int64)
+        roots_indptr = np.arange(0, 1201, 3, dtype=np.int64)
+        base = model.reverse_sample_batch(
+            graph, roots, roots_indptr, np.random.default_rng(8), kernel="numpy"
+        )
+        _assert_packed_equal(
+            base,
+            model.reverse_sample_batch(
+                graph, roots, roots_indptr, np.random.default_rng(8),
+                kernel="python",
+            ),
+        )
+
     @pytest.mark.parametrize("masked", [False, True])
     def test_batch_reachable_from(self, model, graph, masked):
         realizations = sample_shared_realizations(graph, model, 6, seed=4)

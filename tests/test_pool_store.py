@@ -8,15 +8,21 @@ with the bar that matters: a warm run is byte-for-byte the cold run.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import itertools
 import json
 import os
+import shutil
+import struct
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.montecarlo import CRNSpreadEvaluator
@@ -49,11 +55,44 @@ def make_store(tmp_path, **kwargs):
     return PoolStore(tmp_path / "store", **kwargs)
 
 
+def split_artifact(raw):
+    """``(header dict, data region bytes)`` of an artifact file."""
+    (header_len,) = struct.unpack_from("<Q", raw, 40)
+    header = json.loads(raw[48:48 + header_len])
+    return header, raw[-(-(48 + header_len) // 64) * 64:]
+
+
+def forge_artifact(header, data):
+    """An artifact file around ``header`` (a dict, or raw bytes) and
+    ``data`` whose SHA-256 matches, so the loader's later checks run."""
+    text = header if isinstance(header, bytes) else json.dumps(header, sort_keys=True).encode()
+    body = struct.pack("<Q", len(text)) + text + bytes(-(48 + len(text)) % 64) + data
+    return b"REPROART" + hashlib.sha256(body).digest() + body
+
+
 def sample_arrays(tag=0):
     return {
         "members": np.arange(10, dtype=np.int64) + tag,
         "weights": np.linspace(0.0, 1.0, 5),
     }
+
+
+def fill_pool(graph, store, seed=11, count=400, batch=128):
+    """One seeded mRR pool fill through ``store``: the pool's members and
+    indptr, and the sampler's next draw (the restored generator state)."""
+    context = ExecutionContext(sample_batch_size=batch, pool_store=store)
+    engine = mrr_batch_sampler(
+        graph,
+        IndependentCascade(),
+        RootCountRule.for_target(graph.n, 30),
+        seed=seed,
+        context=context,
+    )
+    index = CoverageIndex(graph.n)
+    engine.fill(index, count)
+    members, indptr = index.packed()
+    probe = engine._rng.integers(0, 2**32, size=4)
+    return members.copy(), indptr.copy(), probe
 
 
 class TestDiskStore:
@@ -75,12 +114,12 @@ class TestDiskStore:
         store = make_store(tmp_path)
         key = artifact_key("pool", {"a": 2})
         store.save(key, sample_arrays())
-        payload = store.root / f"{key}.npz"
-        payload.write_bytes(payload.read_bytes()[:20])
+        artifact = store.root / f"{key}.art"
+        artifact.write_bytes(artifact.read_bytes()[:20])
         assert store.load(key) is None
         assert store.telemetry.snapshot()["corrupt_discarded"] == 1
-        # Both files were removed — the next save regenerates cleanly.
-        assert not payload.exists()
+        # The file was removed — the next save regenerates cleanly.
+        assert not artifact.exists()
         assert store.save(key, sample_arrays())
         assert store.load(key) is not None
 
@@ -88,29 +127,70 @@ class TestDiskStore:
         store = make_store(tmp_path)
         key = artifact_key("pool", {"a": 3})
         store.save(key, sample_arrays())
-        manifest_path = store.root / f"{key}.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["digest"] = "0" * 64
-        manifest_path.write_text(json.dumps(manifest))
+        artifact = store.root / f"{key}.art"
+        raw = bytearray(artifact.read_bytes())
+        raw[8:40] = bytes(32)  # the prefix's SHA-256
+        artifact.write_bytes(raw)
         assert store.load(key) is None
         assert store.telemetry.snapshot()["corrupt_discarded"] == 1
 
-    def test_garbage_manifest_discarded(self, tmp_path):
+    def test_garbage_header_discarded(self, tmp_path):
         store = make_store(tmp_path)
         key = artifact_key("pool", {"a": 4})
         store.save(key, sample_arrays())
-        (store.root / f"{key}.json").write_text("{not json")
+        artifact = store.root / f"{key}.art"
+        _, data = split_artifact(artifact.read_bytes())
+        # A digest that matches does not make an unparsable header loadable.
+        artifact.write_bytes(forge_artifact(b"{not json", data))
         assert store.load(key) is None
+        assert store.telemetry.snapshot()["corrupt_discarded"] == 1
 
     def test_version_mismatch_discarded(self, tmp_path):
         store = make_store(tmp_path)
         key = artifact_key("pool", {"a": 5})
         store.save(key, sample_arrays())
-        manifest_path = store.root / f"{key}.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = ARTIFACT_FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest))
+        artifact = store.root / f"{key}.art"
+        header, data = split_artifact(artifact.read_bytes())
+        header["version"] = ARTIFACT_FORMAT_VERSION + 1
+        artifact.write_bytes(forge_artifact(header, data))
         assert store.load(key) is None
+        assert store.telemetry.snapshot()["corrupt_discarded"] == 1
+
+    def test_layout_is_prefix_header_aligned_arrays(self, tmp_path):
+        """One file: magic, SHA-256, header length, JSON header, then each
+        array's raw bytes at a 64-byte-aligned offset of the data region."""
+        store = make_store(tmp_path)
+        store.save("pool-aa", sample_arrays(), {"note": "x"})
+        assert os.listdir(store.root) == ["pool-aa.art"]
+        raw = (store.root / "pool-aa.art").read_bytes()
+        header, data = split_artifact(raw)
+        assert raw[:8] == b"REPROART" and forge_artifact(header, data) == raw
+        assert header["key"] == "pool-aa" and header["meta"] == {"note": "x"}
+        for spec in header["arrays"]:
+            array = sample_arrays()[spec["name"]]
+            assert spec["offset"] % 64 == 0 and spec["nbytes"] == array.nbytes
+            chunk = data[spec["offset"]:spec["offset"] + spec["nbytes"]]
+            assert chunk == array.tobytes() and spec["dtype"] == array.dtype.str
+
+    def test_unsupported_dtype_not_saved(self, tmp_path):
+        store = make_store(tmp_path)
+        assert not store.save("pool-obj", {"x": np.array([object()])})
+        assert store.telemetry.snapshot()["store_failures"] == 1
+        assert store.load("pool-obj") is None
+
+    def test_loaded_arrays_are_writable_and_keep_shape(self, tmp_path):
+        store = make_store(tmp_path)
+        arrays = {
+            "grid": np.arange(12, dtype=np.int32).reshape(3, 4)[:, ::2],
+            "scalar": np.float32(2.5),
+            "empty": np.zeros((0, 3), dtype=bool),
+        }
+        assert store.save("pool-aa", arrays)
+        loaded, _ = store.load("pool-aa")
+        for name, array in arrays.items():
+            array = np.asarray(array)
+            assert loaded[name].dtype == array.dtype and loaded[name].shape == array.shape
+            assert np.array_equal(loaded[name], array) and loaded[name].flags.writeable
 
     def test_lru_eviction_order(self, tmp_path):
         clock = iter(range(1000))
@@ -201,7 +281,7 @@ class TestDiskStore:
         clone = pickle.loads(pickle.dumps(store))
         assert clone.root == store.root
         assert clone.telemetry.snapshot()["stores"] == 0
-        assert store._sizes and clone._sizes == {}  # the size map stays local
+        assert store._sizes and clone._sizes is None  # the size map stays local
         assert clone.load("pool-aa") is not None
 
     def test_empty_root_rejected(self):
@@ -217,15 +297,16 @@ class TestDiskStore:
 class RescanStore(PoolStore):
     """The budget check as a full directory rescan on every save.
 
-    The reference the incremental size map must agree with: every
-    ``*.json`` is a key (ordered by manifest mtime) and every key's two
-    files are stat'ed afresh.
+    The reference a listing of the size map must agree with: every
+    ``*.art`` file is a key (ordered by mtime), and the total is every
+    file under the root, stat'ed afresh.
     """
 
     def keys(self):
         stamped = [
-            (manifest.stat().st_mtime, manifest.stem)
-            for manifest in Path(self.root).glob("*.json")
+            (path.stat().st_mtime, path.stem)
+            for path in Path(self.root).glob("*.art")
+            if not path.name.startswith(".tmp-")
         ]
         return [key for _, key in sorted(stamped)]
 
@@ -234,34 +315,36 @@ class RescanStore(PoolStore):
         if keep in ordered:
             ordered.remove(keep)
             ordered.append(keep)
-        sizes = {
-            key: sum(
-                path.stat().st_size
-                for path in (self._manifest_path(key), self._payload_path(key))
-                if path.exists()
-            )
-            for key in ordered
-        }
-        total = sum(sizes.values())
+        total = disk_bytes(self.root)
         for key in ordered:
             if total <= self.max_bytes:
                 return
-            self._unlink(key, "evictions")
-            total -= sizes[key]
+            total -= self._path(key).stat().st_size
+            self._unlink(self._path(key), "evictions")
 
 
 def disk_bytes(root):
     return sum(entry.stat().st_size for entry in os.scandir(root))
 
 
+def force_listing(store, keep):
+    """Run ``store``'s budget check as if it had never listed the root."""
+    with store._lock:
+        store._sizes = None
+        store._evict_over_budget(keep=keep)
+
+
 class TestBudgetBookkeeping:
     def test_size_map_matches_full_rescan(self, tmp_path):
-        """Parent and worker stores on one root decide as a rescan does.
+        """Parent and worker stores on one root stay within the documented
+        bound after every save, and whenever they list, they decide as a
+        full rescan of the same directory does.
 
-        The same seeded sequence of saves, loads, corrupt-then-loads and
-        budget changes runs against two instances on one directory with
-        the size map, and two on another with :class:`RescanStore`; after
-        every save the key order, eviction counts and bytes agree.
+        A seeded sequence of saves, loads, corrupt-then-loads and budget
+        changes runs against two instances on one directory.  At each
+        forced listing the directory is copied (mtimes included) and
+        :class:`RescanStore` evicts the copy; key order, evictions and
+        bytes must match the listing instance's own decision.
         """
         gen = np.random.default_rng(2024)
         keys = [f"pool-{i:02d}" for i in range(12)]
@@ -270,58 +353,198 @@ class TestBudgetBookkeeping:
             tag = int(key[-2:])
             return {"members": np.arange(64 * (1 + tag % 5), dtype=np.int64) + tag}
 
-        def pair(cls, name):
-            clock = itertools.count(1)
-            return [
-                cls(tmp_path / name, max_bytes=10**9, clock=lambda: float(next(clock)))
-                for _ in ("parent", "worker")
-            ]
-
+        clock = itertools.count(1)
+        stores = [
+            PoolStore(tmp_path / "map", max_bytes=10**9, clock=lambda: float(next(clock)))
+            for _ in ("parent", "worker")
+        ]
         sizer = make_store(tmp_path / "sizer")
-        sizer.save("pool-00", arrays("pool-00"))
-        entry = sizer.total_bytes()
-        fast, reference = pair(PoolStore, "map"), pair(RescanStore, "rescan")
-        saves = 0
+        for key in keys:
+            sizer.save(key, arrays(key))
+        largest = max(os.stat(sizer._path(key)).st_size for key in keys)
+        entry = sizer.total_bytes() // len(keys)
+        saves = listings = 0
+        last = keys[0]
         for _ in range(400):
             op, who, key = gen.random(), int(gen.integers(2)), str(gen.choice(keys))
+            store = stores[who]
             if op < 0.5:
-                assert fast[who].save(key, arrays(key)) == reference[who].save(
-                    key, arrays(key)
-                )
-                saves += 1
-                assert fast[0].keys() == reference[0].keys()
-                for mine, theirs in zip(fast, reference):
-                    assert (
-                        mine.telemetry.snapshot()["evictions"]
-                        == theirs.telemetry.snapshot()["evictions"]
-                    )
-                assert disk_bytes(fast[0].root) == disk_bytes(reference[0].root)
-            elif op < 0.75:
-                hit = fast[who].load(key) is not None
-                assert hit == (reference[who].load(key) is not None)
-            elif op < 0.85:
-                present = reference[0].keys()
+                assert store.save(key, arrays(key))
+                saves, last = saves + 1, key
+                # Two writers: at most 1/8 of the budget plus two artifacts
+                # over it (see the store's module docstring).
+                bound = store.max_bytes + store.max_bytes // 8 + 2 * largest
+                assert disk_bytes(store.root) <= bound
+            elif op < 0.7:
+                store.load(key)
+            elif op < 0.8:
+                present = RescanStore(store.root).keys()
                 if present:
-                    victim = present[int(gen.integers(len(present)))]
-                    for store in (fast[0], reference[0]):
-                        payload = store._payload_path(victim)
-                        payload.write_bytes(payload.read_bytes()[:20])
-                    assert fast[who].load(victim) is None
-                    assert reference[who].load(victim) is None
-            else:
+                    victim = store._path(present[int(gen.integers(len(present)))])
+                    victim.write_bytes(victim.read_bytes()[:20])
+                    assert store.load(victim.stem) is None
+            elif op < 0.85:
+                # A new budget, then both instances list, as a restart would.
                 budget = int(gen.uniform(1, 6) * entry)
-                for store in fast + reference:
-                    store.max_bytes = budget
-        counts = [store.telemetry.snapshot() for store in fast]
-        assert saves > 150
+                for instance in stores:
+                    instance.max_bytes = budget
+                    force_listing(instance, last)
+            else:
+                copy_root = tmp_path / "rescan"
+                shutil.rmtree(copy_root, ignore_errors=True)
+                shutil.copytree(store.root, copy_root)
+                reference = RescanStore(copy_root, max_bytes=store.max_bytes)
+                reference._evict_over_budget(keep=last)
+                before = store.telemetry.snapshot()["evictions"]
+                force_listing(store, last)
+                listings += 1
+                assert store.keys() == reference.keys()
+                assert (
+                    store.telemetry.snapshot()["evictions"] - before
+                    == reference.telemetry.snapshot()["evictions"]
+                )
+                assert disk_bytes(store.root) == disk_bytes(copy_root)
+                assert store.total_bytes() == disk_bytes(store.root)
+        counts = [store.telemetry.snapshot() for store in stores]
+        assert saves > 150 and listings > 40
         assert sum(c["evictions"] for c in counts) > 20
         assert sum(c["corrupt_discarded"] for c in counts) > 5
+
+    def test_two_writers_stay_within_budget_plus_two_artifacts(self, tmp_path):
+        """Two instances that start together on one root, saving in a
+        seeded interleaving, never leave more than two artifacts over the
+        budget on disk; the one that saves last then fits it exactly once
+        it lists."""
+        gen = np.random.default_rng(7)
+        budget = 20_000
+        stores = [make_store(tmp_path, max_bytes=budget) for _ in range(2)]
+        largest = 0
+        for _ in range(400):
+            store = stores[int(gen.integers(2))]
+            key = f"pool-{int(gen.integers(150)):03d}"
+            assert store.save(key, {"members": np.zeros(int(gen.integers(8, 240)))})
+            largest = max(largest, os.stat(store._path(key)).st_size)
+            assert disk_bytes(store.root) <= budget + 2 * largest
+        force_listing(store, key)
+        assert disk_bytes(store.root) <= budget
+        evicted = sum(s.telemetry.snapshot()["evictions"] for s in stores)
+        assert evicted > 100
+
+    def test_stale_writer_adds_at_most_an_eighth_of_its_headroom(self, tmp_path):
+        """The worst case: a writer lists an empty root, the other fills it
+        to the budget, then the first writes until it lists again."""
+        budget = 40_000
+        stale, filler = (make_store(tmp_path, max_bytes=budget) for _ in range(2))
+        arrays = {"members": np.zeros(100)}
+        stale.save("pool-first", arrays)  # lists the (nearly) empty root
+        entry = disk_bytes(stale.root)
+        for i in range(60):
+            filler.save(f"pool-fill-{i}", arrays)
+        assert disk_bytes(stale.root) <= budget + entry
+        peak = 0
+        for i in range(60):
+            stale.save(f"pool-late-{i}", arrays)
+            peak = max(peak, disk_bytes(stale.root))
+        assert budget + entry < peak <= budget + budget // 8 + 2 * entry
+        assert disk_bytes(stale.root) <= budget + entry
+
+    def test_warm_map_save_does_not_list_the_root(self, tmp_path, monkeypatch):
+        store = make_store(tmp_path)
+        store.save("pool-aa", sample_arrays())  # first save: builds the map
+        calls = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(os, "listdir", counted(os.listdir))
+        monkeypatch.setattr(os, "scandir", counted(os.scandir))
+        for i in range(20):
+            assert store.save(f"pool-{i}", sample_arrays(i))
+        monkeypatch.undo()
+        assert calls == []
+        assert len(store.keys()) == 21
+
+    @staticmethod
+    def _hammer(store, threads=6, saves=40):
+        """Saves (and loads) from many threads on one shared instance, with
+        a short switch interval so that unlocked updates would interleave."""
+        import sys
+
+        errors = []
+
+        def writer(tag):
+            try:
+                for i in range(saves):
+                    store.save(f"pool-{tag}-{i}", {"members": np.arange(8 * (1 + i % 7))})
+                    store.load(f"pool-{tag}-{i // 2}")
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=writer, args=(t,)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(worker.is_alive() for worker in workers)
+        assert store.telemetry.snapshot()["stores"] == threads * saves
+
+    def test_shared_instance_counts_every_thread_write(self, tmp_path):
+        """The service shares one store between threads: no thread's bytes
+        may drop out of the writes the next listing is scheduled by."""
+        store = make_store(tmp_path)
+        store.total_bytes()  # an (empty) listing, so no save lists again
+        self._hammer(store)
+        assert store._written == store.telemetry.snapshot()["bytes_written"]
+
+    def test_shared_instance_fits_its_budget(self, tmp_path):
+        store = make_store(tmp_path, max_bytes=6_000)
+        self._hammer(store)
+        assert disk_bytes(store.root) <= store.max_bytes
+        # Every key was saved once; two threads evicting the same file
+        # would count it twice.
+        evictions = store.telemetry.snapshot()["evictions"]
+        assert evictions > 100 and len(store.keys()) + evictions == 240
+
+    def test_listing_cadence_follows_the_headroom(self, tmp_path, monkeypatch):
+        """A filling store is listed at its first save, then whenever the
+        writes since the last listing pass 1/8 of the headroom it left."""
+        arrays = {"members": np.zeros(100)}
+        sizer = make_store(tmp_path / "sizer")
+        sizer.save("pool-000", arrays)
+        entry = sizer.total_bytes()
+        budget = 48 * entry
+        expected, listed, written = [], None, 0
+        for i in range(40):  # 40 equal artifacts: no eviction yet
+            written += entry
+            if listed is None or 8 * written > budget - listed:
+                expected.append(i)
+                listed, written = (i + 1) * entry, 0
+        store = make_store(tmp_path, max_bytes=budget)
+        calls = []
+        real = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: calls.append(path) or real(path))
+        observed = []
+        for i in range(40):
+            before = len(calls)
+            assert store.save(f"pool-{i:03d}", arrays)
+            if len(calls) > before:
+                observed.append(i)
+        assert observed == expected and len(expected) >= 6
 
     def test_eviction_spares_staging_files(self, tmp_path):
         """An in-flight ``.tmp-*`` file is another writer's publish, not a key."""
         store = make_store(tmp_path, max_bytes=1)
         store.root.mkdir(parents=True)
-        staging = store.root / ".tmp-x.json"
+        staging = store.root / ".tmp-x.art"
         staging.write_text("{}")
         # Older than anything the save writes, yet inside the orphan grace.
         stamp = time.time() - ORPHAN_GRACE_SECONDS / 2
@@ -331,8 +554,9 @@ class TestBudgetBookkeeping:
         assert store.keys() == []
 
     def test_crash_mid_publish_orphans_are_reaped(self, tmp_path, monkeypatch):
-        """Writers that die mid-publish leave files no key owns; once past
-        the grace period they are deleted and the store fits its budget."""
+        """Writers that die mid-publish leave staging files no key owns;
+        once past the grace period they are deleted and the store fits its
+        budget."""
         gen = np.random.default_rng(11)
         budget = 5000
         store = make_store(tmp_path, max_bytes=budget)
@@ -340,42 +564,59 @@ class TestBudgetBookkeeping:
         class Crash(BaseException):
             """Process death: no ``except`` below gets to clean up."""
 
-        real_replace, calls = os.replace, []
-
         def dying_replace(src, dst):
-            calls.append(dst)
-            if len(calls) in (1, 3):  # 1: the payload; 3: the second manifest
-                raise Crash
-            real_replace(src, dst)
+            raise Crash
 
         monkeypatch.setattr(os, "replace", dying_replace)
         for key in ("pool-crash-a", "pool-crash-b"):
             with pytest.raises(Crash):
                 store.save(key, {"members": gen.random(12_500)})  # ~100 kB
         monkeypatch.undo()
-        # Left behind: a staged payload, a payload without a manifest and
-        # a staged manifest.
         orphans = sorted(entry.name for entry in os.scandir(store.root))
-        assert len(orphans) == 3 and "pool-crash-b.npz" in orphans
-        assert sum(name.startswith(".tmp-") for name in orphans) == 2
+        assert len(orphans) == 2 and all(name.startswith(".tmp-") for name in orphans)
         stale = time.time() - ORPHAN_GRACE_SECONDS - 1
         for name in orphans:
             os.utime(store.root / name, (stale, stale))
-        in_flight = store.root / ".tmp-in-flight.npz"
+        in_flight = store.root / ".tmp-in-flight.art"
         in_flight.write_bytes(b"x" * 64)
 
         sizer = make_store(tmp_path / "sizer")
         sizer.save("pool-probe", {"members": gen.random(64)})
         artifact = sizer.total_bytes()
+        # A fresh instance, as a restarted process would be: its first
+        # save lists the root.
+        store = make_store(tmp_path, max_bytes=budget)
         for i in range(5):
             assert store.save(f"pool-{i}", {"members": gen.random(64)})
             assert disk_bytes(store.root) <= budget + artifact
             assert store.total_bytes() == disk_bytes(store.root)
         assert not any((store.root / name).exists() for name in orphans)
         assert in_flight.exists()
-        assert store.telemetry.snapshot()["corrupt_discarded"] == 3
+        assert store.telemetry.snapshot()["corrupt_discarded"] == 2
         assert store.load("pool-4") is not None
 
+    def test_format_one_files_are_reaped_after_the_grace(self, tmp_path):
+        """Upgrading a root: format-1 ``<key>.npz``/``<key>.json`` pairs are
+        never keys any more; the stale ones are deleted (counted as corrupt
+        discards) at the next listing, fresh ones wait out the grace."""
+        gen = np.random.default_rng(5)
+        store = make_store(tmp_path, max_bytes=50_000)
+        store.root.mkdir(parents=True)
+        stale_time = time.time() - ORPHAN_GRACE_SECONDS - 1
+        stale, fresh = [], []
+        for i in range(8):
+            for suffix in (".npz", ".json"):
+                path = store.root / f"pool-{i:02d}{suffix}"
+                path.write_bytes(gen.bytes(int(gen.integers(1_000, 20_000))))
+                if i < 6:
+                    os.utime(path, (stale_time, stale_time))
+                (stale if i < 6 else fresh).append(path)
+        assert store.save("pool-new", sample_arrays())
+        assert not any(path.exists() for path in stale)
+        assert all(path.exists() for path in fresh)
+        assert store.telemetry.snapshot()["corrupt_discarded"] == len(stale)
+        assert store.keys() == ["pool-new"]
+        assert store.total_bytes() == disk_bytes(store.root)
 
 class TestKeys:
     def test_canonical_json_is_order_independent(self):
@@ -412,33 +653,18 @@ class TestKeys:
 
 
 class TestWarmConsumers:
-    def _fill(self, graph, store, seed=11, count=400, batch=128):
-        context = ExecutionContext(sample_batch_size=batch, pool_store=store)
-        engine = mrr_batch_sampler(
-            graph,
-            IndependentCascade(),
-            RootCountRule.for_target(graph.n, 30),
-            seed=seed,
-            context=context,
-        )
-        index = CoverageIndex(graph.n)
-        engine.fill(index, count)
-        members, indptr = index.packed()
-        probe = engine._rng.integers(0, 2**32, size=4)
-        return members.copy(), indptr.copy(), probe
-
     def test_warm_pool_fill_bit_identical(self, graph, tmp_path):
         store = make_store(tmp_path)
-        cold = self._fill(graph, store)
+        cold = fill_pool(graph, store)
         warm_store = PoolStore(store.root)
-        warm = self._fill(graph, warm_store)
+        warm = fill_pool(graph, warm_store)
         for c, w in zip(cold, warm):
             assert np.array_equal(c, w)
         assert warm_store.telemetry.snapshot()["hits"] >= 1
 
     def test_no_store_matches_store(self, graph, tmp_path):
-        plain = self._fill(graph, None)
-        cold = self._fill(graph, make_store(tmp_path))
+        plain = fill_pool(graph, None)
+        cold = fill_pool(graph, make_store(tmp_path))
         for p, c in zip(plain, cold):
             assert np.array_equal(p, c)
 
@@ -501,11 +727,11 @@ class TestWarmConsumers:
 
     def test_corrupt_store_regenerates(self, graph, tmp_path):
         store = make_store(tmp_path)
-        cold = self._fill(graph, store)
-        for payload in store.root.glob("*.npz"):
-            payload.write_bytes(b"garbage")
+        cold = fill_pool(graph, store)
+        for artifact in store.root.glob("*.art"):
+            artifact.write_bytes(b"garbage")
         warm_store = PoolStore(store.root)
-        warm = self._fill(graph, warm_store)
+        warm = fill_pool(graph, warm_store)
         for c, w in zip(cold, warm):
             assert np.array_equal(c, w)
         assert warm_store.telemetry.snapshot()["corrupt_discarded"] >= 1
@@ -523,6 +749,144 @@ class TestWarmConsumers:
         context = ExecutionContext(pool_store=store)
         assert context.diagnostics["pool_store_stores"] == 1
         assert str(store.root) in context.diagnostics["pool_store_root"]
+
+
+def _spec_mutator(field, value):
+    def mutate(header):
+        header["arrays"][0][field] = value
+        return header
+    return mutate
+
+
+def _offset_past_data(header):
+    header["arrays"][-1]["offset"] += 64 * 1024
+    return header
+
+
+def _nbytes_off_by_one_item(header):
+    header["arrays"][0]["nbytes"] += np.dtype(header["arrays"][0]["dtype"]).itemsize
+    return header
+
+
+def _negative_shape_and_nbytes(header):
+    # Consistent with each other, and ``count=-1`` would make numpy read
+    # the rest of the buffer: only the shape check stands in the way.
+    spec = header["arrays"][0]
+    spec["shape"], spec["nbytes"] = [-1], -np.dtype(spec["dtype"]).itemsize
+    return header
+
+
+def _duplicate_name(header):
+    header["arrays"][1]["name"] = header["arrays"][0]["name"]
+    return header
+
+
+def _header_field(field, value):
+    def mutate(header):
+        header[field] = value
+        return header
+    return mutate
+
+
+#: Headers a hostile or buggy writer could produce, each behind a valid
+#: digest so the loader's header checks (not the digest) must reject it.
+HOSTILE_HEADERS = (
+    _spec_mutator("dtype", "|O"),
+    _spec_mutator("dtype", "|V8"),
+    _spec_mutator("dtype", np.dtype("i8,i8").str),
+    _spec_mutator("dtype", "not-a-dtype"),
+    _spec_mutator("dtype", ["<i8"]),
+    _spec_mutator("shape", [-1]),
+    _spec_mutator("shape", [True]),
+    _spec_mutator("shape", [2.0]),
+    _spec_mutator("shape", [2**40]),
+    _spec_mutator("offset", -64),
+    _spec_mutator("offset", 8),
+    _spec_mutator("nbytes", -8),
+    _spec_mutator("name", None),
+    _offset_past_data,
+    _nbytes_off_by_one_item,
+    _negative_shape_and_nbytes,
+    _duplicate_name,
+    _header_field("arrays", {}),
+    _header_field("key", "pool-other"),
+    _header_field("version", ARTIFACT_FORMAT_VERSION - 1),
+    lambda header: [header],
+    lambda header: b"\xff\xfe{",
+    lambda header: b"[" * 100_000,
+)
+
+
+class TestArtifactFuzz:
+    """Damaged artifact bytes: the loader never raises, every load is a
+    counted miss, and the consumer regenerates the cold pool exactly."""
+
+    @pytest.fixture
+    def cold(self, graph, tmp_path):
+        store = make_store(tmp_path)
+        pool = fill_pool(graph, store)
+        (path,) = store.root.glob("*.art")
+        return pool, path, path.read_bytes()
+
+    def test_truncation_at_every_boundary(self, cold):
+        _, path, raw = cold
+        header, data = split_artifact(raw)
+        data_start = len(raw) - len(data)
+        cuts = {0, 1, 7, 8, 39, 40, 47, 48, data_start - 1, data_start, len(raw) - 1}
+        for spec in header["arrays"]:
+            for edge in (spec["offset"], spec["offset"] + spec["nbytes"]):
+                cuts.update({data_start + edge - 1, data_start + edge})
+        for cut in sorted(c for c in cuts if 0 <= c < len(raw)):
+            path.write_bytes(raw[:cut])
+            store = PoolStore(path.parent)
+            assert store.load(path.stem) is None, cut
+            assert store.telemetry.snapshot()["corrupt_discarded"] == 1
+            assert not path.exists()
+
+    @pytest.mark.parametrize("mutate", HOSTILE_HEADERS)
+    def test_every_hostile_header_is_a_miss(self, graph, cold, mutate):
+        pool, path, raw = cold
+        header, region = split_artifact(raw)
+        path.write_bytes(forge_artifact(mutate(copy.deepcopy(header)), region))
+        store = PoolStore(path.parent)
+        warm = fill_pool(graph, store)
+        counts = store.telemetry.snapshot()
+        assert counts["hits"] == 0 and counts["corrupt_discarded"] == 1
+        for c, w in zip(pool, warm):
+            assert np.array_equal(c, w)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_damaged_bytes_miss_and_regenerate(self, graph, cold, data):
+        pool, path, raw = cold
+        header, region = split_artifact(raw)
+        damage = data.draw(st.sampled_from(("truncate", "flip", "hostile")))
+        if damage == "truncate":
+            damaged = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif damage == "flip":
+            flips = data.draw(st.lists(
+                st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                min_size=1, max_size=4, unique_by=lambda flip: flip[0],
+            ))
+            damaged = bytearray(raw)
+            for position, mask in flips:
+                damaged[position] ^= mask
+        else:
+            mutate = data.draw(st.sampled_from(HOSTILE_HEADERS))
+            damaged = forge_artifact(mutate(copy.deepcopy(header)), region)
+        path.write_bytes(bytes(damaged))
+        store = PoolStore(path.parent)
+        warm = fill_pool(graph, store)
+        counts = store.telemetry.snapshot()
+        assert counts["hits"] == 0 and counts["misses"] == 1
+        assert counts["corrupt_discarded"] == 1
+        for c, w in zip(pool, warm):
+            assert np.array_equal(c, w)
+        assert path.read_bytes() == raw  # the regenerated artifact
 
 
 class TestServiceIntegration:

@@ -203,7 +203,7 @@ class TestUnchangedSurfaces:
                 "evictions": 0,
                 "corrupt_discarded": 0,
                 "bytes_read": 0,
-                "bytes_written": 346496,
+                "bytes_written": 345984,  # two single-file artifacts (format 2)
             },
             "runtime": {"quarantined": False, "fault_stats": None},
         }
