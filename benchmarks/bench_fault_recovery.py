@@ -2,7 +2,9 @@
 
 Injects deterministic worker faults (:mod:`repro.testing.faults`) into the
 supervised parallel runtime and asserts the **recovery-equivalence** bar on
-each engine fan-out: a run that survived a crash, a hang, or full
+each engine fan-out.  The runtime has one recovery path — a broken or hung
+pool is rebuilt up to the policy's ``max_rebuilds``, then the surviving
+chunks run in-process — and a run that survived a crash, a hang, or full
 degradation to in-process execution must be *bit-identical* to the clean
 ``jobs=1`` reference — the chunk-indexed seeding invariant means recovery
 can change where a chunk runs, never what it returns.
@@ -15,7 +17,7 @@ Cases:
 * **sweep/crash** — a TRIM-style eta point (ASTI + ATEUC over shared
   realizations) surviving a worker crash;
 * **pool/hang** — a hung worker caught by the policy ``chunk_timeout``;
-* **pool/degrade** — retry/rebuild budgets at zero with an always-firing
+* **pool/degrade** — the rebuild budget at zero with an always-firing
   crash, forcing every surviving chunk in-process;
 * **negative-control/corrupt** — the silent-corruption injector, which the
   gate requires the equivalence comparison to *detect*: a chaos gate that
@@ -206,7 +208,7 @@ def measure(profile: dict, seed: int = 0) -> dict:
         "pool/degrade": _case(
             pool_reference,
             lambda rt: _pool_fill(graph, profile, rt, seed),
-            policy=FaultPolicy(max_retries=0, max_rebuilds=0),
+            policy=FaultPolicy(max_rebuilds=0),
             injection=FaultInjection("crash", nth=0, attempts=tuple(range(50))),
         ),
     }

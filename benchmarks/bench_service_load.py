@@ -21,9 +21,10 @@ survived to produce it.  Five legs:
   mid-request pool kill, a stalled handler, and a corrupted cache entry,
   all while the load runs; zero failures, every reply bit-identical,
   and the fault counters must prove the recovery paths actually fired;
-* **degrade** — retry/rebuild budgets at zero with an always-firing
-  crash: the pool is quarantined and every request degrades to
-  in-process execution, still bit-identical.
+* **degrade** — the rebuild budget at zero with an always-firing crash:
+  the shared runtime runs the surviving chunks in-process, every reply
+  is still bit-identical, and the replies that degraded say so
+  (``meta.degraded``, counted in ``degraded_requests``).
 
 Every run appends one record to ``BENCH_trajectory.json``.  Run::
 
@@ -290,13 +291,11 @@ def _leg_chaos(profile: dict, references: dict) -> dict:
 
 
 def _leg_degrade(profile: dict, references: dict) -> dict:
-    """Exhausted fault budgets: quarantine the pool, stay in-process."""
+    """Exhausted rebuild budget: the surviving chunks run in-process."""
     payloads = [_payload(f"degrade-{s}", s, profile) for s in range(4)]
     config = ServiceConfig(
         jobs=2,
-        fault_policy=FaultPolicy(
-            chunk_timeout=60.0, max_rebuilds=0, on_pool_failure="raise"
-        ),
+        fault_policy=FaultPolicy(chunk_timeout=60.0, max_rebuilds=0),
         worker_injection=FaultInjection("crash", nth=0, attempts=(0, 1, 2, 3)),
     )
     with ServiceThread(config) as service:
@@ -305,7 +304,7 @@ def _leg_degrade(profile: dict, references: dict) -> dict:
     return {
         **_audit(replies, references),
         "degraded_requests": health["counters"]["degraded_requests"],
-        "quarantined": health["runtime"]["quarantined"],
+        "degraded_chunks": health["runtime"]["fault_stats"]["degraded_chunks"],
         "status": health["status"],
     }
 
@@ -352,5 +351,5 @@ GATES = (
     ("legs/chaos/cache_invalidations", ">=", 1),
     ("legs/chaos/carry_discarded", ">=", 1),
     ("legs/degrade/degraded_requests", ">=", 1),
-    ("legs/degrade/quarantined", "==", True),
+    ("legs/degrade/degraded_chunks", ">=", 1),
 )

@@ -36,10 +36,11 @@ from repro.experiments.report import format_series, format_table
 from repro.graph import analysis
 from repro.graph.io import read_edge_list
 from repro.kernels import KERNEL_BACKENDS
-from repro.parallel.runtime import POOL_FAILURE_MODES, FaultPolicy
+from repro.parallel.runtime import FaultPolicy
 from repro.runtime.context import DEFAULT_BATCH_SIZE, ExecutionContext
 from repro.sampling.mrr import estimate_truncated_spread_mrr
 from repro.service.cache import DEFAULT_CACHE_BYTES
+from repro.utils.validation import check_positive_int, check_range
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mRR pools (a pool hit replays the cold run's pool as is)",
     )
     serve.add_argument(
-        "--quarantine-seconds", type=float, default=30.0,
-        help="cooldown before rebuilding a worker pool that exhausted "
-        "its fault budgets (requests run in-process meanwhile)",
-    )
-    serve.add_argument(
         "--pool-store", default=None, metavar="PATH",
         help="persistent artifact store directory: estimates write their "
         "mRR pools through it, so after a restart an estimate loads its "
@@ -263,22 +259,9 @@ def _add_fault_arguments(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="seconds the parallel supervisor waits on one dispatched "
         "chunk before declaring its worker hung and rebuilding the pool "
-        "(default: wait forever); only meaningful with --jobs >= 2",
-    )
-    sub.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="transient-failure retries per chunk before the "
-        "--on-pool-failure behavior applies",
-    )
-    sub.add_argument(
-        "--on-pool-failure",
-        choices=POOL_FAILURE_MODES,
-        default="degrade",
-        help="once a chunk's retry/rebuild budgets are spent: 'degrade' "
-        "finishes the surviving chunks in-process (results stay "
-        "bit-identical to a clean run), 'raise' fails the command",
+        "(default: wait forever); once the rebuild budget is spent the "
+        "surviving chunks finish in-process with bit-identical results; "
+        "only meaningful with --jobs >= 2",
     )
 
 
@@ -325,11 +308,7 @@ def _context_from_args(args) -> ExecutionContext:
     same message the library raises (``repro.utils.validation``).
     """
     store = _store_from_args(args)
-    fault_policy = FaultPolicy(
-        chunk_timeout=getattr(args, "chunk_timeout", None),
-        max_retries=getattr(args, "max_retries", 2),
-        on_pool_failure=getattr(args, "on_pool_failure", "degrade"),
-    )
+    fault_policy = FaultPolicy(chunk_timeout=getattr(args, "chunk_timeout", None))
     return ExecutionContext(
         sample_batch_size=getattr(args, "sample_batch_size", DEFAULT_BATCH_SIZE),
         mc_batch_size=getattr(args, "mc_batch_size", None),
@@ -342,12 +321,20 @@ def _context_from_args(args) -> ExecutionContext:
     )
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _parse_list(text: str, cast: type, flag: str) -> list:
+    """Split a comma-separated flag value; a malformed item or an empty
+    list is a :class:`~repro.errors.ConfigurationError` (an ``error:``
+    line)."""
+    try:
+        values = [cast(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigurationError(
+            f"{flag} must be a comma-separated list of {cast.__name__}s, "
+            f"got {text!r}"
+        )
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +406,7 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_sweep(args, out) -> int:
     fractions = (
-        tuple(_parse_float_list(args.fractions))
+        tuple(_parse_list(args.fractions, float, "--fractions"))
         if args.fractions
         else datasets.eta_fractions_for(args.dataset)
     )
@@ -438,8 +425,6 @@ def _cmd_sweep(args, out) -> int:
         jobs=args.jobs,
         kernel_backend=args.kernel_backend,
         chunk_timeout=args.chunk_timeout,
-        max_retries=args.max_retries,
-        on_pool_failure=args.on_pool_failure,
         pool_store=args.pool_store,
         seed=args.seed,
     )
@@ -471,9 +456,11 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_estimate(args, out) -> int:
+    seeds = _parse_list(args.seeds, int, "--seeds")
+    check_positive_int(args.theta, "theta")
+    check_range(args.mc_samples, "mc_samples", 0)
     graph = _load_graph(args)
     model = _make_model(args.model)
-    seeds = _parse_int_list(args.seeds)
     with _context_from_args(args) as context:
         return _estimate_with_context(args, out, graph, model, seeds, context)
 
@@ -527,14 +514,9 @@ def _cmd_serve(args, out) -> int:
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
         cache_bytes=args.cache_bytes,
-        quarantine_seconds=args.quarantine_seconds,
         kernel_backend=args.kernel_backend,
         pool_store=args.pool_store,
-        fault_policy=FaultPolicy(
-            chunk_timeout=args.chunk_timeout,
-            max_retries=args.max_retries,
-            on_pool_failure=args.on_pool_failure,
-        ),
+        fault_policy=FaultPolicy(chunk_timeout=args.chunk_timeout),
     )
     # In stdio mode stdout carries the NDJSON replies, so the startup
     # banner must go to stderr; in TCP mode it goes to ``out`` where a

@@ -1,7 +1,7 @@
 """REP007 — no bare blocking sleeps.
 
 Every deliberate delay in the library routes through
-:func:`repro.utils.timing.backoff_sleep` (the supervisor's retry backoff)
+:func:`repro.utils.timing.backoff_sleep` (exponential retry backoff)
 so blocking waits are greppable and tested in one place; a bare
 ``time.sleep`` is either an unsanctioned delay or a latency bug waiting
 for a profiler.  Async code — the service layer — must never block its

@@ -49,28 +49,6 @@ class ResourceError(ReproError):
     """
 
 
-class WorkerPoolError(ReproError):
-    """Raised when supervised parallel dispatch exhausts its fault policy.
-
-    The parallel runtime's supervisor retries transient chunk failures,
-    rebuilds the worker pool after crashes, and (policy permitting)
-    degrades to in-process execution.  Once every recovery avenue allowed
-    by the :class:`~repro.parallel.runtime.FaultPolicy` is spent, this
-    error reports the chunk and the failure history.
-    """
-
-
-class TransientWorkerError(WorkerPoolError):
-    """A chunk failure worth retrying on the same (or a rebuilt) pool.
-
-    Chunk kernels may raise this for failures that are expected to clear
-    on a retry (lost attachments, interrupted IO); the dispatch supervisor
-    catches it and re-runs the chunk within the policy's retry budget
-    instead of failing the whole fan-out.  Any other exception from a
-    chunk is treated as deterministic and propagates immediately.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for the always-on service layer's request failures.
 

@@ -66,11 +66,6 @@ class ExperimentConfig:
                                                  # "python"); bit-identical
     chunk_timeout: Optional[float] = None        # seconds before a dispatched
                                                  # chunk is declared hung
-    max_retries: int = 2                         # transient-failure retries
-                                                 # per chunk
-    on_pool_failure: str = "degrade"             # budget exhaustion: "degrade"
-                                                 # (in-process, bit-identical)
-                                                 # or "raise"
     pool_store: Optional[str] = None             # persistent artifact store
                                                  # directory (None = no store)
     seed: int = 0
@@ -122,17 +117,12 @@ class ExperimentConfig:
     def fault_policy(self):
         """The :class:`~repro.parallel.runtime.FaultPolicy` these knobs pin.
 
-        Built (and thereby validated) from the config's supervision fields;
-        fields not surfaced here (backoff, rebuild budget, segment budget)
-        keep their policy defaults.
+        Built (and thereby validated) from ``chunk_timeout``; the rebuild
+        and segment budgets keep their policy defaults.
         """
         from repro.parallel.runtime import FaultPolicy
 
-        return FaultPolicy(
-            chunk_timeout=self.chunk_timeout,
-            max_retries=self.max_retries,
-            on_pool_failure=self.on_pool_failure,
-        )
+        return FaultPolicy(chunk_timeout=self.chunk_timeout)
 
     def make_pool_store(self):
         """The :class:`~repro.store.PoolStore` this config names (or None)."""

@@ -210,12 +210,19 @@ class DiGraph:
         else:
             index_dtype = np.dtype(np.int64)
             prob_dtype = np.dtype(np.float64)
-        out_indptr, out_targets, out_probs = _build_csr(
-            n, sources, targets, probabilities, index_dtype, prob_dtype
-        )
-        in_indptr, in_sources, in_probs = _build_csr(
-            n, targets, sources, probabilities, index_dtype, prob_dtype
-        )
+        try:
+            out_indptr, out_targets, out_probs = _build_csr(
+                n, sources, targets, probabilities, index_dtype, prob_dtype
+            )
+            in_indptr, in_sources, in_probs = _build_csr(
+                n, targets, sources, probabilities, index_dtype, prob_dtype
+            )
+        except (MemoryError, ValueError, OverflowError) as exc:
+            # The edge arrays are validated above, so the only failure
+            # left is an n-sized allocation the OS or numpy refuses.
+            raise GraphError(
+                f"cannot allocate the CSR arrays of a graph with n={n} nodes: {exc}"
+            ) from exc
         return cls(
             n,
             out_indptr,

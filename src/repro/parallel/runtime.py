@@ -19,17 +19,16 @@ chunk functions in-process — the work decomposition (and therefore every
 random draw) is identical for any worker count, which is what makes
 ``jobs=1`` the bit-exact reference for ``jobs=N``.
 
-Dispatch is **supervised** (:meth:`ParallelRuntime.map_ordered`): a frozen
-:class:`FaultPolicy` bounds how long the supervisor waits on any chunk, how
-often a transiently failing chunk is retried (exponential backoff), how
-many times a broken or hung pool is rebuilt (republishing any shared
-segment that went missing, under its original name, so in-flight handles
-stay valid), and what happens when those budgets run out — raise a
-:class:`~repro.errors.WorkerPoolError`, or *degrade*: run the surviving
-chunks in-process.  Because every chunk's randomness is fixed by its
-lifetime index (the chunk-indexed seeding invariant), a retried, rebuilt,
-or degraded chunk produces exactly the bytes the clean ``jobs=1`` run
-would — recovery never changes results, only where the work happens.
+Dispatch is **supervised** (:meth:`ParallelRuntime.map_ordered`) and has
+one recovery path: a broken pool (``BrokenProcessPool``) or a hung chunk
+(one that outlives the :class:`FaultPolicy`'s ``chunk_timeout``) triggers
+a pool rebuild that republishes any shared segment that went missing,
+under its original name, so in-flight handles stay valid.  Once
+``max_rebuilds`` rebuilds are spent, the surviving chunks run in-process
+(*degrade*).  Because every chunk's randomness is fixed by its lifetime
+index (the chunk-indexed seeding invariant), a rebuilt or degraded chunk
+produces exactly the bytes the clean ``jobs=1`` run would — recovery
+never changes results, only where the work happens.
 
 The runtime is a context manager; :meth:`close` (or garbage collection, or
 interpreter exit — a :func:`weakref.finalize` hook covers both) shuts the
@@ -56,11 +55,7 @@ if TYPE_CHECKING:
     from repro.parallel.shm import ArrayHandle
     from repro.testing.faults import FaultInjection
 
-from repro.errors import (
-    ConfigurationError,
-    TransientWorkerError,
-    WorkerPoolError,
-)
+from repro.errors import ConfigurationError
 from repro.parallel.shm import (
     GraphHandle,
     RealizationsHandle,
@@ -70,7 +65,7 @@ from repro.parallel.shm import (
     sweep_orphans,
 )
 from repro.runtime.telemetry import Telemetry
-from repro.utils.timing import Deadline, backoff_sleep
+from repro.utils.timing import Deadline
 from repro.utils.validation import (
     check_optional_positive_int,
     check_positive_float,
@@ -86,9 +81,6 @@ _GRAPH_CACHE_SIZE = 4
 #: one shared batch for a whole sweep).
 _WORLDS_CACHE_SIZE = 2
 
-#: The two terminal behaviors once a chunk's recovery budgets are spent.
-POOL_FAILURE_MODES = ("raise", "degrade")
-
 
 @dataclass(frozen=True)
 class FaultPolicy:
@@ -101,21 +93,11 @@ class FaultPolicy:
         the gather head (earlier chunks' waits never count against it);
         exceeding it declares the worker hung and triggers a pool rebuild.
         ``None`` (default) waits forever — the pre-supervision behavior.
-    max_retries:
-        In-place retries per chunk for transient failures
-        (:class:`~repro.errors.TransientWorkerError`) before the terminal
-        ``on_pool_failure`` behavior applies to it.
-    backoff_base:
-        First retry delay in seconds; attempt ``k`` waits
-        ``backoff_base * 2**(k-1)``.
     max_rebuilds:
         Worker-pool rebuilds (after ``BrokenProcessPool`` or a chunk
-        timeout) per dispatch before the terminal behavior applies.
-    on_pool_failure:
-        ``"degrade"`` (default) re-runs the surviving chunks in-process —
-        bit-identical to ``jobs=1`` by the chunk-indexed seeding
-        invariant; ``"raise"`` fails the dispatch with a
-        :class:`~repro.errors.WorkerPoolError`.
+        timeout) per dispatch; once they are spent the surviving chunks
+        run in-process — bit-identical to ``jobs=1`` by the chunk-indexed
+        seeding invariant.
     max_segment_bytes:
         Publication budget: a single shared-memory segment larger than
         this raises :class:`~repro.errors.ResourceError` before the OS is
@@ -123,22 +105,11 @@ class FaultPolicy:
     """
 
     chunk_timeout: Optional[float] = None
-    max_retries: int = 2
-    backoff_base: float = 0.05
     max_rebuilds: int = 2
-    on_pool_failure: str = "degrade"
     max_segment_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         check_positive_float(self.chunk_timeout, "chunk_timeout")
-        if not isinstance(self.max_retries, int) or isinstance(self.max_retries, bool):
-            raise ConfigurationError(
-                f"max_retries must be an int, got {type(self.max_retries).__name__}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
         if not isinstance(self.max_rebuilds, int) or isinstance(self.max_rebuilds, bool):
             raise ConfigurationError(
                 f"max_rebuilds must be an int, got {type(self.max_rebuilds).__name__}"
@@ -146,15 +117,6 @@ class FaultPolicy:
         if self.max_rebuilds < 0:
             raise ConfigurationError(
                 f"max_rebuilds must be >= 0, got {self.max_rebuilds}"
-            )
-        if not self.backoff_base >= 0.0:
-            raise ConfigurationError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.on_pool_failure not in POOL_FAILURE_MODES:
-            raise ConfigurationError(
-                f"on_pool_failure must be one of {POOL_FAILURE_MODES}, "
-                f"got {self.on_pool_failure!r}"
             )
         check_optional_positive_int(self.max_segment_bytes, "max_segment_bytes")
 
@@ -203,7 +165,7 @@ class ParallelRuntime:
         bit-identical to any ``jobs >= 2`` run with the same seed.
     fault_policy:
         Supervision knobs (:class:`FaultPolicy`); ``None`` uses the
-        defaults (no timeout, 2 retries, 2 rebuilds, degrade).
+        defaults (no timeout, 2 rebuilds, then degrade).
     injection:
         A :class:`~repro.testing.faults.FaultInjection` spec wrapped
         around every worker-pool submission — test/benchmark chaos only;
@@ -236,7 +198,7 @@ class ParallelRuntime:
         self._chunks_dispatched = 0
         #: The supervisor's recovery counters; read them via :attr:`fault_stats`.
         self.telemetry = Telemetry(
-            retries=0, timeouts=0, rebuilds=0, republished_segments=0,
+            timeouts=0, rebuilds=0, republished_segments=0,
             degraded_chunks=0, recovered_seconds=0.0, swept_orphans=0,
         )
         if self.jobs > 1:
@@ -258,11 +220,11 @@ class ParallelRuntime:
     def fault_stats(self) -> dict[str, float]:
         """A copy of the supervisor's recovery counters.
 
-        Keys: ``retries`` (transient chunk re-runs), ``timeouts`` (chunks
-        declared hung), ``rebuilds`` (worker pools replaced),
-        ``republished_segments`` (shared segments restored under their
-        original names during rebuilds), ``degraded_chunks`` (chunks
-        re-run in-process after budget exhaustion), ``recovered_seconds``
+        Keys: ``timeouts`` (chunks declared hung), ``rebuilds`` (worker
+        pools replaced), ``republished_segments`` (shared segments
+        restored under their original names during rebuilds),
+        ``degraded_chunks`` (chunks re-run in-process once the rebuild
+        budget was spent), ``recovered_seconds``
         (wall-clock spent inside recovery), ``swept_orphans`` (leaked
         segments of dead runs unlinked at runtime start).
         """
@@ -413,15 +375,13 @@ class ParallelRuntime:
 
         With ``jobs=1`` this is a plain loop (same functions, same order);
         with workers everything is submitted up front and gathered in
-        order under the runtime's :class:`FaultPolicy` — transient chunk
-        failures retry in place with backoff, a broken or hung pool is
-        rebuilt (with missing shared segments republished under their
-        original names), and once those budgets are spent the surviving
-        chunks either run in-process (``on_pool_failure="degrade"``, the
-        default — bit-identical by the chunk-indexed seeding invariant)
-        or the dispatch raises a :class:`~repro.errors.WorkerPoolError`.
-        Either way chunk results merge in their deterministic chunk order
-        regardless of which worker (or process) finished first.
+        order under the runtime's :class:`FaultPolicy` — a broken or hung
+        pool is rebuilt (with missing shared segments republished under
+        their original names), and once the rebuild budget is spent the
+        surviving chunks run in-process (bit-identical by the
+        chunk-indexed seeding invariant).  Chunk results merge in their
+        deterministic chunk order regardless of which worker (or
+        process) finished first.
         """
         self._check_open()
         payloads = [tuple(payload) for payload in payloads]
@@ -468,13 +428,18 @@ class ParallelRuntime:
         self.telemetry.add("degraded_chunks")
         return fn(*payload)
 
-    def _rebuild_pool(self) -> ProcessPoolExecutor:
-        """Replace a broken/hung pool; republish any missing segments."""
-        self.telemetry.add("rebuilds")
+    def _shutdown_pool(self) -> None:
+        """Tear the current pool down; a later dispatch lazily builds a
+        fresh one."""
         executor = self._state["executor"]
         self._state["executor"] = None
         if executor is not None:
             _shutdown_executor(executor)
+
+    def _rebuild_pool(self) -> ProcessPoolExecutor:
+        """Replace a broken/hung pool; republish any missing segments."""
+        self.telemetry.add("rebuilds")
+        self._shutdown_pool()
         restored = 0
         for bundle in self._state["bundles"].values():
             if not bundle.segment_exists():
@@ -482,28 +447,6 @@ class ParallelRuntime:
                 restored += 1
         self.telemetry.add("republished_segments", restored)
         return self._executor()
-
-    def _terminal_failure(
-        self,
-        chunk_id: int,
-        failure: str,
-        attempts: int,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        """Budgets spent for a chunk: degrade from here on, or raise."""
-        if self.fault_policy.on_pool_failure == "raise":
-            raise WorkerPoolError(
-                f"chunk {chunk_id} failed ({failure}) after {attempts} "
-                f"attempt(s) and {self.fault_stats['rebuilds']} pool rebuild(s); "
-                f"fault policy on_pool_failure='raise' forbids degradation"
-            ) from error
-        # Degrade: the pool (possibly broken or hosting a hung worker) is
-        # of no further use this dispatch — tear it down now so nothing
-        # lingers; a later dispatch lazily builds a fresh one.
-        executor = self._state["executor"]
-        self._state["executor"] = None
-        if executor is not None:
-            _shutdown_executor(executor)
 
     def _supervised_gather(
         self, fn: Callable[..., Any], payloads: Sequence[tuple[Any, ...]]
@@ -538,7 +481,6 @@ class ParallelRuntime:
                 done[head] = True
                 head += 1
                 continue
-            error: Optional[BaseException] = None
             # One Deadline per wait: the head chunk gets the policy's full
             # budget each attempt, measured on the same monotonic clock
             # the service layer's request deadlines use.
@@ -549,38 +491,16 @@ class ParallelRuntime:
                 head += 1
                 continue
             except FuturesTimeout:
-                failure = "timeout"
-            except BrokenProcessPool as exc:
-                failure = "broken pool"
-                error = exc
-            except TransientWorkerError as exc:
-                failure = "transient failure"
-                error = exc
+                self.telemetry.add("timeouts")
+            except BrokenProcessPool:
+                pass
             # Anything else — a deterministic chunk exception, or the
-            # user's KeyboardInterrupt — propagates untouched; retrying
+            # user's KeyboardInterrupt — propagates untouched; re-running
             # a genuine bug only hides it, and Ctrl-C means stop.
 
+            # A timeout or a broken pool: the pool itself is suspect.
             recovery_started = time.perf_counter()
             try:
-                if failure == "transient failure":
-                    # The pool is healthy; retry just this chunk.
-                    attempts[head] += 1
-                    if attempts[head] > policy.max_retries:
-                        self._terminal_failure(
-                            chunk_ids[head], failure, attempts[head], error
-                        )
-                        degraded = True
-                        continue
-                    self.telemetry.add("retries")
-                    backoff_sleep(policy.backoff_base, attempts[head])
-                    futures[head] = self._submit(
-                        executor, fn, chunk_ids[head], attempts[head],
-                        payloads[head],
-                    )
-                    continue
-                # Timeout or broken pool: the pool itself is suspect.
-                if failure == "timeout":
-                    self.telemetry.add("timeouts")
                 # Chunks that finished before the pool died keep their
                 # results; everything else reruns on the rebuilt pool.
                 for j in range(head, count):
@@ -592,9 +512,10 @@ class ParallelRuntime:
                     results[j] = future.result()
                     done[j] = True
                 if rebuilds_left <= 0:
-                    self._terminal_failure(
-                        chunk_ids[head], failure, attempts[head] + 1, error
-                    )
+                    # Degrade: the pool (broken, or hosting a hung worker)
+                    # is of no further use this dispatch — tear it down
+                    # now so nothing lingers.
+                    self._shutdown_pool()
                     degraded = True
                     continue
                 rebuilds_left -= 1

@@ -95,11 +95,12 @@ class ExecutionContext:
         across backends, so this is pure performance policy.
     fault_policy:
         Supervision knobs for the parallel runtime
-        (:class:`~repro.parallel.runtime.FaultPolicy`: per-chunk timeout,
-        retry and rebuild budgets, degrade-vs-raise on exhaustion, the
-        shared-segment byte budget).  ``None`` uses the policy defaults.
-        Pure recovery policy: results are bit-identical under any policy
-        because recovered chunks replay their chunk-indexed seeds.
+        (:class:`~repro.parallel.runtime.FaultPolicy`: the per-chunk
+        timeout, the pool-rebuild budget after which the surviving chunks
+        run in-process, the shared-segment byte budget).  ``None`` uses
+        the policy defaults.  Pure recovery policy: results are
+        bit-identical under any policy because rebuilt and degraded
+        chunks replay their chunk-indexed seeds.
     fault_injection:
         A :class:`~repro.testing.faults.FaultInjection` chaos spec wrapped
         around worker-pool submissions — tests and the chaos gate only;

@@ -10,8 +10,8 @@ thread of the admission executor):
    execute the plan against the library under a per-request
    :class:`~repro.runtime.context.ExecutionContext` derived from the
    request seed.  The result payload is a pure function of
-   ``(op, seed, params)`` — warm pools, shared runtimes, retries, and
-   degraded re-runs can change *where* and *how fast* the work happens,
+   ``(op, seed, params)`` — warm pools, shared runtimes, pool rebuilds
+   and degraded chunks can change *where* and *how fast* the work happens,
    never the bytes;
 3. **settle** (event loop) — the server stores a fresh pool snapshot,
    drops a rejected one, and writes the reply.

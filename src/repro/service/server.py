@@ -22,12 +22,14 @@ A stdlib-asyncio NDJSON server (TCP or stdio; see
   through the :class:`~repro.store.PoolStore` (the recipe-keyed path the
   samplers already have), so after a restart the first estimate for a
   key loads its pool from disk, bit-identical to the cold run;
-* **graceful degradation** — a request whose shared worker pool exhausts
-  its :class:`~repro.parallel.runtime.FaultPolicy` budgets
-  (``WorkerPoolError``) is transparently re-run on an in-process
-  ``jobs=1`` context — bit-identical bytes by the chunk-indexed seeding
-  invariant — and the shared runtime is quarantined for
-  ``quarantine_seconds`` before a fresh pool is built;
+* **graceful degradation** — the shared runtime recovers from a broken
+  or hung worker pool itself (rebuilds up to its
+  :class:`~repro.parallel.runtime.FaultPolicy` budget, then runs the
+  surviving chunks in-process — bit-identical bytes by the chunk-indexed
+  seeding invariant).  A reply whose own dispatches degraded at least one
+  chunk says ``meta.degraded: true``; such requests are counted in
+  ``degraded_requests``, and ``health`` reads ``"degraded"`` once there
+  has been one;
 * **drain-then-exit** — SIGTERM/SIGINT (or EOF in stdio mode) stops
   accepting work, lets every admitted request finish and flush its
   reply, then tears down the executor, the runtime, and the sockets.
@@ -60,7 +62,6 @@ from repro.errors import (
     ReproError,
     SamplingError,
     ServiceError,
-    WorkerPoolError,
 )
 from repro.graph.digraph import DiGraph
 from repro.parallel.runtime import FaultPolicy, ParallelRuntime
@@ -100,7 +101,6 @@ class ServiceConfig:
     max_in_flight: int = 4
     max_queue: int = 16
     cache_bytes: int = DEFAULT_CACHE_BYTES
-    quarantine_seconds: float = 30.0
     kernel_backend: str = "auto"
     #: Persistent artifact store directory (None = memory-only cache).
     #: Estimates write their pools through it, so they survive restarts
@@ -122,10 +122,6 @@ class ServiceConfig:
         if self.max_queue < 0:
             raise ConfigurationError(
                 f"max_queue must be >= 0, got {self.max_queue}"
-            )
-        if not self.quarantine_seconds >= 0.0:
-            raise ConfigurationError(
-                f"quarantine_seconds must be >= 0, got {self.quarantine_seconds}"
             )
 
 
@@ -168,7 +164,6 @@ class SeedService:
         # because compute happens on handler threads.
         self._runtime: Optional[ParallelRuntime] = None
         self._runtime_lock = threading.Lock()
-        self._quarantine: Optional[Deadline] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -489,24 +484,22 @@ class SeedService:
         if graph is None:
             graph = loaded = handlers.load_graph(plan)
         runtime = self._shared_runtime()
-        if runtime is not None:
-            # The shared runtime is not safe for concurrent dispatch:
-            # serialize engine execution; parallelism comes from its
-            # worker pool, not from overlapping handler threads.
-            with self._runtime_lock:
-                if self._fires(admitted_index, "pool_kill"):
-                    kill_one_worker(runtime)
-                try:
-                    result, carry_out, status = self._run_plan(
-                        graph, plan, op, runtime, carry
-                    )
-                    return result, loaded, carry_out, status, False
-                except WorkerPoolError:
-                    # Budgets exhausted: quarantine the pool and fall
-                    # through to the bit-identical in-process route.
-                    self._quarantine_runtime_locked()
-        result, carry_out, status = self._run_plan(graph, plan, op, None, carry)
-        return result, loaded, carry_out, status, runtime is not None
+        if runtime is None:
+            result, carry_out, status = self._run_plan(graph, plan, op, None, carry)
+            return result, loaded, carry_out, status, False
+        # The shared runtime is not safe for concurrent dispatch:
+        # serialize engine execution; parallelism comes from its worker
+        # pool, not from overlapping handler threads.  Holding the lock
+        # also makes the degraded-chunk delta this request's own.
+        with self._runtime_lock:
+            if self._fires(admitted_index, "pool_kill"):
+                kill_one_worker(runtime)
+            before = runtime.fault_stats["degraded_chunks"]
+            result, carry_out, status = self._run_plan(
+                graph, plan, op, runtime, carry
+            )
+            degraded = runtime.fault_stats["degraded_chunks"] > before
+        return result, loaded, carry_out, status, degraded
 
     def _run_plan(
         self,
@@ -552,10 +545,6 @@ class SeedService:
         if self.config.jobs < 2:
             return None
         with self._runtime_lock:
-            if self._quarantine is not None:
-                if not self._quarantine.expired:
-                    return None
-                self._quarantine = None  # cooldown over: rebuild below
             if self._runtime is None:
                 self._runtime = ParallelRuntime(
                     self.config.jobs,
@@ -563,13 +552,6 @@ class SeedService:
                     injection=self.config.worker_injection,
                 )
             return self._runtime
-
-    def _quarantine_runtime_locked(self) -> None:
-        """Close the shared runtime and start its cooldown (lock held)."""
-        if self._runtime is not None:
-            self._runtime.close()
-            self._runtime = None
-        self._quarantine = Deadline.after(self.config.quarantine_seconds)
 
     # ------------------------------------------------------------------
     # Health
@@ -579,13 +561,10 @@ class SeedService:
         with self._runtime_lock:
             runtime = self._runtime
             fault_stats = None if runtime is None else runtime.fault_stats
-            quarantined = (
-                self._quarantine is not None and not self._quarantine.expired
-            )
         counters = self.telemetry.snapshot()
         if self._draining:
             status = "draining"
-        elif quarantined or counters["degraded_requests"]:
+        elif counters["degraded_requests"]:
             status = "degraded"
         else:
             status = "ok"
@@ -607,10 +586,7 @@ class SeedService:
                     **self.store.telemetry.snapshot(),
                 }
             ),
-            "runtime": {
-                "quarantined": quarantined,
-                "fault_stats": fault_stats,
-            },
+            "runtime": {"fault_stats": fault_stats},
         }
 
 

@@ -35,9 +35,13 @@ Guarantees:
   plus its writes) is over ``max_bytes``.
   A listing deletes a crashed writer's leftovers — staging temporaries and
   format-1 files (``<key>.npz`` and ``<key>.json``) older than
-  :data:`ORPHAN_GRACE_SECONDS` — then evicts least-recently-used artifacts
-  (file mtime, refreshed on every hit) until every file under the root
-  fits ``max_bytes``.
+  :data:`ORPHAN_GRACE_SECONDS` — then, if every file under the root adds
+  up to more than the low-water mark (:data:`LOW_WATER` of ``max_bytes``),
+  evicts least-recently-used artifacts (file mtime, refreshed on every
+  hit) down to that mark.  Every listing therefore leaves at least
+  ``max_bytes / 16`` of headroom, so even a full store lists at most once
+  per ``max_bytes / 128`` bytes written (every 9 saves of equal artifacts
+  at a 1,024-artifact budget) instead of on every save.
 
   A single writer sees every write, so it lists whenever the store is over
   budget and fits it after every save, as a rescan on every save would.  ``W`` concurrent writers
@@ -100,6 +104,11 @@ _KINDS = frozenset("biufc")
 #: writer's files are younger (writing stamps them, ``os.replace`` keeps
 #: the stamp).
 ORPHAN_GRACE_SECONDS = 600.0
+
+
+#: The low-water mark as a share of ``max_bytes``: a listing that finds the
+#: store above it evicts down to it, leaving 1/16 of the budget as headroom.
+LOW_WATER = 15 / 16
 
 
 #: Store counters, in the order ``health`` and diagnostics list them.
@@ -404,9 +413,9 @@ class PoolStore:
     def _evict_over_budget(self, keep: str) -> None:
         """List the directory only when the store may be over budget (see
         the module docstring); then reap orphans and drop least-recently-used
-        artifacts until every file under the root fits, the just-saved key
-        last (only when it alone exceeds the budget, as in the service
-        cache).  Call with the lock held.
+        artifacts until every file under the root fits the low-water mark,
+        the just-saved key last (only when it alone exceeds the budget, as
+        in the service cache).  Call with the lock held.
 
         The instance's running total (the last listing plus its own writes)
         never exceeds ``_listed_total + _written``, so the 1/8 rule below
@@ -415,11 +424,12 @@ class PoolStore:
             return
         sizes = self._list_sizes()
         total = self._listed_total - self._reap_orphans(sizes)
-        # Recency stamps are read only when over budget.
-        ordered = self._stamped_keys(sizes) if total > self.max_bytes else []
+        low_water = int(self.max_bytes * LOW_WATER)
+        # Recency stamps are read only when above the mark.
+        ordered = self._stamped_keys(sizes) if total > low_water else []
         ordered.sort(key=keep.__eq__)  # stable: the just-saved key goes last
         for key in ordered:
-            if total <= self.max_bytes:
+            if total <= (self.max_bytes if key == keep else low_water):
                 break
             total -= sizes[key + _SUFFIX]
             self._unlink(self._path(key), "evictions")

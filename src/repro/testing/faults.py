@@ -1,7 +1,7 @@
 """Deterministic fault injection for the parallel runtime.
 
 The supervisor in :meth:`repro.parallel.runtime.ParallelRuntime.map_ordered`
-recovers from worker deaths, hangs, and transient chunk failures.  Proving
+recovers from worker deaths and hangs.  Proving
 that the recovered output is **bit-identical** to a clean run needs faults
 that are reproducible on demand: this module provides a picklable
 :class:`FaultInjection` spec that fires on an exact ``(chunk, attempt)``
@@ -11,7 +11,8 @@ first attempt" and get exactly that, every time.
 Chunks are numbered by the runtime's lifetime dispatch counter (chunk ``k``
 is the ``k``-th chunk the runtime ever submitted to workers, counting from
 0 — the same global index that fixes the chunk's seed sequence), and
-``attempt`` counts the supervisor's retries of that chunk, starting at 0.
+``attempt`` counts the chunk's submissions, starting at 0: every pool
+rebuild resubmits the unfinished chunks under the next attempt number.
 An injection enabled on an :class:`~repro.runtime.context.ExecutionContext`
 (``context.fault_injection``) travels into the context's runtime and wraps
 every *worker-pool* submission in :func:`run_with_injection`; the in-process
@@ -29,9 +30,6 @@ Kinds:
 ``"hang"``
     sleep for ``hang_seconds`` before doing the work — with a policy
     ``chunk_timeout`` below it, exercises the timeout + rebuild path.
-``"raise"``
-    raise :class:`~repro.errors.TransientWorkerError` — exercises the
-    in-place retry/backoff path without touching the pool.
 ``"corrupt"``
     run the chunk, then perturb the first element of its first non-empty
     array — the **negative control**: silent corruption is invisible to
@@ -50,14 +48,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConfigurationError, TransientWorkerError
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.parallel.runtime import ParallelRuntime
     from repro.sampling.mrr import CarriedMRRPool
 
 #: The injector kinds understood by :func:`run_with_injection`.
-FAULT_KINDS = ("crash", "kill", "hang", "raise", "corrupt")
+FAULT_KINDS = ("crash", "kill", "hang", "corrupt")
 
 #: The service-level injector kinds understood by the seed-selection
 #: server (:mod:`repro.service.server`): ``slow_handler`` stalls a
@@ -82,10 +80,10 @@ class FaultInjection:
         The lifetime chunk index (0-based, across all of the runtime's
         dispatches) on which to fire.
     attempts:
-        The supervisor attempts on which to fire; the default ``(0,)``
-        faults the first execution only, so one retry recovers.  A spec
-        listing every attempt defeats retry and forces the policy's
-        end-state (degrade or raise).
+        The submission attempts on which to fire; the default ``(0,)``
+        faults the first execution only, so one pool rebuild recovers.  A
+        spec listing every attempt outlasts the rebuild budget and forces
+        the in-process degradation.
     hang_seconds:
         Sleep length for ``kind="hang"``.
     """
@@ -153,10 +151,6 @@ def run_with_injection(spec: FaultInjection, index: int, attempt: int, fn, paylo
             # The injected hang *is* the fault under test, not a delay the
             # supervisor should be routing through backoff_sleep.
             time.sleep(spec.hang_seconds)  # repro-lint: disable=REP007 -- injected fault
-        elif spec.kind == "raise":
-            raise TransientWorkerError(
-                f"injected transient failure on chunk {index} attempt {attempt}"
-            )
     result = fn(*payload)
     if spec.kind == "corrupt" and spec.fires(index, attempt):
         result = _corrupt_result(result)
@@ -261,5 +255,5 @@ def echo_chunk(value):
 
 def interrupt_chunk(value):
     """A chunk that raises ``KeyboardInterrupt`` — the user hitting Ctrl-C
-    while a worker holds the chunk; dispatch must propagate it unretried."""
+    while a worker holds the chunk; dispatch must propagate it, not recover."""
     raise KeyboardInterrupt

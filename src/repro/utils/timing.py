@@ -8,8 +8,8 @@ Three tools live here, all on one clock:
   deadlines both measure against, so "how long may this still take" is
   computed the same way everywhere;
 * :func:`backoff_sleep` — the **only** sanctioned blocking sleep in the
-  library (lint rule REP007 exempts this module): the supervisor's
-  exponential retry backoff routes through it.
+  library (lint rule REP007 exempts this module): client retry loops
+  (such as the service load benchmark's) route through it.
 """
 
 from __future__ import annotations

@@ -109,6 +109,34 @@ class TestEstimateCommand:
         assert "Monte-Carlo cross-check" in text
 
 
+ESTIMATE = ["estimate", "--dataset", "nethept-sim", "--n", "120", "--eta", "8"]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (ESTIMATE + ["--seeds", "a,b"], "--seeds"),
+            (ESTIMATE + ["--seeds", ","], "--seeds"),
+            (["sweep", "--dataset", "nethept-sim", "--fractions", "abc"],
+             "--fractions"),
+            (["solve", "--edge-list", "/nonexistent/graph.txt", "--eta", "3"],
+             "/nonexistent/graph.txt"),
+            (ESTIMATE + ["--seeds", "0", "--theta", "0"], "theta"),
+            (ESTIMATE + ["--seeds", "0", "--mc-samples", "-3"], "mc_samples"),
+        ],
+        ids=["seeds", "empty-seeds", "fractions", "edge-list", "theta",
+             "mc-samples"],
+    )
+    def test_one_error_line_no_traceback(self, argv, names, capsys):
+        code, text = run_cli(argv)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert names in err
+
+
 class TestJobsFlag:
     @pytest.mark.parametrize(
         "argv",
@@ -164,7 +192,7 @@ class TestServeCommand:
         assert args.max_in_flight == 4
         assert args.max_queue == 16
         assert args.kernel_backend == "auto"
-        assert args.on_pool_failure == "degrade"
+        assert args.chunk_timeout is None
 
     def test_bad_config_rejected_cleanly(self, capsys):
         code, _ = run_cli(["serve", "--max-in-flight", "0"])

@@ -5,9 +5,9 @@ Four concerns:
 * **policy plumbing**: :class:`FaultPolicy` / :class:`FaultInjection`
   validation, the ``ExperimentConfig`` / CLI knobs, and the context's
   ``fault_*`` diagnostics;
-* **supervisor unit behavior** on echo chunks: transient retry with
-  backoff, crash/kill/hang recovery through pool rebuilds, graceful
-  degradation and the ``raise`` policy, ``KeyboardInterrupt`` propagation;
+* **supervisor unit behavior** on echo chunks: crash/kill/hang recovery
+  through pool rebuilds, graceful degradation once the rebuild budget is
+  spent, ``KeyboardInterrupt`` propagation;
 * **shared-memory guard rails**: generation-tagged names, the orphan
   sweeper, publish-time budget validation, segment restoration;
 * **recovery equivalence** (the load-bearing guarantee): a run that
@@ -25,12 +25,7 @@ import pytest
 
 from repro.diffusion.ic import IndependentCascade
 from repro.diffusion.montecarlo import CRNSpreadEvaluator
-from repro.errors import (
-    ConfigurationError,
-    ResourceError,
-    TransientWorkerError,
-    WorkerPoolError,
-)
+from repro.errors import ConfigurationError, ResourceError
 from repro.experiments.config import ExperimentConfig, quick_config
 from repro.experiments.harness import run_eta_point, sample_shared_realizations
 from repro.graph import generators, weighting
@@ -70,9 +65,7 @@ class TestFaultPolicy:
     def test_defaults(self):
         policy = FaultPolicy()
         assert policy.chunk_timeout is None
-        assert policy.max_retries == 2
         assert policy.max_rebuilds == 2
-        assert policy.on_pool_failure == "degrade"
         assert policy.max_segment_bytes is None
 
     @pytest.mark.parametrize(
@@ -80,11 +73,11 @@ class TestFaultPolicy:
         [
             {"chunk_timeout": 0.0},
             {"chunk_timeout": -1.0},
-            {"max_retries": -1},
-            {"max_retries": 1.5},
+            {"chunk_timeout": float("nan")},
+            {"max_rebuilds": 1.5},
             {"max_rebuilds": -2},
-            {"backoff_base": -0.1},
-            {"on_pool_failure": "panic"},
+            {"max_rebuilds": True},
+            {"max_segment_bytes": -1},
             {"max_segment_bytes": 0},
         ],
     )
@@ -94,28 +87,24 @@ class TestFaultPolicy:
 
     def test_runtime_rejects_non_policy(self):
         with pytest.raises(ConfigurationError, match="FaultPolicy"):
-            ParallelRuntime(2, fault_policy={"max_retries": 1})
+            ParallelRuntime(2, fault_policy={"max_rebuilds": 1})
 
     def test_context_carries_policy_into_runtime(self):
-        policy = FaultPolicy(max_retries=7)
+        policy = FaultPolicy(max_rebuilds=7)
         with ExecutionContext(jobs=1, fault_policy=policy) as context:
-            assert context.runtime.fault_policy.max_retries == 7
+            assert context.runtime.fault_policy.max_rebuilds == 7
         with pytest.raises(ConfigurationError, match="FaultPolicy"):
             ExecutionContext(fault_policy="degrade")
         with pytest.raises(ConfigurationError, match="FaultInjection"):
             ExecutionContext(fault_injection="crash")
 
     def test_config_knobs_validate_and_propagate(self):
-        config = quick_config().scaled(chunk_timeout=30.0, max_retries=1)
+        config = quick_config().scaled(chunk_timeout=30.0)
         assert config.fault_policy().chunk_timeout == 30.0
         with config.to_context() as context:
-            assert context.fault_policy.max_retries == 1
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(dataset="nethept-sim", on_pool_failure="explode")
+            assert context.fault_policy == FaultPolicy(chunk_timeout=30.0)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(dataset="nethept-sim", chunk_timeout=-3.0)
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(dataset="nethept-sim", max_retries=-1)
 
     def test_cli_flags_reach_the_context(self):
         from repro.cli import _context_from_args, build_parser
@@ -123,23 +112,18 @@ class TestFaultPolicy:
         args = build_parser().parse_args(
             [
                 "sweep", "--dataset", "nethept-sim", "--jobs", "2",
-                "--chunk-timeout", "45", "--max-retries", "5",
-                "--on-pool-failure", "raise",
+                "--chunk-timeout", "45",
             ]
         )
         assert args.chunk_timeout == 45.0
-        assert args.max_retries == 5
-        assert args.on_pool_failure == "raise"
         context = _context_from_args(args)
-        assert context.fault_policy == FaultPolicy(
-            chunk_timeout=45.0, max_retries=5, on_pool_failure="raise"
-        )
+        assert context.fault_policy == FaultPolicy(chunk_timeout=45.0)
         context.close()
 
 
 class TestFaultInjection:
     def test_fires_on_exact_coordinates(self):
-        spec = FaultInjection("raise", nth=3, attempts=(0, 1))
+        spec = FaultInjection("crash", nth=3, attempts=(0, 1))
         assert spec.fires(3, 0)
         assert spec.fires(3, 1)
         assert not spec.fires(3, 2)
@@ -166,25 +150,6 @@ class TestFaultInjection:
 # ----------------------------------------------------------------------
 
 class TestSupervisedDispatch:
-    def test_transient_failure_retried_in_place(self):
-        with ParallelRuntime(2, injection=FaultInjection("raise", nth=2)) as rt:
-            assert rt.map_ordered(echo_chunk, [(i,) for i in range(6)]) == list(
-                range(6)
-            )
-            stats = rt.fault_stats
-            assert stats["retries"] == 1
-            assert stats["rebuilds"] == 0
-            assert stats["degraded_chunks"] == 0
-            assert stats["recovered_seconds"] > 0
-
-    def test_retry_budget_exhaustion_degrades(self):
-        injection = FaultInjection("raise", nth=0, attempts=tuple(range(10)))
-        policy = FaultPolicy(max_retries=1, backoff_base=0.0)
-        with ParallelRuntime(2, fault_policy=policy, injection=injection) as rt:
-            assert rt.map_ordered(echo_chunk, [(0,), (1,)]) == [0, 1]
-            assert rt.fault_stats["retries"] == 1
-            assert rt.fault_stats["degraded_chunks"] >= 1
-
     @pytest.mark.parametrize("kind", ["crash", "kill"])
     def test_worker_death_recovers_via_rebuild(self, kind):
         with ParallelRuntime(2, injection=FaultInjection(kind, nth=1)) as rt:
@@ -194,6 +159,7 @@ class TestSupervisedDispatch:
             stats = rt.fault_stats
             assert stats["rebuilds"] == 1
             assert stats["degraded_chunks"] == 0
+            assert stats["recovered_seconds"] > 0
 
     def test_hung_worker_recovers_via_timeout(self):
         policy = FaultPolicy(chunk_timeout=1.5)
@@ -225,40 +191,32 @@ class TestSupervisedDispatch:
             # injection's chunk 0 is long past).
             assert rt.map_ordered(echo_chunk, [(9,)]) == [9]
 
-    def test_raise_policy_surfaces_worker_pool_error(self):
-        injection = FaultInjection("crash", nth=0, attempts=tuple(range(10)))
-        policy = FaultPolicy(max_rebuilds=0, on_pool_failure="raise")
-        with ParallelRuntime(2, fault_policy=policy, injection=injection) as rt:
-            with pytest.raises(WorkerPoolError, match="chunk 0"):
-                rt.map_ordered(echo_chunk, [(i,) for i in range(4)])
-
-    def test_transient_error_is_worker_pool_error(self):
-        # Callers catching WorkerPoolError also see undeclared transients.
-        assert issubclass(TransientWorkerError, WorkerPoolError)
-
     def test_chunk_ids_are_lifetime_global(self):
         # The injection targets chunk 6: dispatch two batches of 4 and the
         # fault must fire in the *second* batch (chunks 4..7).
-        with ParallelRuntime(2, injection=FaultInjection("raise", nth=6)) as rt:
+        with ParallelRuntime(2, injection=FaultInjection("crash", nth=6)) as rt:
             rt.map_ordered(echo_chunk, [(i,) for i in range(4)])
-            assert rt.fault_stats["retries"] == 0
-            rt.map_ordered(echo_chunk, [(i,) for i in range(4)])
-            assert rt.fault_stats["retries"] == 1
+            assert rt.fault_stats["rebuilds"] == 0
+            assert rt.map_ordered(echo_chunk, [(i,) for i in range(4)]) == list(
+                range(4)
+            )
+            assert rt.fault_stats["rebuilds"] == 1
 
     def test_keyboard_interrupt_propagates_unretried(self):
         with ParallelRuntime(2) as rt:
             with pytest.raises(KeyboardInterrupt):
                 rt.map_ordered(interrupt_chunk, [(0,), (1,)])
-            assert rt.fault_stats["retries"] == 0
+            assert rt.fault_stats["rebuilds"] == 0
             assert rt.fault_stats["degraded_chunks"] == 0
 
     def test_deterministic_chunk_errors_propagate(self):
-        # ValueError from int("nope") is not transient: no retry, no
-        # degradation — the bug surfaces immediately.
+        # ValueError from int("nope") is a bug, not a pool failure: no
+        # rebuild, no degradation — it surfaces immediately.
         with ParallelRuntime(2) as rt:
             with pytest.raises(ValueError):
                 rt.map_ordered(int, [("nope",)])
-            assert rt.fault_stats["retries"] == 0
+            assert rt.fault_stats["rebuilds"] == 0
+            assert rt.fault_stats["degraded_chunks"] == 0
 
 
 # ----------------------------------------------------------------------

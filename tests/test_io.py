@@ -1,11 +1,16 @@
 """Unit tests for edge-list and npz IO."""
 
+import gzip
 import io
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import generators, weighting
+from repro.graph.digraph import DiGraph
 from repro.graph.io import (
     edge_list_to_string,
     load_npz,
@@ -97,6 +102,76 @@ class TestTextRoundTrip:
         text = edge_list_to_string(weighted_graph)
         assert text.startswith("# nodes 30")
         assert len(text.splitlines()) == weighted_graph.m + 1
+
+
+#: Node ids and header counts stay below 2**20, so no example allocates
+#: more than a few MB; random byte runs lose any digit run long enough to
+#: spell a larger id.
+_ID = st.integers(0, 2**20 - 1)
+_LINE = st.one_of(
+    st.tuples(_ID, _ID).map(lambda t: f"{t[0]} {t[1]}".encode()),
+    st.tuples(_ID, _ID, st.floats()).map(lambda t: f"{t[0]} {t[1]} {t[2]}".encode()),
+    _ID.map(lambda n: f"# nodes {n} edges 0".encode()),
+    st.binary(max_size=40).map(lambda b: re.sub(rb"[0-9_]{7,}", b" ", b)),
+)
+
+
+class TestMalformedInput:
+    @seed(20261019)
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        lines=st.lists(_LINE, max_size=12),
+        gz=st.booleans(),
+        keep=st.floats(0.0, 1.0),
+    )
+    def test_bytes_parse_or_raise_graph_error(self, tmp_path, lines, gz, keep):
+        data = b"\n".join(lines)
+        path = tmp_path / "g.txt"
+        if gz:
+            data = gzip.compress(data)
+            data = data[: int(len(data) * keep)]  # keep == 1.0: whole stream
+            path = tmp_path / "g.txt.gz"
+        path.write_bytes(data)
+        try:
+            graph = read_edge_list(path)
+        except GraphError:
+            return
+        assert isinstance(graph, DiGraph)
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (b"0 99999999999999999999999\n", "line 1"),  # above int64
+            (b"0 1\n-4 2\n", "line 2"),
+            (b"# nodes 99999999999999999999999\n0 1\n", "line 1"),
+            # A CSR the allocator refuses (7.28 TiB), or numpy cannot size.
+            (b"0 1000000000000\n", "n=1000000000001"),
+            (b"# nodes 1000000000000\n0 1\n", "n=1000000000000"),
+            (b"0 4611686018427387904\n", "n=4611686018427387905"),
+            (b"0 1\n\xff\xfe 2\n", "line 2"),  # not UTF-8
+        ],
+        ids=["id-overflow", "negative-id", "header-overflow", "huge-id",
+             "huge-header", "unsizable-id", "not-utf8"],
+    )
+    def test_typed_error_names_the_line_or_n(self, tmp_path, data, match):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        with pytest.raises(GraphError, match=match):
+            read_edge_list(path)
+
+    def test_truncated_gzip(self, tmp_path):
+        path = tmp_path / "g.txt.gz"
+        path.write_bytes(gzip.compress(b"0 1\n1 2\n" * 500)[:-9])
+        with pytest.raises(GraphError, match="past line"):
+            read_edge_list(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(GraphError, match="cannot open"):
+            read_edge_list(tmp_path / "absent.txt")
 
 
 class TestNpzRoundTrip:

@@ -42,7 +42,7 @@ from repro.store import (
     graph_fingerprint,
     restore_generator_state,
 )
-from repro.store.disk import ORPHAN_GRACE_SECONDS
+from repro.store.disk import LOW_WATER, ORPHAN_GRACE_SECONDS
 
 
 @pytest.fixture
@@ -298,8 +298,9 @@ class RescanStore(PoolStore):
     """The budget check as a full directory rescan on every save.
 
     The reference a listing of the size map must agree with: every
-    ``*.art`` file is a key (ordered by mtime), and the total is every
-    file under the root, stat'ed afresh.
+    ``*.art`` file is a key (ordered by mtime), the total is every file
+    under the root, stat'ed afresh, and a store above the low-water mark
+    is evicted down to it (the just-saved key only down to the budget).
     """
 
     def keys(self):
@@ -316,8 +317,9 @@ class RescanStore(PoolStore):
             ordered.remove(keep)
             ordered.append(keep)
         total = disk_bytes(self.root)
+        low_water = int(self.max_bytes * LOW_WATER)
         for key in ordered:
-            if total <= self.max_bytes:
+            if total <= (self.max_bytes if key == keep else low_water):
                 return
             total -= self._path(key).stat().st_size
             self._unlink(self._path(key), "evictions")
@@ -432,13 +434,17 @@ class TestBudgetBookkeeping:
 
     def test_stale_writer_adds_at_most_an_eighth_of_its_headroom(self, tmp_path):
         """The worst case: a writer lists an empty root, the other fills it
-        to the budget, then the first writes until it lists again."""
+        to the budget, then the first writes until it lists again.
+
+        The filler never evicts (a writer under the same budget would stop
+        at the low-water mark, below the budget)."""
         budget = 40_000
-        stale, filler = (make_store(tmp_path, max_bytes=budget) for _ in range(2))
+        stale = make_store(tmp_path, max_bytes=budget)
+        filler = make_store(tmp_path, max_bytes=10 * budget)
         arrays = {"members": np.zeros(100)}
         stale.save("pool-first", arrays)  # lists the (nearly) empty root
         entry = disk_bytes(stale.root)
-        for i in range(60):
+        for i in range(budget // entry - 1):
             filler.save(f"pool-fill-{i}", arrays)
         assert disk_bytes(stale.root) <= budget + entry
         peak = 0
@@ -539,6 +545,25 @@ class TestBudgetBookkeeping:
             if len(calls) > before:
                 observed.append(i)
         assert observed == expected and len(expected) >= 6
+
+    def test_full_store_lists_at_most_every_ninth_save(self, tmp_path, monkeypatch):
+        """A store filled to a 1,024-artifact budget then takes 1,000 more
+        equal saves: each listing evicts down to the low-water mark, so the
+        headroom it leaves (64 artifacts) spaces listings 9 saves apart."""
+        gen = np.random.default_rng(28)
+        sizer = make_store(tmp_path / "sizer")
+        sizer.save("pool-0000", {"members": gen.random(4)})
+        store = make_store(tmp_path, max_bytes=1024 * sizer.total_bytes())
+        for i in range(1024):
+            assert store.save(f"pool-{i:04d}", {"members": gen.random(4)})
+        calls = []
+        real = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: calls.append(path) or real(path))
+        for i in range(1024, 2024):
+            assert store.save(f"pool-{i:04d}", {"members": gen.random(4)})
+        monkeypatch.undo()
+        assert 0 < len(calls) <= -(-1000 // 9) + 1
+        assert disk_bytes(store.root) <= store.max_bytes
 
     def test_eviction_spares_staging_files(self, tmp_path):
         """An in-flight ``.tmp-*`` file is another writer's publish, not a key."""
