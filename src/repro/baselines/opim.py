@@ -4,13 +4,14 @@ Two roles in this repository:
 
 * :class:`OpimNodeSelector` — the per-round engine of the AdaptIM baseline:
   pick the single node with the (approximately) maximum *untruncated*
-  expected marginal spread, with the same doubling/confidence-bound skeleton
-  as TRIM but on vanilla single-root RR sets.  The paper (Section 6.2)
+  expected marginal spread, with TRIM's schedule and doubling loop but on
+  vanilla single-root RR sets.  The paper (Section 6.2)
   explains why this needs far more samples than TRIM in late rounds:
   the RR count is proportional to ``n_i / OPT'_i`` versus TRIM's
   ``eta_i / OPT_i``.
 * :func:`opim_influence_maximization` — a standalone k-seed IM solver with
-  the classic ``(1 - 1/e)(1 - eps)`` coverage certificate, provided as a
+  the classic ``(1 - 1/e)(1 - eps)`` coverage certificate, on the same
+  loop with OPIM-C's own Line 1 constants, provided as a
   library feature (and used by tests as an RR-set integration check).
 """
 
@@ -23,19 +24,14 @@ from typing import Optional
 import numpy as np
 
 from repro.core.policy import SeedSelector, Selection, SelectionDiagnostics
-from repro.core.trim import TrimParameters
+from repro.core.trim_b import DoublingSchedule, TrimBParameters, certified_doubling
 from repro.diffusion.base import DiffusionModel
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
 from repro.graph.residual import ResidualGraph
 from repro.runtime.context import ExecutionContext
-from repro.sampling.bounds import (
-    coverage_lower_bound,
-    coverage_upper_bound,
-    log_binomial,
-)
 from repro.sampling.rr import RRCollection
-from repro.utils.rng import RandomSource, as_generator
+from repro.utils.rng import RandomSource
 from repro.utils.validation import check_fraction, check_positive_int
 
 
@@ -43,11 +39,13 @@ class OpimNodeSelector(SeedSelector):
     """Single-node selection maximizing the *untruncated* marginal spread.
 
     Structurally identical to TRIM — a vanilla RR set is an mRR set with one
-    root — so the derived constants reuse :class:`TrimParameters` with the
-    truncation threshold forced to ``n_i`` (no truncation).  This is exactly
-    the design difference the paper evaluates: same machinery, wrong
-    objective for seed minimization.  Engine policy comes from ``context``
-    (``None`` means ``ExecutionContext()``).
+    root — so the round is TRIM's schedule and loop
+    (:class:`~repro.core.trim_b.TrimBParameters` at ``b = 1``,
+    :func:`~repro.core.trim_b.certified_doubling`) with the truncation
+    threshold forced to ``n_i`` (no truncation).  This is exactly the
+    design difference the paper evaluates: same machinery, wrong objective
+    for seed minimization.  Engine policy comes from ``context`` (``None``
+    means ``ExecutionContext()``).
     """
 
     def __init__(
@@ -71,36 +69,21 @@ class OpimNodeSelector(SeedSelector):
             return Selection(nodes=[0], diagnostics=SelectionDiagnostics(estimated_gain=1.0))
 
         # eta := n disables truncation; root count collapses to 1 (RR sets).
-        params = TrimParameters(n, n, self.epsilon, self.max_samples)
+        schedule = TrimBParameters(n, n, self.epsilon, 1, self.max_samples)
         pool = RRCollection(
             residual.graph,
             self.model,
             seed=rng,
             context=self.context,
         )
-        pool.grow_to(params.theta_0)
-
-        best_node = 0
-        certified = 0.0
-        iterations_used = params.iterations
-        for t in range(params.iterations):
-            best_node, coverage = pool.index.argmax_node()
-            lower = coverage_lower_bound(coverage, params.a1)
-            upper = coverage_upper_bound(coverage, params.a2)
-            certified = lower / upper if upper > 0 else 0.0
-            if certified >= 1.0 - params.eps_hat or t == params.iterations - 1:
-                iterations_used = t + 1
-                break
-            pool.grow_to(params.pool_size_at(t + 1))
-
-        gain = pool.estimated_node_spread(best_node)
+        pick = certified_doubling(pool, schedule)
         return Selection(
-            nodes=[int(best_node)],
+            nodes=pick.nodes,
             diagnostics=SelectionDiagnostics(
                 samples_generated=len(pool),
-                iterations=iterations_used,
-                certified_ratio=certified,
-                estimated_gain=gain,
+                iterations=pick.iterations,
+                certified_ratio=pick.certified_ratio,
+                estimated_gain=n * pick.coverage / len(pool),
             ),
         )
 
@@ -135,39 +118,15 @@ def opim_influence_maximization(
     check_fraction(epsilon, "epsilon")
     if k > graph.n:
         raise ConfigurationError(f"k={k} exceeds node count {graph.n}")
-    rng = as_generator(seed)
-
-    rho = 1.0 - 1.0 / math.e
-    delta = 1.0 / graph.n
-    log_inv_delta = math.log(6.0 / delta)
-    log_choose = log_binomial(graph.n, k)
-    root_sum = math.sqrt(log_inv_delta) + math.sqrt((log_choose + log_inv_delta) / rho)
-    theta_max = 2.0 * graph.n * root_sum * root_sum / (k * epsilon ** 2)
-    if max_samples is not None:
-        theta_max = min(theta_max, float(max_samples))
-    theta_0 = max(1, int(math.ceil(theta_max * k * epsilon ** 2 / graph.n)))
-    iterations = max(1, int(math.ceil(math.log2(theta_max / theta_0))) + 1)
-    log_3t_delta = math.log(3.0 * iterations / delta)
-    a1 = log_3t_delta + log_choose
-    a2 = log_3t_delta
-
-    pool = RRCollection(graph, model, seed=rng, context=context)
-    pool.grow_to(theta_0)
-    seeds: list[int] = []
-    certified = 0.0
-    for t in range(iterations):
-        greedy = pool.index.greedy_max_coverage(k)
-        seeds = greedy.nodes
-        lower = coverage_lower_bound(greedy.covered, a1)
-        upper = coverage_upper_bound(greedy.covered / rho, a2)
-        certified = lower / upper if upper > 0 else 0.0
-        if certified >= rho * (1.0 - epsilon) or t == iterations - 1:
-            break
-        pool.grow_to(int(min(theta_0 * (2 ** (t + 1)), math.ceil(theta_max))))
-
+    # OPIM-C's Line 1: delta = 1/n, eps used as is, the greedy's 1 - 1/e.
+    schedule = DoublingSchedule(
+        graph.n, k, 1.0 / graph.n, epsilon, 1.0 - 1.0 / math.e, max_samples
+    )
+    pool = RRCollection(graph, model, seed=seed, context=context)
+    pick = certified_doubling(pool, schedule)
     return InfluenceMaximizationResult(
-        seeds=[int(v) for v in seeds],
-        estimated_spread=pool.estimated_spread(seeds),
+        seeds=pick.nodes,
+        estimated_spread=graph.n * pick.coverage / len(pool),
         samples=len(pool),
-        certified_ratio=certified,
+        certified_ratio=pick.certified_ratio,
     )

@@ -15,7 +15,7 @@ from repro.core.policy import (
     SelectionDiagnostics,
 )
 from repro.core.session import AdaptiveSession, AdaptiveSessionBatch, Observation
-from repro.core.trim import TrimParameters, TrimSelector
+from repro.core.trim import TrimSelector
 from repro.core.trim_b import TrimBParameters, TrimBSelector, batch_guarantee
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "AdaptiveSessionBatch",
     "Observation",
     "TrimSelector",
-    "TrimParameters",
     "TrimBSelector",
     "TrimBParameters",
     "batch_guarantee",

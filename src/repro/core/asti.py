@@ -11,7 +11,10 @@ Paper Algorithm 1.  The framework is a thin loop over a
 Instantiated with :class:`~repro.core.trim.TrimSelector` it carries the
 paper's ``(ln eta + 1)^2 / ((1 - 1/e)(1 - eps))`` expected approximation
 guarantee (Theorem 3.7); with :class:`~repro.core.trim_b.TrimBSelector` the
-guarantee gains a ``rho_b`` factor (Theorem 4.2).
+guarantee gains a ``rho_b`` factor (Theorem 4.2).  Both selectors run one
+loop, :func:`~repro.core.trim_b.certified_doubling` (grow the mRR pool,
+pick the argmax node or greedy batch, certify it with Lemma A.2, double);
+TRIM is TRIM-B at ``b = 1``.
 
 The generic :func:`run_adaptive_policy` driver is shared with the baseline
 selectors so every algorithm in the evaluation is scored by the same loop.

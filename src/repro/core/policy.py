@@ -93,7 +93,7 @@ class SeedSelector(abc.ABC):
 
         The default ignores ``carry`` and never exports one, so selectors
         without pool reuse (baselines, test stubs) behave exactly as
-        before; TRIM and TRIM-B override it.
+        before; TRIM-B overrides it, and TRIM inherits the override.
         """
         return self.select(residual, rng), None
 

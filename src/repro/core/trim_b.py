@@ -1,23 +1,35 @@
-"""TRIM-B: the batched generalization of TRIM (paper Algorithm 3).
+"""TRIM-B (paper Algorithm 3) and the certified doubling loop it runs.
 
 Selecting one node per round makes ASTI slow when ``eta`` is large: many
 rounds, each paying its own sampling bill.  TRIM-B amortizes by committing
 ``b`` seeds per round, chosen by greedy maximum coverage over the mRR pool,
 at the cost of a ``rho_b = 1 - (1 - 1/b)^b`` factor in the per-round
 guarantee (and an unquantified adaptivity gap, per the paper's remark in
-Section 4.2).  ``b = 1`` recovers TRIM exactly.
+Section 4.2).  ``b = 1`` is TRIM (Algorithm 2) exactly: ``rho_1 = 1`` and
+``ln C(n, 1) = ln n``, so :class:`~repro.core.trim.TrimSelector` is this
+selector with the batch fixed at one.
+
+The round is OPIM-C's skeleton (Tang et al. 2018): start with a small pool,
+take the coverage-maximizing batch, certify it with the concentration
+bounds of Lemma A.2, and double the pool until the certificate
+``Lambda_l(S*) / Lambda_u(S_circ) >= rho (1 - eps_hat)`` holds (or the
+worst-case pool size ``theta_max`` is reached, which happens with
+probability at most ``delta``).  :class:`DoublingSchedule` derives Lines
+2-5 and :func:`certified_doubling` runs the loop, for TRIM and TRIM-B on
+mRR pools and for the OPIM baselines on RR pools.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.policy import SeedSelector, Selection, SelectionDiagnostics
 from repro.diffusion.base import DiffusionModel
-from repro.errors import BudgetExhaustedError, InfeasibleTargetError
+from repro.errors import BudgetExhaustedError, ConfigurationError, InfeasibleTargetError
 from repro.graph.residual import ResidualGraph
 from repro.runtime.context import ExecutionContext
 from repro.sampling.bounds import (
@@ -25,7 +37,8 @@ from repro.sampling.bounds import (
     coverage_upper_bound,
     log_binomial,
 )
-from repro.sampling.mrr import CarriedMRRPool, build_round_pool
+from repro.sampling.mrr import CarriedMRRPool, MRRCollection, build_round_pool
+from repro.sampling.rr import RRCollection
 from repro.utils.validation import check_fraction, check_positive_int
 
 _ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
@@ -40,8 +53,61 @@ def batch_guarantee(b: int) -> float:
     return 1.0 - (1.0 - 1.0 / b) ** b
 
 
-class TrimBParameters:
-    """The derived constants of Algorithm 3, Lines 1-5."""
+class DoublingSchedule:
+    """Lines 2-5: pool sizes and confidence parameters of the doubling loop.
+
+    Built from the node count ``n``, the batch size ``b``, the failure
+    budget ``delta``, the accuracy target ``eps_hat``, the picker's
+    guarantee ``rho`` and an optional hard cap ``max_samples`` on the pool.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        b: int,
+        delta: float,
+        eps_hat: float,
+        rho: float,
+        max_samples: Optional[int] = None,
+    ):
+        self.b = b
+        self.delta = delta
+        self.eps_hat = eps_hat
+        self.rho = rho
+
+        # Line 2: the worst case union-bounds over all C(n, b) batches.
+        log_inv_delta = math.log(6.0 / delta)
+        log_choose = log_binomial(n, b)
+        root_sum = math.sqrt(log_inv_delta) + math.sqrt(
+            (log_choose + log_inv_delta) / rho
+        )
+        self.theta_max = 2.0 * n * root_sum * root_sum / (b * eps_hat ** 2)
+        if max_samples is not None:
+            self.theta_max = min(self.theta_max, float(max_samples))
+
+        # Line 3: initial pool size; Line 4: number of doubling iterations.
+        self.theta_0 = max(1, int(math.ceil(self.theta_max * b * eps_hat ** 2 / n)))
+        self.iterations = max(
+            1, int(math.ceil(math.log2(self.theta_max / self.theta_0))) + 1
+        )
+
+        # Line 5: union-bounded confidence parameters.
+        log_3t_delta = math.log(3.0 * self.iterations / delta)
+        self.a1 = log_3t_delta + log_choose
+        self.a2 = log_3t_delta
+
+    def pool_size_at(self, iteration: int) -> int:
+        """Pool size after ``iteration`` doublings (0-based), capped."""
+        size = self.theta_0 * (2 ** iteration)
+        return int(min(size, math.ceil(self.theta_max)))
+
+
+class TrimBParameters(DoublingSchedule):
+    """Algorithm 3, Lines 1-5 (Algorithm 2's at ``b = 1``).
+
+    Line 1 derives ``delta`` and ``eps_hat`` from ``(eta, epsilon)``; the
+    picker's guarantee is ``rho_b``.
+    """
 
     def __init__(
         self,
@@ -56,52 +122,93 @@ class TrimBParameters:
         if not 1 <= eta <= n:
             raise InfeasibleTargetError(eta, n)
         if b > n:
-            raise InfeasibleTargetError(eta, n)
-        self.n = n
-        self.eta = eta
-        self.epsilon = epsilon
-        self.b = b
-        self.rho_b = batch_guarantee(b)
+            raise ConfigurationError(f"batch size b={b} exceeds node count n={n}")
+        # Line 1: failure budget and corrected accuracy target.
+        delta = epsilon / (100.0 * _ONE_MINUS_INV_E * (1.0 - epsilon) * eta)
+        eps_hat = 99.0 * epsilon / (100.0 - epsilon)
+        super().__init__(n, b, delta, eps_hat, batch_guarantee(b), max_samples)
 
-        # Line 1 (identical to TRIM).
-        self.delta = epsilon / (100.0 * _ONE_MINUS_INV_E * (1.0 - epsilon) * eta)
-        self.eps_hat = 99.0 * epsilon / (100.0 - epsilon)
 
-        # Line 2: worst case now union-bounds over all C(n, b) batches.
-        log_inv_delta = math.log(6.0 / self.delta)
-        log_choose = log_binomial(n, b)
-        root_sum = math.sqrt(log_inv_delta) + math.sqrt(
-            (log_choose + log_inv_delta) / self.rho_b
-        )
-        self.theta_max = 2.0 * n * root_sum * root_sum / (b * self.eps_hat ** 2)
-        if max_samples is not None:
-            self.theta_max = min(self.theta_max, float(max_samples))
+@dataclass(frozen=True)
+class CertifiedPick:
+    """Where :func:`certified_doubling` stopped."""
 
-        # Lines 3-4.
-        self.theta_0 = max(
-            1, int(math.ceil(self.theta_max * b * self.eps_hat ** 2 / n))
-        )
-        self.iterations = max(
-            1, int(math.ceil(math.log2(self.theta_max / self.theta_0))) + 1
-        )
+    nodes: list[int]
+    coverage: int            # sets in the final pool the batch covers
+    certified_ratio: float   # Lambda_l / Lambda_u at the stop
+    iterations: int          # doubling iterations used
+    certified: bool          # the ratio reached rho (1 - eps_hat)
 
-        # Line 5.
-        log_3t_delta = math.log(3.0 * self.iterations / self.delta)
-        self.a1 = log_3t_delta + log_choose
-        self.a2 = log_3t_delta
 
-    def pool_size_at(self, iteration: int) -> int:
-        size = self.theta_0 * (2 ** iteration)
-        return int(min(size, math.ceil(self.theta_max)))
+def certified_doubling(
+    pool: Union[MRRCollection, RRCollection], schedule: DoublingSchedule
+) -> CertifiedPick:
+    """Lines 6-14: grow, pick, certify with Lemma A.2, double.
+
+    The pick is the coverage argmax when ``b = 1`` and the greedy
+    max-coverage batch otherwise (both break ties toward the smallest id).
+    """
+    b = schedule.b
+    target = schedule.rho * (1.0 - schedule.eps_hat)
+    pool.grow_to(schedule.theta_0)
+    for t in range(schedule.iterations):
+        if b == 1:
+            node, coverage = pool.index.argmax_node()
+            nodes = [node]
+        else:
+            greedy = pool.index.greedy_max_coverage(b)
+            nodes, coverage = greedy.nodes, greedy.covered
+        lower = coverage_lower_bound(coverage, schedule.a1)
+        upper = coverage_upper_bound(coverage / schedule.rho, schedule.a2)
+        ratio = lower / upper if upper > 0 else 0.0
+        if ratio >= target or t == schedule.iterations - 1:
+            break
+        pool.grow_to(schedule.pool_size_at(t + 1))
+    return CertifiedPick(
+        nodes=[int(v) for v in nodes],
+        coverage=coverage,
+        certified_ratio=ratio,
+        iterations=t + 1,
+        certified=ratio >= target,
+    )
 
 
 class TrimBSelector(SeedSelector):
     """Algorithm 3 as an ASTI-compatible selector.
 
-    Parameters match :class:`~repro.core.trim.TrimSelector` plus the batch
-    size ``b``.  When fewer than ``b`` inactive nodes remain, the round
-    shrinks its batch to what is available (and the guarantee parameters
-    are recomputed for the effective batch).
+    Parameters
+    ----------
+    model:
+        Diffusion model (IC or LT).
+    b:
+        Seeds committed per round.  When fewer than ``b`` inactive nodes
+        remain, or the shortfall is below ``b``, the round shrinks its
+        batch (and the schedule is derived for the effective batch).
+    epsilon:
+        Accuracy parameter in ``(0, 1)``; the paper's experiments use 0.5.
+    max_samples:
+        Optional hard cap on the mRR pool per round.  The theory never needs
+        it — ``theta_max`` is the provable worst case — but pure-Python runs
+        may want a smaller envelope.  With ``strict_budget=True`` exceeding
+        the cap without certification raises
+        :class:`~repro.errors.BudgetExhaustedError` instead of returning the
+        best-effort batch.
+    context:
+        The :class:`~repro.runtime.context.ExecutionContext` carrying the
+        engine policy this selector consumes: ``sample_batch_size`` (mRR
+        sets per vectorized engine call — purely a throughput knob,
+        distinct from the seed batch ``b``), ``reuse_pool`` (carry
+        the mRR pool across rounds when driven through
+        :meth:`select_with_pool`; sets whose members are all still
+        inactive and whose root count matches the new round's rule are
+        re-validated instead of resampled — see
+        :class:`~repro.sampling.mrr.CarriedMRRPool`; ``False`` restores
+        the paper-exact fresh pool every round), and the parallel
+        ``runtime`` (each round's pool growth fans its sample chunks out
+        across the workers over the shared-memory residual graph, seeded
+        by global chunk index so the pool is bit-identical for any worker
+        count).  ``None`` means ``ExecutionContext()``; the selector never
+        closes the context it is handed.
     """
 
     def __init__(
@@ -147,7 +254,7 @@ class TrimBSelector(SeedSelector):
             )
             return selection, None
 
-        params = TrimBParameters(n, eta, self.epsilon, b, self.max_samples)
+        schedule = TrimBParameters(n, eta, self.epsilon, b, self.max_samples)
         pool, carry_stats = build_round_pool(
             residual,
             self.model,
@@ -155,41 +262,20 @@ class TrimBSelector(SeedSelector):
             carry=carry if self.context.reuse_pool else None,
             context=self.context,
         )
-        pool.grow_to(params.theta_0)
-
-        batch = list(range(b))
-        certified = 0.0
-        iterations_used = params.iterations
-        for t in range(params.iterations):
-            greedy = pool.index.greedy_max_coverage(b)
-            batch = greedy.nodes
-            coverage = greedy.covered
-            lower = coverage_lower_bound(coverage, params.a1)
-            upper = coverage_upper_bound(coverage / params.rho_b, params.a2)
-            certified = lower / upper if upper > 0 else 0.0
-            if certified >= params.rho_b * (1.0 - params.eps_hat) or t == params.iterations - 1:
-                iterations_used = t + 1
-                break
-            pool.grow_to(params.pool_size_at(t + 1))
-
-        if (
-            self.strict_budget
-            and certified < params.rho_b * (1.0 - params.eps_hat)
-            and self.max_samples is not None
-        ):
+        pick = certified_doubling(pool, schedule)
+        if self.strict_budget and not pick.certified and self.max_samples is not None:
             raise BudgetExhaustedError(
-                f"TRIM-B could not certify a rho_b(1-1/e)(1-eps) batch "
-                f"within {len(pool)} mRR sets (cap {self.max_samples})"
+                f"{self.name} could not certify a rho_b(1-1/e)(1-eps) batch "
+                f"of {b} within {len(pool)} mRR sets (cap {self.max_samples})"
             )
 
-        gain = pool.estimated_truncated_spread(batch)
         selection = Selection(
-            nodes=[int(v) for v in batch],
+            nodes=pick.nodes,
             diagnostics=SelectionDiagnostics(
                 samples_generated=pool.fresh_count,
-                iterations=iterations_used,
-                certified_ratio=certified,
-                estimated_gain=gain,
+                iterations=pick.iterations,
+                certified_ratio=pick.certified_ratio,
+                estimated_gain=pool.eta * pick.coverage / len(pool),
                 samples_carried=pool.adopted_count,
                 carry=carry_stats if carry is not None else None,
             ),

@@ -77,9 +77,15 @@ def chernoff_lower_tail(mean: float, deviation: float, samples: int) -> float:
 
 
 def log_binomial(n: int, k: int) -> float:
-    """``ln C(n, k)`` via lgamma; used by TRIM-B's union bound over size-b sets."""
+    """``ln C(n, k)`` via lgamma; used by TRIM-B's union bound over size-b sets.
+
+    ``k = 1`` returns ``math.log(n)`` exactly (the lgamma difference is off
+    in the last bits), so TRIM-B at ``b = 1`` derives TRIM's constants.
+    """
     if k < 0 or n < 0 or k > n:
         raise ConfigurationError(f"need 0 <= k <= n, got n={n}, k={k}")
+    if k == 1:
+        return math.log(n)
     return (
         math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     )

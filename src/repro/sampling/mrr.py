@@ -215,12 +215,6 @@ class MRRCollection:
         coverage = self.index.coverage_of_set(seeds)
         return self.eta * coverage / len(self.index)
 
-    def estimated_node_truncated_spread(self, node: int) -> float:
-        """Single-node estimate using the O(1) coverage counter."""
-        if len(self.index) == 0:
-            raise SamplingError("no mRR sets generated yet")
-        return self.eta * self.index.coverage_of(node) / len(self.index)
-
 
 @dataclass(frozen=True)
 class CarryDiagnostics:
@@ -420,7 +414,7 @@ def build_round_pool(
 ) -> tuple[MRRCollection, CarryDiagnostics]:
     """One round's mRR pool, optionally pre-loaded from the previous round.
 
-    The shared prologue of TRIM and TRIM-B with pool reuse enabled: build
+    The prologue of a TRIM/TRIM-B round with pool reuse enabled: build
     the :class:`MRRCollection` for ``(residual.graph, residual.shortfall)``,
     and when a :class:`CarriedMRRPool` is offered, adopt every set that
     survives :meth:`CarriedMRRPool.revalidate` before any fresh sampling.

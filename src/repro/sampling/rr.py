@@ -62,9 +62,3 @@ class RRCollection:
             raise SamplingError("no RR sets generated yet")
         coverage = self.index.coverage_of_set(seeds)
         return self.graph.n * coverage / len(self.index)
-
-    def estimated_node_spread(self, node: int) -> float:
-        """Single-node version using the O(1) coverage counter."""
-        if len(self.index) == 0:
-            raise SamplingError("no RR sets generated yet")
-        return self.graph.n * self.index.coverage_of(node) / len(self.index)

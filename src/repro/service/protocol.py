@@ -30,6 +30,7 @@ Error codes (stable): ``invalid_request``, ``overloaded``,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -87,7 +88,9 @@ def parse_request(line: bytes) -> Request:
         )
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integer literals past
+        # Python's digit limit; RecursionError, nesting past the stack.
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("request must be a JSON object")
@@ -107,13 +110,9 @@ def parse_request(line: bytes) -> Request:
             request_id,
         )
     deadline_ms = payload.get("deadline_ms")
-    if deadline_ms is not None and (
-        not isinstance(deadline_ms, (int, float))
-        or isinstance(deadline_ms, bool)
-        or deadline_ms < 0
-    ):
+    if deadline_ms is not None and not _finite_non_negative(deadline_ms):
         raise ProtocolError(
-            f"request 'deadline_ms' must be a non-negative number or null, "
+            f"request 'deadline_ms' must be a finite non-negative number or null, "
             f"got {deadline_ms!r}",
             request_id,
         )
@@ -129,6 +128,17 @@ def parse_request(line: bytes) -> Request:
         deadline_ms=None if deadline_ms is None else float(deadline_ms),
         params=params,
     )
+
+
+def _finite_non_negative(value: Any) -> bool:
+    """A JSON number in ``[0, inf)`` that converts to a float (no NaN, no
+    infinity, no integer too large for a float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return 0.0 <= float(value) < math.inf
+    except OverflowError:
+        return False
 
 
 def ok_reply(

@@ -123,5 +123,5 @@ def test_rr_sets_unbiased_for_spread(graph, data):
     truth = exact_expected_spread(graph, model, [seed_node])
     pool = RRCollection(graph, model, seed=3)
     pool.grow_to(4000)
-    estimate = pool.estimated_node_spread(seed_node)
+    estimate = pool.estimated_spread([seed_node])
     assert abs(estimate - truth) < max(TOLERANCE, 0.12 * truth)

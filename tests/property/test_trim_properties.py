@@ -9,7 +9,6 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.trim import TrimParameters
 from repro.core.trim_b import TrimBParameters, batch_guarantee
 
 sizes = st.integers(min_value=2, max_value=100_000)
@@ -28,7 +27,7 @@ def instances(draw):
 @settings(max_examples=100, deadline=None)
 def test_trim_parameter_sanity(instance):
     n, eta, epsilon = instance
-    p = TrimParameters(n, eta, epsilon)
+    p = TrimBParameters(n, eta, epsilon, 1)
     assert 0.0 < p.delta < 1.0
     assert 0.0 < p.eps_hat < 1.0
     assert 1 <= p.theta_0 <= math.ceil(p.theta_max)
@@ -44,8 +43,8 @@ def test_trim_parameter_sanity(instance):
 @settings(max_examples=60, deadline=None)
 def test_trim_theta_decreasing_in_epsilon(instance):
     n, eta, _ = instance
-    loose = TrimParameters(n, eta, 0.75)
-    tight = TrimParameters(n, eta, 0.25)
+    loose = TrimBParameters(n, eta, 0.75, 1)
+    tight = TrimBParameters(n, eta, 0.25, 1)
     assert tight.theta_max > loose.theta_max
 
 
@@ -53,7 +52,7 @@ def test_trim_theta_decreasing_in_epsilon(instance):
 @settings(max_examples=60, deadline=None)
 def test_trim_schedule_monotone(instance):
     n, eta, epsilon = instance
-    p = TrimParameters(n, eta, epsilon)
+    p = TrimBParameters(n, eta, epsilon, 1)
     sizes_at = [p.pool_size_at(t) for t in range(p.iterations)]
     assert all(a <= b for a, b in zip(sizes_at, sizes_at[1:]))
 
@@ -65,7 +64,7 @@ def test_trim_b_parameter_sanity(instance, b):
     if b > n:
         return
     p = TrimBParameters(n, eta, epsilon, b)
-    assert 0.0 < p.rho_b <= 1.0
+    assert 0.0 < p.rho <= 1.0
     assert 1 <= p.theta_0 <= math.ceil(p.theta_max)
     assert p.a1 >= p.a2
 
@@ -83,11 +82,23 @@ def test_batch_guarantee_bounds(b):
 @settings(max_examples=40, deadline=None)
 def test_trim_b_with_b_one_equals_trim(instance):
     n, eta, epsilon = instance
-    trim = TrimParameters(n, eta, epsilon)
+    trim = _algorithm_2(n, eta, epsilon)
     trim_b = TrimBParameters(n, eta, epsilon, 1)
-    assert math.isclose(trim.theta_max, trim_b.theta_max, rel_tol=1e-9)
-    assert math.isclose(trim.a1, trim_b.a1, rel_tol=1e-9)
-    assert math.isclose(trim.a2, trim_b.a2, rel_tol=1e-9)
+    assert (trim_b.theta_max, trim_b.theta_0, trim_b.iterations) == trim[:3]
+    assert (trim_b.a1, trim_b.a2) == trim[3:]
+
+
+def _algorithm_2(n, eta, epsilon):
+    """TRIM's Lines 1-5 as Algorithm 2 states them (no batch, no rho)."""
+    delta = epsilon / (100.0 * (1.0 - 1.0 / math.e) * (1.0 - epsilon) * eta)
+    eps_hat = 99.0 * epsilon / (100.0 - epsilon)
+    log_inv_delta = math.log(6.0 / delta)
+    root_sum = math.sqrt(log_inv_delta) + math.sqrt(math.log(n) + log_inv_delta)
+    theta_max = 2.0 * n * root_sum * root_sum / (eps_hat ** 2)
+    theta_0 = max(1, int(math.ceil(theta_max * eps_hat ** 2 / n)))
+    iterations = max(1, int(math.ceil(math.log2(theta_max / theta_0))) + 1)
+    log_3t_delta = math.log(3.0 * iterations / delta)
+    return theta_max, theta_0, iterations, log_3t_delta + math.log(n), log_3t_delta
 
 
 @given(instances(), st.integers(min_value=2, max_value=16))

@@ -113,6 +113,11 @@ class TestLogBinomial:
         assert log_binomial(10, 0) == pytest.approx(0.0)
         assert log_binomial(10, 10) == pytest.approx(0.0)
 
+    def test_k_one_is_exact_log(self):
+        # TRIM-B at b = 1 must derive TRIM's constants bit for bit.
+        for n in list(range(1, 2000)) + [10**6 + 3, 2**40, 10**12]:
+            assert log_binomial(n, 1) == math.log(n)
+
     def test_symmetry(self):
         assert log_binomial(20, 4) == pytest.approx(log_binomial(20, 16))
 

@@ -161,8 +161,9 @@ class TestMRRCollection:
     def test_node_estimate_consistent_with_set_estimate(self, ic_model, small_social):
         pool = MRRCollection(small_social, ic_model, eta=8, seed=2)
         pool.grow_to(400)
-        assert pool.estimated_node_truncated_spread(3) == pytest.approx(
-            pool.estimated_truncated_spread([3])
+        # TRIM's gain is eta * Lambda_R(v) / |R| from the O(1) counter.
+        assert pool.estimated_truncated_spread([3]) == (
+            pool.eta * pool.index.coverage_of(3) / len(pool)
         )
 
 

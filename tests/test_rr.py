@@ -65,12 +65,12 @@ class TestRRCollection:
         pool.grow_to(8000)
         for v in range(4):
             exact = exact_expected_spread(g, ic_model, [v])
-            assert pool.estimated_node_spread(v) == pytest.approx(exact, rel=0.12)
+            assert pool.estimated_spread([v]) == pytest.approx(exact, rel=0.12)
 
     def test_set_estimate_at_least_node_estimate(self, ic_model, small_social):
         pool = RRCollection(small_social, ic_model, seed=3)
         pool.grow_to(500)
-        single = pool.estimated_node_spread(0)
+        single = pool.estimated_spread([0])
         pair = pool.estimated_spread([0, 1])
         assert pair >= single - 1e-9
 

@@ -17,10 +17,19 @@ deterministic exercise:
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import repro
 
 from repro.core.asti import ASTI
 from repro.diffusion.ic import IndependentCascade
@@ -41,7 +50,7 @@ from repro.service import (
     parse_request,
 )
 from repro.service.handlers import build_plan
-from repro.service.protocol import MAX_LINE_BYTES, Request
+from repro.service.protocol import MAX_LINE_BYTES, OPERATIONS, Request
 from repro.testing.faults import FaultInjection, ServiceFaultInjection
 
 DATASET = "nethept-sim"
@@ -52,6 +61,16 @@ THETA = 400
 ESTIMATE_PARAMS = {
     "dataset": DATASET, "n": N, "eta": ETA,
     "seeds": [0, 3, 7], "theta": THETA,
+}
+
+
+#: Lines that once escaped ``parse_request`` as a non-protocol exception
+#: (or, for the NaN deadline, were admitted): 100,000 nested arrays, a
+#: seed past Python's digit limit for int parsing, and JSON's ``NaN``.
+HOSTILE_LINES = {
+    "deep-nesting": b"[" * 100_000,
+    "huge-seed": b'{"op": "health", "id": "big", "seed": ' + b"9" * 5000 + b"}",
+    "nan-deadline": b'{"op": "estimate", "id": "nan", "deadline_ms": NaN}',
 }
 
 
@@ -111,6 +130,12 @@ class TestProtocol:
             b'{"op": "solve", "id": "q", "seed": true}',
             b'{"op": "solve", "id": "q", "deadline_ms": -5}',
             b'{"op": "solve", "id": "q", "params": []}',
+            *(pytest.param(line, id=name) for name, line in HOSTILE_LINES.items()),
+            pytest.param(b'{"op": "solve", "id": "q", "deadline_ms": Infinity}', id="inf-deadline"),
+            pytest.param(
+                b'{"op": "solve", "id": "q", "deadline_ms": 1' + b"0" * 400 + b"}",
+                id="deadline-past-float",
+            ),
         ],
     )
     def test_invalid_lines_raise_protocol_error(self, line):
@@ -476,3 +501,89 @@ class TestServiceConfigValidation:
     def test_service_thread_rejects_stdio(self):
         with pytest.raises(ServiceError):
             ServiceThread(ServiceConfig(stdio=True))
+
+
+_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+_FIELD_VALUE = st.one_of(
+    _JSON,
+    st.sampled_from(OPERATIONS),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(min_value=0.0),
+    st.sampled_from([math.nan, math.inf, -0.0, 10**400]),
+)
+#: Valid requests with arbitrary optional fields (so the later checks are
+#: reached), objects keyed mostly by request fields, and any JSON at all.
+_DOCUMENT = st.one_of(
+    st.fixed_dictionaries(
+        {"op": st.sampled_from(OPERATIONS), "id": st.text(min_size=1, max_size=6)},
+        optional={"seed": _FIELD_VALUE, "deadline_ms": _FIELD_VALUE, "params": _FIELD_VALUE},
+    ),
+    st.dictionaries(
+        st.one_of(
+            st.sampled_from(["op", "id", "seed", "deadline_ms", "params"]),
+            st.text(max_size=6),
+        ),
+        _FIELD_VALUE,
+        max_size=6,
+    ),
+    _JSON,
+)
+
+
+def _parses_or_raises_protocol_error(line: bytes) -> None:
+    try:
+        request = parse_request(line)
+    except ProtocolError:
+        return
+    assert isinstance(request, Request)
+    assert request.op in OPERATIONS
+    assert isinstance(request.seed, int) and request.seed >= 0
+    assert request.deadline_ms is None or 0.0 <= request.deadline_ms < math.inf
+
+
+class TestHostileInput:
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=64))
+    def test_raw_bytes_parse_or_raise_protocol_error(self, data):
+        _parses_or_raises_protocol_error(data)
+
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(document=_DOCUMENT, cut=st.floats(0.0, 1.0))
+    def test_json_documents_parse_or_raise_protocol_error(self, document, cut):
+        line = json.dumps(document).encode()
+        _parses_or_raises_protocol_error(line)
+        _parses_or_raises_protocol_error(line[: int(len(line) * cut)])
+
+    def test_stdio_session_answers_every_hostile_line(self):
+        lines = [HOSTILE_LINES[name] for name in sorted(HOSTILE_LINES)]
+        health = b'{"op": "health", "id": "h"}'
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--stdio"],
+            input=b"\n".join(lines + [health]) + b"\n",
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        replies = [json.loads(row) for row in done.stdout.splitlines()]
+        assert len(replies) == len(lines) + 1
+        for reply in replies[:-1]:
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "invalid_request"
+        assert replies[-1]["id"] == "h" and replies[-1]["ok"] is True

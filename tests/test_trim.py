@@ -5,48 +5,88 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.trim import TrimParameters, TrimSelector
+from repro.core.trim import TrimSelector
+from repro.core.trim_b import TrimBParameters
 from repro.errors import ConfigurationError, InfeasibleTargetError
 from repro.graph import generators, weighting
 from repro.graph.residual import initial_residual
 
 
 class TestTrimParameters:
+    """Algorithm 2's Lines 1-5 are Algorithm 3's at b = 1."""
+
+    @pytest.mark.parametrize(
+        "n, eta, epsilon, max_samples, expected",
+        [
+            # (delta, eps_hat, theta_max, theta_0, iterations, a1, a2) as
+            # Algorithm 2's own Lines 1-5 compute them, with ln n exact.
+            (500, 50, 0.5, None, (
+                0.0003163953413738653, 0.49748743718592964,
+                206365.38951263882, 103, 12,
+                17.856645082907455, 11.642036984485266,
+            )),
+            (1000, 100, 0.1, None, (
+                1.757751896521474e-05, 0.0990990990990991,
+                13040487.633802403, 129, 18,
+                21.84562912947173, 14.937873850489595,
+            )),
+            (1500, 120, 0.5, None, (
+                0.00013183139223911055, 0.49748743718592964,
+                685886.7708302999, 114, 14,
+                19.984876788756726, 12.671656401666423,
+            )),
+            (199_999, 3000, 0.25, None, (
+                1.7577518965214736e-06, 0.24812030075187969,
+                537881836.5826327, 166, 23,
+                29.6916490470343, 17.485581401516626,
+            )),
+            (1000, 100, 0.5, 500, (
+                0.00015819767068693264, 0.49748743718592964,
+                500.0, 1, 10,
+                19.06061788723339, 12.152862608251256,
+            )),
+        ],
+    )
+    def test_b_one_schedule_pins_trim_values(self, n, eta, epsilon, max_samples, expected):
+        p = TrimBParameters(n, eta, epsilon, 1, max_samples)
+        got = (p.delta, p.eps_hat, p.theta_max, p.theta_0, p.iterations, p.a1, p.a2)
+        assert got == expected
+
     def test_line1_delta_and_eps_hat(self):
-        p = TrimParameters(n=1000, eta=100, epsilon=0.5)
+        p = TrimBParameters(n=1000, eta=100, epsilon=0.5, b=1)
         one_minus_inv_e = 1 - 1 / math.e
         assert p.delta == pytest.approx(0.5 / (100 * one_minus_inv_e * 0.5 * 100))
         assert p.eps_hat == pytest.approx(99 * 0.5 / 99.5)
 
     def test_theta_schedule_monotone(self):
-        p = TrimParameters(n=1000, eta=100, epsilon=0.5)
+        p = TrimBParameters(n=1000, eta=100, epsilon=0.5, b=1)
         sizes = [p.pool_size_at(t) for t in range(p.iterations)]
         assert all(sizes[i] <= sizes[i + 1] for i in range(len(sizes) - 1))
         assert sizes[0] == p.theta_0
         assert sizes[-1] <= math.ceil(p.theta_max)
 
     def test_iterations_cover_theta_max(self):
-        p = TrimParameters(n=1000, eta=100, epsilon=0.5)
+        p = TrimBParameters(n=1000, eta=100, epsilon=0.5, b=1)
         assert p.theta_0 * 2 ** (p.iterations - 1) >= p.theta_max
 
     def test_smaller_epsilon_needs_more_samples(self):
-        loose = TrimParameters(n=1000, eta=100, epsilon=0.5)
-        tight = TrimParameters(n=1000, eta=100, epsilon=0.1)
+        loose = TrimBParameters(n=1000, eta=100, epsilon=0.5, b=1)
+        tight = TrimBParameters(n=1000, eta=100, epsilon=0.1, b=1)
         assert tight.theta_max > loose.theta_max
 
     def test_max_samples_caps(self):
-        p = TrimParameters(n=1000, eta=100, epsilon=0.5, max_samples=500)
+        p = TrimBParameters(n=1000, eta=100, epsilon=0.5, b=1, max_samples=500)
         assert p.theta_max == 500
 
     def test_invalid_epsilon(self):
         with pytest.raises(ConfigurationError):
-            TrimParameters(n=10, eta=5, epsilon=0.0)
+            TrimBParameters(n=10, eta=5, epsilon=0.0, b=1)
         with pytest.raises(ConfigurationError):
-            TrimParameters(n=10, eta=5, epsilon=1.0)
+            TrimBParameters(n=10, eta=5, epsilon=1.0, b=1)
 
     def test_infeasible_eta(self):
         with pytest.raises(InfeasibleTargetError):
-            TrimParameters(n=10, eta=11, epsilon=0.5)
+            TrimBParameters(n=10, eta=11, epsilon=0.5, b=1)
 
 
 class TestTrimSelector:

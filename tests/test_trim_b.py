@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from repro.core.trim import TrimParameters
 from repro.core.trim_b import TrimBParameters, TrimBSelector, batch_guarantee
-from repro.errors import ConfigurationError, InfeasibleTargetError
+from repro.errors import ConfigurationError
 from repro.graph import generators
 from repro.graph.residual import initial_residual
 
@@ -27,13 +26,14 @@ class TestBatchGuarantee:
 
 class TestTrimBParameters:
     def test_b_one_matches_trim(self):
-        trim = TrimParameters(n=500, eta=50, epsilon=0.5)
         trimb = TrimBParameters(n=500, eta=50, epsilon=0.5, b=1)
-        # With b = 1: rho_1 = 1 and ln C(n, 1) = ln n, so the formulas align.
-        assert trimb.rho_b == pytest.approx(1.0)
-        assert trimb.theta_max == pytest.approx(trim.theta_max, rel=1e-9)
-        assert trimb.a1 == pytest.approx(trim.a1, rel=1e-9)
-        assert trimb.a2 == pytest.approx(trim.a2, rel=1e-9)
+        # With b = 1: rho_1 = 1 and ln C(n, 1) = ln n, so Algorithm 3's
+        # Lines 2 and 5 are Algorithm 2's, bit for bit.
+        assert trimb.rho == 1.0
+        log_inv_delta = math.log(6.0 / trimb.delta)
+        root_sum = math.sqrt(log_inv_delta) + math.sqrt(math.log(500) + log_inv_delta)
+        assert trimb.theta_max == 2.0 * 500 * root_sum * root_sum / (trimb.eps_hat ** 2)
+        assert trimb.a1 == trimb.a2 + math.log(500)
 
     def test_larger_batches_fewer_sets(self):
         b1 = TrimBParameters(n=500, eta=50, epsilon=0.5, b=1)
@@ -43,7 +43,7 @@ class TestTrimBParameters:
     def test_invalid_batch(self):
         with pytest.raises(ConfigurationError):
             TrimBParameters(n=10, eta=5, epsilon=0.5, b=0)
-        with pytest.raises(InfeasibleTargetError):
+        with pytest.raises(ConfigurationError, match="b=11 exceeds node count n=10"):
             TrimBParameters(n=10, eta=5, epsilon=0.5, b=11)
 
 
